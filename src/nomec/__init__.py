@@ -11,9 +11,10 @@ from .scenario import (ConfigError, Scenario, ScenarioConfig, generate,
 from .power import (ClusterPowerSolution, PowerConstraints, grid_oracle,
                     solve_cluster_power)
 from .graph import (ConflictGraph, NomaAssociation, build_full, build_pruned,
-                    conflicts, modified_weight, vertex_weight)
+                    conflicts, enumerate_full, modified_weight, vertex_weight)
 from .mwis import (IndependentSet, exact_min_wis, greedy_min_wis,
-                   is_independent, is_maximal, random_maximal_is)
+                   is_independent, is_maximal, modified_ranks,
+                   random_maximal_is)
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
                       allocate_local, first_layer_weight, second_layer_weight)
 from .schedulers import (SCHEMES, OffloadPlan, Schedule, run_baseline,

@@ -12,7 +12,7 @@ from .scenario import ConfigError, ScenarioConfig, load_config
 from .schedulers import SCHEMES
 
 _RANGE_VARS = {"task_size_range_bits"}
-_INT_VARS = {"n_uds", "n_aps", "n_mecs", "rrbs_per_ap", "seed"}
+_INT_VARS = {"n_uds", "n_aps", "n_mecs", "rrbs_per_ap"}
 
 
 def _parse_sweep(text: str):

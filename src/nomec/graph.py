@@ -3,11 +3,16 @@
 A vertex is a 1- or 2-UD association with one RRB of one AP, carrying its
 solved powers and a weight equal to the summed per-UD local-processing
 utility. Two vertices conflict when they share a UD or compete for the same
-RRB of the same AP (strict mode: the same RRB index anywhere). Adjacency is
-stored as packed bitset rows, built with vectorized pairwise comparisons,
-which keeps neighbor removal cheap for the search heuristics and makes the
-full-graph build cost scale with the square of the vertex count, as the
-enumeration it implements does.
+RRB of the same AP (strict mode: the same RRB index anywhere), so the graph
+is a union of cliques, one per UD and one per slot, and every scheduling
+decision can be made from the per-vertex u1/u2/slot keys alone.
+
+enumerate_full builds the vertex arrays without edges; that is what the
+schedulers use. Adjacency is explicit only as packed bitset rows, built
+lazily on first access to ``adj_bits`` with vectorized pairwise
+comparisons. build_full forces that build, so its cost scales with the
+square of the vertex count, as the enumeration the paper describes does;
+the exact search, the debug dump and the tests use the explicit rows.
 """
 
 from dataclasses import dataclass
@@ -69,13 +74,14 @@ def vertex_weight(assoc: NomaAssociation, scenario, f_loc: float) -> float:
 
 
 class ConflictGraph:
-    """Array-backed vertex store plus packed bitset adjacency rows.
+    """Array-backed vertex store plus lazily built packed bitset adjacency.
 
     kind is "full" or "pruned" (or "custom" for hand-built graphs); the
     strict_cc2 flag records which conflict rule produced the edges. Vertex
     attributes live in the u1/u2/rrb_arr/ap_arr/weights arrays (u2 is -1
-    for singletons); NomaAssociation objects are materialized on demand so
-    building large graphs stays an array operation.
+    for singletons) and ``slot`` names the conflicting resource block;
+    NomaAssociation objects are materialized on demand so building large
+    graphs stays an array operation. ``adj_bits`` is built on first access.
     """
 
     def __init__(self, vertices=None, strict_cc2: bool = False, kind: str = "custom",
@@ -105,9 +111,16 @@ class ConflictGraph:
         else:
             max_rrb = int(self.rrb_arr.max()) if n else 0
             slot = self.ap_arr * (max_rrb + 1) + self.rrb_arr
-        self._slot = slot
-        self.adj_bits = self._build_adjacency(self.u1, self.u2, slot)
+        self.slot = slot
+        self._adj_bits = None
         self._index = None
+
+    @property
+    def adj_bits(self) -> np.ndarray:
+        """Packed bitset adjacency rows, built on first access."""
+        if self._adj_bits is None:
+            self._adj_bits = self._build_adjacency(self.u1, self.u2, self.slot)
+        return self._adj_bits
 
     @property
     def vertices(self):
@@ -262,16 +275,16 @@ def _assemble(scenario, entries, strict_cc2, kind):
     return ConflictGraph(vertices, strict_cc2=strict_cc2, kind=kind)
 
 
-def build_full(scenario, f_loc=None, strict_cc2: bool = False,
-               include_singletons: bool = True, uds=None, aps=None,
-               rrbs=None) -> ConflictGraph:
-    """Enumerate every coverage- and rate-feasible association.
+def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False,
+                   include_singletons: bool = True, uds=None, aps=None,
+                   rrbs=None) -> ConflictGraph:
+    """Enumerate every coverage- and rate-feasible association, no edges.
 
     f_loc: per-AP frequency (dict, scalar, or None for each AP's cap) used
     only in the vertex weights. uds/aps/rrbs restrict the enumeration, for
     iterative scheduling and baselines. Power solving and weights are
-    batched per AP across its RRBs so the pairwise adjacency pass dominates
-    the build cost.
+    batched per AP across its RRBs; the returned graph builds its adjacency
+    only if something reads ``adj_bits``.
     """
     chan = scenario.channel
     p_max = scenario.devices[0].p_max_w if scenario.devices else 0.0
@@ -282,12 +295,6 @@ def build_full(scenario, f_loc=None, strict_cc2: bool = False,
     ud_filter = None if uds is None else set(uds)
     ap_filter = None if aps is None else set(aps)
     parts = tuple([] for _ in range(10))  # u1, u2, rrb, ap, w, p1, p2, r1, r2, obj
-
-    def emit(u1, u2, z, ap_id, count, w, p1, p2, r1, r2, obj):
-        rrb_col = np.full(count, z, dtype=np.int64)
-        ap_col = np.full(count, ap_id, dtype=np.int64)
-        for part, arr in zip(parts, (u1, u2, rrb_col, ap_col, w, p1, p2, r1, r2, obj)):
-            part.append(arr)
 
     for ap in scenario.aps:
         if ap_filter is not None and ap.id not in ap_filter:
@@ -313,6 +320,9 @@ def build_full(scenario, f_loc=None, strict_cc2: bool = False,
             cycles[i] = task.cycles
         cov_ids = np.array(covered, dtype=np.int64)
         compute_term = cycles * (1.0 / f_ap + alpha * f_ap * f_ap)
+        # one column per candidate cluster, one row per RRB:
+        # (u1, u2) per column, (w, p1, p2, r1, r2, obj, feasible) per cell
+        members, blocks = [], []
 
         if include_singletons:
             p_s, r_s, obj_s, feas_s = solve_singletons_batch(
@@ -320,6 +330,9 @@ def build_full(scenario, f_loc=None, strict_cc2: bool = False,
             p_s, r_s, obj_s = (a.reshape(n_z, n_cov) for a in (p_s, r_s, obj_s))
             feas_s = feas_s.reshape(n_z, n_cov) & (r_s > 0)
             w_s = sizes / np.where(r_s > 0, r_s, 1.0) + compute_term
+            nan = np.full((n_z, n_cov), np.nan)
+            members.append((cov_ids, np.full(n_cov, -1, dtype=np.int64)))
+            blocks.append((w_s, p_s, nan, r_s, nan, obj_s, feas_s))
         if n_cov >= 2:
             pair_i, pair_j = np.triu_indices(n_cov, 1)
             p_lo, p_hi, r_lo, r_hi, obj_p, feas_p = solve_pairs_batch(
@@ -332,26 +345,38 @@ def build_full(scenario, f_loc=None, strict_cc2: bool = False,
             w_p = (sizes[pair_i] / np.where(r_lo > 0, r_lo, 1.0)
                    + sizes[pair_j] / np.where(r_hi > 0, r_hi, 1.0)
                    + compute_term[pair_i] + compute_term[pair_j])
+            members.append((cov_ids[pair_i], cov_ids[pair_j]))
+            blocks.append((w_p, p_lo, p_hi, r_lo, r_hi, obj_p, feas_p))
+        if not blocks:
+            continue
 
-        for zi, z in enumerate(rrb_list):
-            if include_singletons:
-                sel = np.flatnonzero(feas_s[zi])
-                if sel.size:
-                    nan = np.full(sel.size, np.nan)
-                    emit(cov_ids[sel], np.full(sel.size, -1, dtype=np.int64),
-                         z, ap.id, sel.size, w_s[zi, sel],
-                         p_s[zi, sel], nan, r_s[zi, sel], nan, obj_s[zi, sel])
-            if n_cov >= 2:
-                sel = np.flatnonzero(feas_p[zi])
-                if sel.size:
-                    emit(cov_ids[pair_i[sel]], cov_ids[pair_j[sel]],
-                         z, ap.id, sel.size, w_p[zi, sel],
-                         p_lo[zi, sel], p_hi[zi, sel],
-                         r_lo[zi, sel], r_hi[zi, sel], obj_p[zi, sel])
+        u1, u2 = (np.concatenate(col) for col in zip(*members))
+        w, p1, p2, r1, r2, obj, feas = (np.hstack(cells) for cells in zip(*blocks))
+        # row-major order: RRB by RRB, singletons before pairs within each
+        zi, ci = np.nonzero(feas)
+        if not ci.size:
+            continue
+        columns = (u1[ci], u2[ci], np.asarray(rrb_list, dtype=np.int64)[zi],
+                   np.full(ci.size, ap.id, dtype=np.int64), w[zi, ci], p1[zi, ci],
+                   p2[zi, ci], r1[zi, ci], r2[zi, ci], obj[zi, ci])
+        for part, arr in zip(parts, columns):
+            part.append(arr)
     if not parts[0]:
         return ConflictGraph((), strict_cc2=strict_cc2, kind="full")
     data = tuple(np.concatenate(part) for part in parts)
     return ConflictGraph(strict_cc2=strict_cc2, kind="full", _data=data)
+
+
+def build_full(scenario, f_loc=None, strict_cc2: bool = False,
+               include_singletons: bool = True, uds=None, aps=None,
+               rrbs=None) -> ConflictGraph:
+    """enumerate_full plus the explicit pairwise adjacency, whose
+    O(V^2) build dominates the cost."""
+    graph = enumerate_full(scenario, f_loc=f_loc, strict_cc2=strict_cc2,
+                           include_singletons=include_singletons, uds=uds,
+                           aps=aps, rrbs=rrbs)
+    graph.adj_bits  # first access builds the edges
+    return graph
 
 
 def local_load_cps(task) -> float:
@@ -401,12 +426,10 @@ def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> C
                     continue
                 load = local_load_cps(scenario.device_by_id(cand).task)
                 if load < budget * (1.0 - rel_tol):
-                    qualifies, single = True, False
+                    single = False
                 elif abs(load - budget) <= rel_tol * budget:
-                    qualifies, single = True, True
+                    single = True
                 else:
-                    continue
-                if not qualifies:
                     continue
                 if cand not in used_seeds:
                     seed, singleton_only = cand, single

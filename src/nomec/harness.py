@@ -43,6 +43,8 @@ class ExperimentSpec:
     timings: bool = False
 
     def __post_init__(self):
+        if self.sweep_var == "seed":
+            raise HarnessError("seed cannot be swept; the master seed is --seed")
         if self.sweep_var not in {f.name for f in dataclasses.fields(ScenarioConfig)}:
             raise HarnessError(f"unknown sweep variable {self.sweep_var!r}")
         if not self.sweep_values:
@@ -52,6 +54,8 @@ class ExperimentSpec:
             raise HarnessError(f"unknown schemes: {', '.join(unknown)}")
         if self.trials < 1:
             raise HarnessError("trials must be >= 1")
+        if self.max_iters < 1:
+            raise HarnessError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)

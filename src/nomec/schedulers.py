@@ -9,7 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import build_full, build_pruned
+from .graph import build_pruned, enumerate_full
+# kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
+from .graph import build_full  # noqa: F401
 from .model import InvalidAssignmentError, Metrics, system_metrics
 from .mwis import IndependentSet, _greedy_by_order, greedy_min_wis, random_maximal_is
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
@@ -107,6 +109,8 @@ def _stage1_iterate(scenario, max_iters, strict_cc2, ordering):
     next iteration's pool. Returns (final associations, committed ap ids,
     last graph, last independent set, iterations, converged).
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     f_loc = {ap.id: ap.f_loc_max_cps for ap in scenario.aps}
     committed = []
     committed_aps = set()
@@ -119,8 +123,8 @@ def _stage1_iterate(scenario, max_iters, strict_cc2, ordering):
     iterations = 0
     for it in range(max_iters):
         iterations = it + 1
-        graph = build_full(scenario, f_loc=f_loc, strict_cc2=strict_cc2,
-                           uds=active_uds, aps=active_aps)
+        graph = enumerate_full(scenario, f_loc=f_loc, strict_cc2=strict_cc2,
+                               uds=active_uds, aps=active_aps)
         if it == 0:
             first_vertices = len(graph)
         wis = greedy_min_wis(graph, ordering)
@@ -208,7 +212,7 @@ def run_baseline(scenario, kind: str, seed: int = 0, max_iters: int = 5,
     if kind == "all_offload":
         # one RRB per AP caps each collected group at a single cluster;
         # pairs order before singletons so clusters fill up
-        graph = build_full(scenario, f_loc=None, strict_cc2=strict_cc2, rrbs=[0])
+        graph = enumerate_full(scenario, f_loc=None, strict_cc2=strict_cc2, rrbs=[0])
         singleton = (graph.u2 < 0).astype(np.int8)
         order = np.lexsort((graph.u2, graph.u1, graph.rrb_arr, graph.ap_arr,
                             graph.weights, singleton))
@@ -225,7 +229,7 @@ def run_baseline(scenario, kind: str, seed: int = 0, max_iters: int = 5,
         return schedule, _finish(scenario, schedule, alloc, admission, failed, [], extras)
 
     if kind == "random":
-        graph = build_full(scenario, f_loc=None, strict_cc2=strict_cc2)
+        graph = enumerate_full(scenario, f_loc=None, strict_cc2=strict_cc2)
         wis = random_maximal_is(graph, seed)
         schedule = Schedule.from_associations(wis.vertices, scenario)
         alloc = _allocate(scenario, {m: [t for _, t, _ in e] for m, e in schedule.ap_groups.items()})

@@ -115,3 +115,18 @@ def test_worker_pool_matches_serial(tmp_path, config_file, capsys):
     assert main(base + ["--out", pooled, "--workers", "2"]) == 0
     capsys.readouterr()
     assert open(serial, "rb").read() == open(pooled, "rb").read()
+
+
+def test_max_iters_below_one_exits_1(capsys):
+    code, out, err = run_cli(["--max-iters", "0", "--schemes", "joint",
+                              "--trials", "1"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "max_iters" in err
+    assert out == ""
+
+
+def test_seed_sweep_rejected_by_name(capsys):
+    code, out, err = run_cli(["--sweep", "seed=1,2", "--trials", "1"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "seed" in err and "--seed" in err
+    assert out == ""

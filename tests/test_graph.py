@@ -5,8 +5,8 @@ import pytest
 
 from nomec import (ConflictGraph, NomaAssociation, PowerConstraints,
                    ScenarioConfig, build_full, build_pruned, conflicts,
-                   generate, modified_weight, solve_cluster_power,
-                   vertex_weight)
+                   enumerate_full, generate, modified_weight,
+                   solve_cluster_power, vertex_weight)
 from nomec.graph import from_associations, local_load_cps, pair_load_cps
 from nomec.power import ClusterPowerSolution
 import oracles
@@ -278,3 +278,30 @@ def test_custom_graph_lazy_vertex_access():
     assert isinstance(v, NomaAssociation)
     assert graph.vertices[0].key == v.key
     assert ConflictGraph(graph.vertices).n_vertices == len(graph)
+
+
+def test_enumerate_full_matches_build_full_without_edges():
+    for strict in (False, True):
+        scn = generate(ScenarioConfig(n_uds=12, seed=13))
+        half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
+        for kwargs in ({}, {"f_loc": half, "uds": set(range(8)), "aps": {0, 2, 5}},
+                       {"rrbs": [0], "include_singletons": False}):
+            lazy = enumerate_full(scn, strict_cc2=strict, **kwargs)
+            full = build_full(scn, strict_cc2=strict, **kwargs)
+            assert lazy._adj_bits is None and full._adj_bits is not None
+            for name in ("u1", "u2", "rrb_arr", "ap_arr", "weights", "slot"):
+                assert np.array_equal(getattr(lazy, name), getattr(full, name))
+            assert [v.power for v in lazy.vertices] == [v.power for v in full.vertices]
+            assert np.array_equal(lazy.adj_bits, full.adj_bits)
+            assert lazy.kind == full.kind == "full"
+
+
+def test_pruned_adjacency_is_lazy():
+    scn = generate(ScenarioConfig(n_uds=12, seed=14))
+    pruned = build_pruned(scn)
+    assert len(pruned) > 0 and pruned._adj_bits is None
+    mat = pruned.adjacency_matrix()
+    verts = pruned.vertices
+    for i in range(len(verts)):
+        for j in range(len(verts)):
+            assert mat[i, j] == (i != j and conflicts(verts[i], verts[j]))

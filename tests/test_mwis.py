@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nomec import (NomaAssociation, exact_min_wis, greedy_min_wis,
+from nomec import (NomaAssociation, ScenarioConfig, enumerate_full,
+                   exact_min_wis, generate, greedy_min_wis, modified_ranks,
                    random_maximal_is)
 from nomec.graph import from_associations
 from nomec.mwis import is_independent, is_maximal
@@ -140,3 +141,112 @@ def test_ordering_validation_and_empty():
     some = from_associations([assoc((0,), 0, 0, 1.0)])
     with pytest.raises(ValueError):
         greedy_min_wis(some, ordering="lightest")
+
+
+# Dense route: the packed-bit adjacency the incidence passes replace. The
+# neighbour-mask loop below is the greedy as it ran on explicit edges.
+
+def dense_greedy(mat, order):
+    alive = np.ones(len(mat), dtype=bool)
+    picked = []
+    for i in order:
+        if alive[i]:
+            picked.append(int(i))
+            alive &= ~mat[i]
+            alive[i] = False
+    return tuple(picked)
+
+
+def dense_order(graph, rank):
+    return np.lexsort((graph.u2, graph.u1, graph.rrb_arr, graph.ap_arr, rank))
+
+
+def dense_modified_ranks(graph, mat):
+    w = graph.weights
+    adj_sum = np.array([w[row].sum() for row in mat])
+    return w * (w.sum() - w - adj_sum)
+
+
+def dense_is_independent(mat, indices):
+    idx = sorted(set(indices))
+    return not mat[np.ix_(idx, idx)].any()
+
+
+def dense_is_maximal(mat, indices):
+    covered = np.zeros(len(mat), dtype=bool)
+    for i in indices:
+        covered |= mat[i]
+        covered[i] = True
+    return bool(covered.all())
+
+
+def scenario_corpus():
+    for n_uds in (8, 24, 96):
+        scn = generate(ScenarioConfig(n_uds=n_uds, seed=31 + n_uds))
+        for strict in (False, True):
+            yield n_uds, enumerate_full(scn, strict_cc2=strict)
+
+
+def test_incidence_picks_match_dense_route():
+    checked = 0
+    for n_uds, graph in scenario_corpus():
+        mat = graph.adjacency_matrix()
+        w = graph.weights
+        assert greedy_min_wis(graph, "original").indices == \
+            dense_greedy(mat, dense_order(graph, w))
+        modified = dense_modified_ranks(graph, mat)
+        assert greedy_min_wis(graph, "modified").indices == \
+            dense_greedy(mat, dense_order(graph, modified))
+        for seed in (0, 1, 2):
+            order = np.random.default_rng(seed).permutation(len(graph))
+            assert random_maximal_is(graph, seed).indices == dense_greedy(mat, order)
+        del mat
+        checked += 1
+    assert checked == 6
+
+
+def test_incidence_picks_match_dense_route_on_custom_graphs():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        graph = random_graph(rng, int(rng.integers(1, 40)))
+        mat = graph.adjacency_matrix()
+        assert greedy_min_wis(graph).indices == \
+            dense_greedy(mat, dense_order(graph, graph.weights))
+        assert greedy_min_wis(graph, "modified").indices == \
+            dense_greedy(mat, dense_order(graph, dense_modified_ranks(graph, mat)))
+        order = np.random.default_rng(5).permutation(len(graph))
+        assert random_maximal_is(graph, 5).indices == dense_greedy(mat, order)
+
+
+def test_modified_ranks_match_oracle():
+    graphs = [g for n_uds, g in scenario_corpus() if n_uds <= 24]
+    rng = np.random.default_rng(41)
+    graphs += [random_graph(rng, int(rng.integers(1, 30))) for _ in range(20)]
+    for graph in graphs:
+        adj = graph.adjacency_matrix().tolist()
+        weights = list(graph.weights)
+        want = [oracles.modified_weight(i, adj, weights) for i in range(len(graph))]
+        assert modified_ranks(graph) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_independence_and_maximality_match_dense_route():
+    rng = np.random.default_rng(43)
+    graphs = [random_graph(rng, int(rng.integers(2, 30))) for _ in range(30)]
+    graphs += [g for n_uds, g in scenario_corpus() if n_uds == 8]
+    outcomes = set()
+    for graph in graphs:
+        mat = graph.adjacency_matrix()
+        n = len(graph)
+        picks = list(greedy_min_wis(graph).indices)
+        subsets = [picks, picks[:-1], picks + [int(rng.integers(n))], []]
+        for _ in range(20):
+            size = int(rng.integers(1, min(n, 8) + 1))
+            subsets.append([int(i) for i in rng.choice(n, size=size, replace=False)])
+        for subset in subsets:
+            independent = is_independent(graph, subset)
+            maximal = is_maximal(graph, subset)
+            assert independent == dense_is_independent(mat, subset)
+            assert maximal == dense_is_maximal(mat, subset)
+            outcomes.add((independent, maximal))
+    # dependent, non-maximal and valid subsets all occurred
+    assert {(True, True), (True, False), (False, True), (False, False)} <= outcomes

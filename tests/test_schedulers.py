@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from nomec import (SCHEMES, ClusterPowerSolution, NomaAssociation, Schedule,
-                   ScenarioConfig, conflicts, generate, run_scheme)
+from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
+                   NomaAssociation, Schedule, ScenarioConfig, conflicts,
+                   generate, run_baseline, run_joint, run_scheme)
 from nomec.model import InvalidAssignmentError
 
 BASE = dict(n_uds=10, n_aps=4, n_mecs=2, rrbs_per_ap=2)
@@ -154,3 +155,26 @@ def test_unknown_scheme_rejected():
     scn = small_scenario(7)
     with pytest.raises(ValueError):
         run_scheme(scn, "optimal")
+
+
+def test_no_scheme_builds_the_adjacency(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scheduling path built the pairwise adjacency")
+
+    monkeypatch.setattr(ConflictGraph, "_build_adjacency", staticmethod(refuse))
+    scn = generate(ScenarioConfig(n_uds=24, seed=4))
+    for strict in (False, True):
+        for ordering in ("original", "modified"):
+            for scheme in SCHEMES:
+                _, plan = run_scheme(scn, scheme, seed=3, strict_cc2=strict,
+                                     mwis_ordering=ordering)
+                assert plan.metrics.scheduled_uds > 0
+
+
+def test_max_iters_below_one_rejected():
+    scn = small_scenario(8)
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError):
+            run_joint(scn, max_iters=max_iters)
+        with pytest.raises(ValueError):
+            run_baseline(scn, "local", max_iters=max_iters)
