@@ -9,6 +9,7 @@ import sys
 from .harness import (ExperimentSpec, HarnessError, emit, run_experiment,
                       summarize)
 from .scenario import ConfigError, ScenarioConfig, load_config
+from .mwis import ORDERINGS
 from .schedulers import SCHEMES
 
 _RANGE_VARS = {"task_size_range_bits"}
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="process pool size for sweep values")
     parser.add_argument("--strict-cc2", action="store_true",
                         help="forbid any RRB index reuse across APs")
-    parser.add_argument("--mwis-ordering", choices=("original", "modified"),
+    parser.add_argument("--mwis-ordering", choices=ORDERINGS,
                         default="original",
                         help="greedy vertex ordering: plain or influence-scaled weights")
     parser.add_argument("--fallback-local", choices=("on", "off"), default="on",

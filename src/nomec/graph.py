@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import group_demand_cps
 from .power import (ClusterPowerSolution, solve_pairs_batch,
                     solve_singletons_batch)
 
@@ -55,22 +56,6 @@ def conflicts(a: NomaAssociation, b: NomaAssociation, strict_cc2: bool = False) 
     if a.rrb == b.rrb and (strict_cc2 or a.ap == b.ap):
         return True
     return False
-
-
-def vertex_weight(assoc: NomaAssociation, scenario, f_loc: float) -> float:
-    """Summed per-UD utility: upload delay + compute delay + compute energy
-    at the AP frequency f_loc."""
-    if f_loc <= 0:
-        raise ValueError("f_loc must be positive")
-    alpha = scenario.weights.alpha_cpu
-    total = 0.0
-    for i, ud_id in enumerate(assoc.uds):
-        task = scenario.device_by_id(ud_id).task
-        rate = assoc.power.rates[i]
-        if rate <= 0:
-            raise ValueError(f"ud {ud_id} has a non-positive rate")
-        total += task.size_bits / rate + task.cycles / f_loc + alpha * task.cycles * f_loc ** 2
-    return total
 
 
 class ConflictGraph:
@@ -238,11 +223,6 @@ class ConflictGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def from_associations(assocs, strict_cc2: bool = False, kind: str = "custom") -> ConflictGraph:
-    """Wrap pre-built associations (weights already set) in a graph."""
-    return ConflictGraph(assocs, strict_cc2=strict_cc2, kind=kind)
-
-
 def modified_weight(i: int, graph: ConflictGraph) -> float:
     """Weight times the total weight of non-adjacent other vertices."""
     w = graph.weights
@@ -258,136 +238,85 @@ def _f_loc_of(f_loc, ap_id, default):
     return float(f_loc)
 
 
-def _assemble(scenario, entries, strict_cc2, kind):
-    """entries: list of (uds, rrb, ap, powers, rates, objective). Builds
-    weights and the graph; entries with a non-positive rate are dropped."""
-    alpha = scenario.weights.alpha_cpu
-    vertices = []
-    for uds, rrb, ap_id, powers, rates, obj, f_loc in entries:
-        if any(r <= 0 for r in rates):
-            continue
-        sol = ClusterPowerSolution(tuple(powers), tuple(rates), obj, True)
-        w = 0.0
-        for ud_id, rate in zip(uds, rates):
-            task = scenario.device_by_id(ud_id).task
-            w += task.size_bits / rate + task.cycles / f_loc + alpha * task.cycles * f_loc ** 2
-        vertices.append(NomaAssociation(uds, rrb, ap_id, sol, w))
-    return ConflictGraph(vertices, strict_cc2=strict_cc2, kind=kind)
+def _solve_cells(scenario, cells, f_ap, strict_cc2: bool, kind: str) -> ConflictGraph:
+    """The graph over the feasible candidate clusters among cells.
+
+    cells holds parallel arrays (u1, u2, ap, rrb), one entry per candidate
+    cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton; f_ap[m]
+    is the frequency of AP m that weights are taken at. Powers come from
+    the batched closed forms; the weight is the summed per-UD utility,
+    upload delay plus compute delay plus compute energy at f_ap. Clusters
+    that miss the rate floor or get a non-positive rate are dropped; the
+    rest keep the order of cells.
+    """
+    u1, u2, ap, rrb = cells
+    chan = scenario.channel
+    args = (scenario.devices[0].p_max_w, chan.noise_w, chan.rrb_bandwidth_hz,
+            scenario.weights.rate_threshold_bps)
+    g1 = chan.gain_ud_rrb[u1, ap, rrb]
+    # every cell is solved as a pair, a singleton with the gain its u2 = -1
+    # happens to index; singletons are then solved again on their own, and
+    # their absent second member gets no power and an unbounded rate
+    p1, p2, r1, r2, obj, feas = solve_pairs_batch(g1, chan.gain_ud_rrb[u2, ap, rrb], *args)
+    s = np.flatnonzero(u2 < 0)
+    p1[s], r1[s], obj[s], feas[s] = solve_singletons_batch(g1[s], *args)
+    p2[s], r2[s] = np.nan, np.inf
+    keep = np.flatnonzero(feas & (r1 > 0) & (r2 > 0))
+    u1, u2, ap, rrb, p1, p2, r1, r2, obj = (
+        col[keep] for col in (u1, u2, ap, rrb, p1, p2, r1, r2, obj))
+
+    # u2 = -1 reads the appended zero-size task, adding exact zeros
+    sizes = np.array([d.task.size_bits for d in scenario.devices] + [0.0])
+    cycles = np.array([d.task.cycles for d in scenario.devices] + [0.0])
+    f = np.asarray(f_ap, dtype=float)
+    per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f)[ap]
+    w = sizes[u1] / r1 + sizes[u2] / r2 + cycles[u1] * per_cycle + cycles[u2] * per_cycle
+    return ConflictGraph(strict_cc2=strict_cc2, kind=kind,
+                         _data=(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj))
 
 
-def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False,
-                   include_singletons: bool = True, uds=None, aps=None,
-                   rrbs=None) -> ConflictGraph:
+def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False, uds=None,
+                   aps=None, rrbs=None) -> ConflictGraph:
     """Enumerate every coverage- and rate-feasible association, no edges.
 
     f_loc: per-AP frequency (dict, scalar, or None for each AP's cap) used
     only in the vertex weights. uds/aps/rrbs restrict the enumeration, for
-    iterative scheduling and baselines. Power solving and weights are
-    batched per AP across its RRBs; the returned graph builds its adjacency
-    only if something reads ``adj_bits``.
+    iterative scheduling and baselines. Vertices run AP by AP, RRB by RRB,
+    singletons before pairs; powers and weights are solved in one batch,
+    and the returned graph builds its adjacency only if something reads
+    ``adj_bits``.
     """
-    chan = scenario.channel
-    p_max = scenario.devices[0].p_max_w if scenario.devices else 0.0
-    rth = scenario.weights.rate_threshold_bps
-    alpha = scenario.weights.alpha_cpu
-    noise = chan.noise_w
-    bw = chan.rrb_bandwidth_hz
     ud_filter = None if uds is None else set(uds)
     ap_filter = None if aps is None else set(aps)
-    parts = tuple([] for _ in range(10))  # u1, u2, rrb, ap, w, p1, p2, r1, r2, obj
-
+    cells = [[np.empty(0, dtype=np.int64)] * 4]   # typed even if no AP contributes
     for ap in scenario.aps:
         if ap_filter is not None and ap.id not in ap_filter:
             continue
-        f_ap = _f_loc_of(f_loc, ap.id, ap.f_loc_max_cps)
         covered = sorted(scenario.coverage[ap.id])
         if ud_filter is not None:
             covered = [u for u in covered if u in ud_filter]
-        if not covered:
-            continue
-        rrb_list = list(range(ap.num_rrbs) if rrbs is None else rrbs)
-        if not rrb_list:
-            continue
-        n_cov = len(covered)
-        n_z = len(rrb_list)
-        gains = np.array([[chan.gain_ud_rrb[(u, ap.id, z)] for u in covered]
-                          for z in rrb_list])
-        sizes = np.empty(n_cov)
-        cycles = np.empty(n_cov)
-        for i, u in enumerate(covered):
-            task = scenario.device_by_id(u).task
-            sizes[i] = task.size_bits
-            cycles[i] = task.cycles
-        cov_ids = np.array(covered, dtype=np.int64)
-        compute_term = cycles * (1.0 / f_ap + alpha * f_ap * f_ap)
-        # one column per candidate cluster, one row per RRB:
-        # (u1, u2) per column, (w, p1, p2, r1, r2, obj, feasible) per cell
-        members, blocks = [], []
-
-        if include_singletons:
-            p_s, r_s, obj_s, feas_s = solve_singletons_batch(
-                gains.ravel(), p_max, noise, bw, rth)
-            p_s, r_s, obj_s = (a.reshape(n_z, n_cov) for a in (p_s, r_s, obj_s))
-            feas_s = feas_s.reshape(n_z, n_cov) & (r_s > 0)
-            w_s = sizes / np.where(r_s > 0, r_s, 1.0) + compute_term
-            nan = np.full((n_z, n_cov), np.nan)
-            members.append((cov_ids, np.full(n_cov, -1, dtype=np.int64)))
-            blocks.append((w_s, p_s, nan, r_s, nan, obj_s, feas_s))
-        if n_cov >= 2:
-            pair_i, pair_j = np.triu_indices(n_cov, 1)
-            p_lo, p_hi, r_lo, r_hi, obj_p, feas_p = solve_pairs_batch(
-                gains[:, pair_i].ravel(), gains[:, pair_j].ravel(),
-                p_max, noise, bw, rth)
-            n_pairs = pair_i.size
-            p_lo, p_hi, r_lo, r_hi, obj_p = (
-                a.reshape(n_z, n_pairs) for a in (p_lo, p_hi, r_lo, r_hi, obj_p))
-            feas_p = feas_p.reshape(n_z, n_pairs) & (r_lo > 0) & (r_hi > 0)
-            w_p = (sizes[pair_i] / np.where(r_lo > 0, r_lo, 1.0)
-                   + sizes[pair_j] / np.where(r_hi > 0, r_hi, 1.0)
-                   + compute_term[pair_i] + compute_term[pair_j])
-            members.append((cov_ids[pair_i], cov_ids[pair_j]))
-            blocks.append((w_p, p_lo, p_hi, r_lo, r_hi, obj_p, feas_p))
-        if not blocks:
-            continue
-
-        u1, u2 = (np.concatenate(col) for col in zip(*members))
-        w, p1, p2, r1, r2, obj, feas = (np.hstack(cells) for cells in zip(*blocks))
-        # row-major order: RRB by RRB, singletons before pairs within each
-        zi, ci = np.nonzero(feas)
-        if not ci.size:
-            continue
-        columns = (u1[ci], u2[ci], np.asarray(rrb_list, dtype=np.int64)[zi],
-                   np.full(ci.size, ap.id, dtype=np.int64), w[zi, ci], p1[zi, ci],
-                   p2[zi, ci], r1[zi, ci], r2[zi, ci], obj[zi, ci])
-        for part, arr in zip(parts, columns):
-            part.append(arr)
-    if not parts[0]:
-        return ConflictGraph((), strict_cc2=strict_cc2, kind="full")
-    data = tuple(np.concatenate(part) for part in parts)
-    return ConflictGraph(strict_cc2=strict_cc2, kind="full", _data=data)
+        rrb_list = np.asarray(range(ap.num_rrbs) if rrbs is None else rrbs, dtype=np.int64)
+        ids = np.array(covered, dtype=np.int64)
+        pair_i, pair_j = np.triu_indices(ids.size, 1)
+        # one row of candidate clusters per RRB: singletons, then pairs
+        c1 = np.concatenate([ids, ids[pair_i]])
+        c2 = np.concatenate([np.full(ids.size, -1, dtype=np.int64), ids[pair_j]])
+        cells.append((np.tile(c1, rrb_list.size), np.tile(c2, rrb_list.size),
+                      np.full(c1.size * rrb_list.size, ap.id, dtype=np.int64),
+                      np.repeat(rrb_list, c1.size)))
+    f_ap = [_f_loc_of(f_loc, ap.id, ap.f_loc_max_cps) for ap in scenario.aps]
+    return _solve_cells(scenario, [np.concatenate(col) for col in zip(*cells)],
+                        f_ap, strict_cc2, "full")
 
 
-def build_full(scenario, f_loc=None, strict_cc2: bool = False,
-               include_singletons: bool = True, uds=None, aps=None,
-               rrbs=None) -> ConflictGraph:
+def build_full(scenario, f_loc=None, strict_cc2: bool = False, uds=None,
+               aps=None, rrbs=None) -> ConflictGraph:
     """enumerate_full plus the explicit pairwise adjacency, whose
     O(V^2) build dominates the cost."""
     graph = enumerate_full(scenario, f_loc=f_loc, strict_cc2=strict_cc2,
-                           include_singletons=include_singletons, uds=uds,
-                           aps=aps, rrbs=rrbs)
+                           uds=uds, aps=aps, rrbs=rrbs)
     graph.adj_bits  # first access builds the edges
     return graph
-
-
-def local_load_cps(task) -> float:
-    """Single-task CPU demand against its own deadline, cycles/s."""
-    return task.cycles / task.deadline_s
-
-
-def pair_load_cps(task_a, task_b) -> float:
-    """Two-task CPU demand against twice the tighter deadline, cycles/s."""
-    deadline = min(task_a.deadline_s, task_b.deadline_s)
-    return (task_a.cycles + task_b.cycles) / (2.0 * deadline)
 
 
 def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> ConflictGraph:
@@ -402,18 +331,13 @@ def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> C
     threshold contributes only its singleton. Weights use the AP's
     frequency cap. The vertex set is always a subset of the full graph's.
     """
-    chan = scenario.channel
-    p_max = scenario.devices[0].p_max_w if scenario.devices else 0.0
-    rth = scenario.weights.rate_threshold_bps
     n = len(scenario.devices)
-    entries = []
-    if n == 0:
-        return _assemble(scenario, entries, strict_cc2, "pruned")
     all_ids = [d.id for d in scenario.devices]
+    cells = []      # (u1, u2, ap, rrb) per candidate cluster
     used_seeds = set()
     slot_index = 0
     for ap in scenario.aps:
-        covered = scenario.coverage[ap.id]
+        cover = scenario.coverage[ap.id]
         budget = ap.f_loc_max_cps / ap.num_rrbs
         for z in range(ap.num_rrbs):
             seed = None
@@ -422,9 +346,9 @@ def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> C
             fallback_single = False
             for offset in range(n):
                 cand = all_ids[(slot_index + offset) % n]
-                if cand not in covered:
+                if cand not in cover:
                     continue
-                load = local_load_cps(scenario.device_by_id(cand).task)
+                load = group_demand_cps([scenario.device_by_id(cand).task])
                 if load < budget * (1.0 - rel_tol):
                     single = False
                 elif abs(load - budget) <= rel_tol * budget:
@@ -442,29 +366,14 @@ def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> C
             if seed is None:
                 continue
             used_seeds.add(seed)
-            seed_task = scenario.device_by_id(seed).task
-            g_seed = chan.gain_ud_rrb[(seed, ap.id, z)]
-            p, r, obj, feas = solve_singletons_batch(
-                np.array([g_seed]), p_max, chan.noise_w, chan.rrb_bandwidth_hz, rth)
-            if feas[0]:
-                entries.append(((seed,), z, ap.id, (float(p[0]),), (float(r[0]),),
-                                float(obj[0]), ap.f_loc_max_cps))
+            cells.append((seed, -1, ap.id, z))
             if singleton_only:
                 continue
-            partners = [u for u in sorted(covered) if u != seed]
-            partners = [u for u in partners
-                        if pair_load_cps(seed_task, scenario.device_by_id(u).task)
-                        <= budget * (1.0 + rel_tol)]
-            if not partners:
-                continue
-            pairs = [tuple(sorted((seed, u))) for u in partners]
-            g_lo = np.array([chan.gain_ud_rrb[(lo, ap.id, z)] for lo, _ in pairs])
-            g_hi = np.array([chan.gain_ud_rrb[(hi, ap.id, z)] for _, hi in pairs])
-            p_lo, p_hi, r_lo, r_hi, obj, feas = solve_pairs_batch(
-                g_lo, g_hi, p_max, chan.noise_w, chan.rrb_bandwidth_hz, rth)
-            for k in np.flatnonzero(feas):
-                entries.append((pairs[k], z, ap.id,
-                                (float(p_lo[k]), float(p_hi[k])),
-                                (float(r_lo[k]), float(r_hi[k])),
-                                float(obj[k]), ap.f_loc_max_cps))
-    return _assemble(scenario, entries, strict_cc2, "pruned")
+            seed_task = scenario.device_by_id(seed).task
+            cells.extend((min(seed, u), max(seed, u), ap.id, z)
+                         for u in sorted(cover) if u != seed
+                         and group_demand_cps([seed_task, scenario.device_by_id(u).task])
+                         <= budget * (1.0 + rel_tol))
+    columns = list(zip(*cells)) or [()] * 4
+    return _solve_cells(scenario, [np.array(col, dtype=np.int64) for col in columns],
+                        [ap.f_loc_max_cps for ap in scenario.aps], strict_cc2, "pruned")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import ScenarioConfig, generate, realize_channels, with_channel
+from .mwis import ORDERINGS
 from .schedulers import SCHEMES, run_scheme
 
 CSV_COLUMNS = ("scheme", "sweep_var", "sweep_value", "trial", "latency_s",
@@ -56,6 +57,13 @@ class ExperimentSpec:
             raise HarnessError("trials must be >= 1")
         if self.max_iters < 1:
             raise HarnessError("max_iters must be >= 1")
+        if self.mwis_ordering not in ORDERINGS:
+            raise HarnessError(f"unknown mwis_ordering {self.mwis_ordering!r}")
+        for index, value in enumerate(self.sweep_values):
+            try:
+                _value_config(self, index, value)
+            except (TypeError, ValueError) as exc:
+                raise HarnessError(f"bad sweep value {self.sweep_var}={value!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -78,12 +86,9 @@ def _derive_seed(*path) -> int:
 
 
 def _value_config(spec: ExperimentSpec, index: int, value):
-    field_value = value
-    if spec.sweep_var in ("n_uds", "n_aps", "n_mecs", "rrbs_per_ap"):
-        field_value = int(value)
     scenario_seed = _derive_seed(spec.master_seed, index)
     return dataclasses.replace(spec.config, seed=scenario_seed,
-                               **{spec.sweep_var: field_value})
+                               **{spec.sweep_var: value})
 
 
 def _scalar_value(value):

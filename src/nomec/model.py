@@ -5,7 +5,9 @@ linear power gains (dimensionless), noise is total watts over one RRB.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class InvalidAssignmentError(ValueError):
@@ -97,18 +99,24 @@ class CostWeights:
 class ChannelState:
     """One realization of all link gains.
 
-    gain_ud_rrb maps (ud_id, ap_id, rrb) to a linear uplink power gain,
-    gain_ap_mec maps (ap_id, mec_id) likewise for the backhaul hop.
-    noise_w is the receiver noise over one RRB of rrb_bandwidth_hz.
+    gain_ud_rrb[ud_id, ap_id, rrb] is a linear uplink power gain, an
+    (N, M, Z) array; gain_ap_mec[ap_id, mec_id] likewise for the backhaul
+    hop, an (M, K) array. noise_w is the receiver noise over one RRB of
+    rrb_bandwidth_hz.
     """
-    gain_ud_rrb: dict
-    gain_ap_mec: dict
+    gain_ud_rrb: np.ndarray
+    gain_ap_mec: np.ndarray
     noise_w: float
     rrb_bandwidth_hz: float
 
     def __post_init__(self):
         if self.noise_w <= 0 or self.rrb_bandwidth_hz <= 0:
             raise ValueError("noise_w and rrb_bandwidth_hz must be positive")
+        for name, ndim in (("gain_ud_rrb", 3), ("gain_ap_mec", 2)):
+            gains = np.asarray(getattr(self, name), dtype=float)
+            if gains.ndim != ndim:
+                raise ValueError(f"{name} must be a {ndim}-d array, got shape {gains.shape}")
+            object.__setattr__(self, name, gains)
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,14 @@ class RrbAssignment:
     members: tuple
 
 
+def _link_gain(gains: np.ndarray, key: tuple, what: str) -> float:
+    """gains[key], checked against the array bounds: numpy would wrap a
+    negative index onto another link."""
+    if not all(0 <= i < n for i, n in zip(key, gains.shape)):
+        raise InvalidTopologyError(f"no {what}")
+    return gains[key]
+
+
 def sinr(slice_: RrbAssignment, ud_id: int, channel: ChannelState) -> float:
     """SINR of ud_id inside one NOMA cluster under SIC.
 
@@ -144,10 +160,8 @@ def sinr(slice_: RrbAssignment, ud_id: int, channel: ChannelState) -> float:
         raise InvalidAssignmentError(f"ud {ud_id} not scheduled on rrb {slice_.rrb} of ap {slice_.ap}")
 
     def gain_of(n):
-        key = (n, slice_.ap, slice_.rrb)
-        if key not in channel.gain_ud_rrb:
-            raise InvalidTopologyError(f"no uplink gain for ud {n} on ap {slice_.ap} rrb {slice_.rrb}")
-        return channel.gain_ud_rrb[key]
+        return _link_gain(channel.gain_ud_rrb, (n, slice_.ap, slice_.rrb),
+                          f"uplink gain for ud {n} on ap {slice_.ap} rrb {slice_.rrb}")
 
     g = gain_of(ud_id)
     interference = 0.0
@@ -175,11 +189,25 @@ def backhaul_rate(ap: AccessPoint, mec: MecServer, channel: ChannelState,
     bandwidth_scaled=True returns bits/s (spectral efficiency times the RRB
     bandwidth); False returns the bare log2 term.
     """
-    key = (ap.id, mec.id)
-    if key not in channel.gain_ap_mec:
-        raise InvalidTopologyError(f"no backhaul gain for ap {ap.id} -> mec {mec.id}")
-    se = math.log2(1.0 + ap.q_tx_w * channel.gain_ap_mec[key] / channel.noise_w)
+    gain = _link_gain(channel.gain_ap_mec, (ap.id, mec.id),
+                      f"backhaul gain for ap {ap.id} -> mec {mec.id}")
+    se = math.log2(1.0 + ap.q_tx_w * gain / channel.noise_w)
     return channel.rrb_bandwidth_hz * se if bandwidth_scaled else se
+
+
+def _group_totals(group):
+    """(slowest upload time, total bits, total cycles) of a collected group
+    of (Task, upload_rate_bps)."""
+    upload = 0.0
+    bits = 0.0
+    cycles = 0.0
+    for task, rate in group:
+        if rate <= 0:
+            raise InfeasibleUploadError("upload rate must be positive")
+        upload = max(upload, task.size_bits / rate)
+        bits += task.size_bits
+        cycles += task.cycles
+    return upload, bits, cycles
 
 
 def local_cost(group, f_loc: float, weights: CostWeights):
@@ -193,13 +221,7 @@ def local_cost(group, f_loc: float, weights: CostWeights):
         return 0.0, 0.0
     if f_loc <= 0:
         raise ValueError("f_loc must be positive for a nonempty group")
-    upload = 0.0
-    cycles = 0.0
-    for task, rate in group:
-        if rate <= 0:
-            raise InfeasibleUploadError("upload rate must be positive")
-        upload = max(upload, task.size_bits / rate)
-        cycles += task.cycles
+    upload, _, cycles = _group_totals(group)
     delay = upload + cycles / f_loc
     energy = weights.alpha_cpu * cycles * f_loc ** 2
     return delay, energy
@@ -218,15 +240,7 @@ def mec_cost(group, ap: AccessPoint, mec: MecServer, channel: ChannelState,
     rate_bh = backhaul_rate(ap, mec, channel, bandwidth_scaled)
     if rate_bh <= 0:
         raise InvalidTopologyError(f"backhaul ap {ap.id} -> mec {mec.id} has zero rate")
-    upload = 0.0
-    bits = 0.0
-    cycles = 0.0
-    for task, rate in group:
-        if rate <= 0:
-            raise InfeasibleUploadError("upload rate must be positive")
-        upload = max(upload, task.size_bits / rate)
-        bits += task.size_bits
-        cycles += task.cycles
+    upload, bits, cycles = _group_totals(group)
     t_fwd = bits / rate_bh
     t_cpu = cycles / mec.f_mec_cps
     delay = upload + t_fwd + t_cpu
@@ -234,12 +248,12 @@ def mec_cost(group, ap: AccessPoint, mec: MecServer, channel: ChannelState,
     return delay, energy
 
 
-def _group_demand_cps(tasks, n_tasks: int) -> float:
-    """Per-AP CPU demand: total cycles over the group's pooled deadline
-    budget n_tasks * min(deadline)."""
+def group_demand_cps(tasks) -> float:
+    """CPU demand of a group processed at its AP, cycles/s: total cycles
+    over the pooled deadline budget len(tasks) * min(deadline)."""
     cycles = sum(t.cycles for t in tasks)
     deadline = min(t.deadline_s for t in tasks)
-    return cycles / (n_tasks * deadline)
+    return cycles / (len(tasks) * deadline)
 
 
 def system_metrics(schedule, plan, scenario) -> Metrics:
@@ -275,7 +289,7 @@ def system_metrics(schedule, plan, scenario) -> Metrics:
         offload = plan.local.x.get(ap_id, False)
         if not offload:
             d, e = local_cost(group, plan.local.f_loc[ap_id], w)
-            demand = _group_demand_cps(tasks, len(tasks))
+            demand = group_demand_cps(tasks)
             ok = demand <= ap.f_loc_max_cps * (1.0 + 1e-9)
         elif plan.admission.y.get(ap_id, False):
             mec = mec_by_id[plan.admission.assignment[ap_id]]

@@ -18,17 +18,14 @@ from .graph import ConflictGraph
 from .graph import modified_weight  # noqa: F401
 
 
+ORDERINGS = ("original", "modified")
+
+
 @dataclass(frozen=True)
 class IndependentSet:
     vertices: tuple      # NomaAssociation objects
     indices: tuple       # positions in the source graph
     total_weight: float
-
-
-def _tie_key(graph: ConflictGraph, i: int):
-    # singletons carry u2 = -1 and so order before pairs with the same u1,
-    # matching tuple comparison on (ap, rrb, uds)
-    return (graph.ap_arr[i], graph.rrb_arr[i], graph.u1[i], graph.u2[i])
 
 
 def _ordered(graph: ConflictGraph, rank) -> np.ndarray:
@@ -103,22 +100,16 @@ def greedy_min_wis(graph: ConflictGraph, ordering: str = "original") -> Independ
     weight scaled by the total non-neighbor weight; ties break on
     (ap, rrb, lowest ud id). total_weight always sums the plain weights.
     """
-    if ordering not in ("original", "modified"):
+    if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    n = len(graph)
-    if n == 0:
-        return IndependentSet((), (), 0.0)
     rank = modified_ranks(graph) if ordering == "modified" else graph.weights
     return _greedy_by_order(graph, _ordered(graph, rank))
 
 
 def random_maximal_is(graph: ConflictGraph, seed: int) -> IndependentSet:
     """Maximal independent set grown in a seeded random vertex order."""
-    n = len(graph)
-    if n == 0:
-        return IndependentSet((), (), 0.0)
     rng = np.random.default_rng(seed)
-    return _greedy_by_order(graph, rng.permutation(n))
+    return _greedy_by_order(graph, rng.permutation(len(graph)))
 
 
 _EXACT_LIMIT = 25

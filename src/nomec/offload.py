@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .model import backhaul_rate, local_cost
+from .model import backhaul_rate, group_demand_cps, local_cost
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ def allocate_local(groups: dict, f_loc_max: float, rel_tol: float = 1e-9) -> Loc
             f_out[ap_id] = 0.0
             x_out[ap_id] = False
             continue
-        cycles = sum(t.cycles for t in tasks)
-        deadline = min(t.deadline_s for t in tasks)
-        demand = cycles / (len(tasks) * deadline)
+        demand = group_demand_cps(tasks)
         if abs(demand - f_loc_max) <= rel_tol * f_loc_max:
             f_out[ap_id] = f_loc_max
             x_out[ap_id] = False
@@ -50,16 +48,15 @@ def allocate_local(groups: dict, f_loc_max: float, rel_tol: float = 1e-9) -> Loc
     return LocalAllocation(f_out, x_out)
 
 
-def first_layer_weight(group, f_loc: float, weights, term_weights=(1.0, 1.0)) -> float:
+def first_layer_weight(group, f_loc: float, weights) -> float:
     """Offload urgency of a group: its local delay plus local energy.
 
-    group is a sequence of (Task, upload_rate_bps); term_weights rescales
-    the (delay, energy) contributions if the two are to be balanced.
+    group is a sequence of (Task, upload_rate_bps).
     """
     if not group:
         return 0.0
     d, e = local_cost(group, f_loc, weights)
-    return term_weights[0] * d + term_weights[1] * e
+    return d + e
 
 
 def second_layer_weight(tasks, ap, mec, channel, bandwidth_scaled: bool = True) -> float:
@@ -84,9 +81,7 @@ def admission_control(g_by_ap: dict, affinity: dict, mec_ids) -> AdmissionPlan:
     remaining = list(mec_ids)
     y = {ap: False for ap in g_by_ap}
     assignment = {}
-    for ap in order[:min(len(remaining), len(order))]:
-        if not remaining:
-            break
+    for ap in order[:len(remaining)]:
         best = max(remaining, key=lambda k: (affinity[(ap, k)], -k))
         remaining.remove(best)
         y[ap] = True

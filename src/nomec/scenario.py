@@ -9,6 +9,7 @@ shadowing per link per scenario, unit-mean Rayleigh fading per trial.
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,25 +50,46 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_uds", "n_aps", "n_mecs", "rrbs_per_ap"):
+        for name, low in (("n_uds", 1), ("n_aps", 1), ("n_mecs", 1),
+                          ("rrbs_per_ap", 1), ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, int) or v < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
         for name in ("cell_radius_m", "ap_coverage_m", "density_cpb", "deadline_s",
                      "f_mec_cps", "f_loc_max_cps", "rrb_bandwidth_hz"):
-            v = getattr(self, name)
+            v = _finite(name, getattr(self, name))
             if not v > 0:
                 raise ConfigError(f"{name} must be positive, got {v!r}")
         for name in ("alpha_cpu", "rate_threshold_bps", "shadowing_std_db",
                      "w_latency", "w_energy", "q_idle_factor"):
-            v = getattr(self, name)
+            v = _finite(name, getattr(self, name))
             if v < 0:
                 raise ConfigError(f"{name} must be >= 0, got {v!r}")
-        lo, hi = self.task_size_range_bits
+        _finite("noise_dbm_hz", self.noise_dbm_hz)
+        _finite("p_max_dbm_hz", self.p_max_dbm_hz)
+        lo, hi = _finite_pair("task_size_range_bits", self.task_size_range_bits)
         if not (0 < lo <= hi):
             raise ConfigError(f"task_size_range_bits must satisfy 0 < lo <= hi, got {self.task_size_range_bits!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, count in (("ap_positions", self.n_aps), ("mec_positions", self.n_mecs)):
+            points = getattr(self, name)
+            if points is not None and (not isinstance(points, (tuple, list))
+                                       or len(points) != count):
+                raise ConfigError(f"{name} must hold {count} (x, y) pairs, got {points!r}")
+            for point in points or ():
+                _finite_pair(name, point)
+
+
+def _finite(name, v):
+    """v, if it is a finite real number (bools excluded)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    return v
+
+
+def _finite_pair(name, pair):
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        raise ConfigError(f"{name} entries must be pairs, got {pair!r}")
+    return tuple(_finite(name, v) for v in pair)
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -130,8 +152,8 @@ class Scenario:
     config: ScenarioConfig
     seed: int
     unservable: frozenset   # ud ids no AP covers
-    mean_gain_uplink: dict      # (ud, ap) -> path loss * shadowing
-    mean_gain_backhaul: dict    # (ap, mec) -> path loss * shadowing
+    mean_gain_uplink: np.ndarray    # [ud, ap] -> path loss * shadowing
+    mean_gain_backhaul: np.ndarray  # [ap, mec] -> path loss * shadowing
 
     @property
     def backhaul_bandwidth_scaling(self) -> bool:
@@ -167,25 +189,19 @@ def _ring_positions(count: int, radius: float):
     return tuple(pts)
 
 
-def _fading_gains(scn_seed: int, trial_seed: int, uplink_keys, backhaul_keys):
-    """Unit-mean Rayleigh power fading per link, deterministic per
-    (scenario seed, trial seed). Keys must arrive in a canonical order."""
+def _faded_channel(config, scn_seed: int, trial_seed: int, mean_up, mean_bh,
+                   noise_w: float, bandwidth_hz: float) -> ChannelState:
+    """The mean link gains times unit-mean Rayleigh power fading,
+    deterministic per (scenario seed, trial seed). Fading is drawn for the
+    (N, M, Z) uplink, then the (M, K) backhaul, each in row-major order."""
+    up_shape = mean_up.shape + (config.rrbs_per_ap,)
+    n_up = math.prod(up_shape)
     rng = np.random.default_rng(np.random.SeedSequence([scn_seed, trial_seed]))
-    n_up = len(uplink_keys)
-    n_bh = len(backhaul_keys)
-    re_im = rng.standard_normal((n_up + n_bh, 2))
+    re_im = rng.standard_normal((n_up + mean_bh.size, 2))
     power = (re_im[:, 0] ** 2 + re_im[:, 1] ** 2) / 2.0
-    up = {k: power[i] for i, k in enumerate(uplink_keys)}
-    bh = {k: power[n_up + i] for i, k in enumerate(backhaul_keys)}
-    return up, bh
-
-
-def _uplink_keys(n_uds: int, n_aps: int, n_rrbs: int):
-    return [(n, m, z) for n in range(n_uds) for m in range(n_aps) for z in range(n_rrbs)]
-
-
-def _backhaul_keys(n_aps: int, n_mecs: int):
-    return [(m, k) for m in range(n_aps) for k in range(n_mecs)]
+    return ChannelState(gain_ud_rrb=mean_up[:, :, None] * power[:n_up].reshape(up_shape),
+                        gain_ap_mec=mean_bh * power[n_up:].reshape(mean_bh.shape),
+                        noise_w=noise_w, rrb_bandwidth_hz=bandwidth_hz)
 
 
 def generate(config: ScenarioConfig) -> Scenario:
@@ -194,11 +210,7 @@ def generate(config: ScenarioConfig) -> Scenario:
     pos_rng, shadow_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
 
     ap_positions = config.ap_positions or _ring_positions(config.n_aps, 0.5 * config.cell_radius_m)
-    if len(ap_positions) != config.n_aps:
-        raise ConfigError("ap_positions length must equal n_aps")
     mec_positions = config.mec_positions or _ring_positions(config.n_mecs, 0.1 * config.cell_radius_m)
-    if len(mec_positions) != config.n_mecs:
-        raise ConfigError("mec_positions length must equal n_mecs")
 
     p_max_w = dbm_per_hz_to_watts(config.p_max_dbm_hz, config.rrb_bandwidth_hz)
     noise_w = dbm_per_hz_to_watts(config.noise_dbm_hz, config.rrb_bandwidth_hz)
@@ -238,27 +250,21 @@ def generate(config: ScenarioConfig) -> Scenario:
         for ap in aps}
 
     # mean link gains: path loss times shadowing, fixed for the scenario
-    mean_up = {}
+    mean_up = np.empty((config.n_uds, config.n_aps))
     for d in devices:
         for ap in aps:
             pl = pathloss_uplink_db(math.dist(d.position, ap.position))
             shadow = shadow_rng.normal(0.0, config.shadowing_std_db)
-            mean_up[(d.id, ap.id)] = 10.0 ** ((-pl + shadow) / 10.0)
-    mean_bh = {}
+            mean_up[d.id, ap.id] = 10.0 ** ((-pl + shadow) / 10.0)
+    mean_bh = np.empty((config.n_aps, config.n_mecs))
     for ap in aps:
         for mec in mecs:
             pl = pathloss_backhaul_db(math.dist(ap.position, mec.position))
             shadow = shadow_rng.normal(0.0, config.shadowing_std_db)
-            mean_bh[(ap.id, mec.id)] = 10.0 ** ((-pl + shadow) / 10.0)
+            mean_bh[ap.id, mec.id] = 10.0 ** ((-pl + shadow) / 10.0)
 
-    up_keys = _uplink_keys(config.n_uds, config.n_aps, config.rrbs_per_ap)
-    bh_keys = _backhaul_keys(config.n_aps, config.n_mecs)
-    fade_up, fade_bh = _fading_gains(config.seed, 0, up_keys, bh_keys)
-    gain_ud_rrb = {(n, m, z): mean_up[(n, m)] * fade_up[(n, m, z)] for (n, m, z) in up_keys}
-    gain_ap_mec = {(m, k): mean_bh[(m, k)] * fade_bh[(m, k)] for (m, k) in bh_keys}
-
-    channel = ChannelState(gain_ud_rrb=gain_ud_rrb, gain_ap_mec=gain_ap_mec,
-                           noise_w=noise_w, rrb_bandwidth_hz=config.rrb_bandwidth_hz)
+    channel = _faded_channel(config, config.seed, 0, mean_up, mean_bh, noise_w,
+                             config.rrb_bandwidth_hz)
     weights = CostWeights(w_latency=config.w_latency, w_energy=config.w_energy,
                           alpha_cpu=config.alpha_cpu,
                           rate_threshold_bps=config.rate_threshold_bps)
@@ -274,17 +280,9 @@ def realize_channels(scenario: Scenario, trial_seed: int) -> ChannelState:
     Deterministic per (scenario seed, trial_seed); trial_seed 0 reproduces
     the realization embedded by generate().
     """
-    cfg = scenario.config
-    up_keys = _uplink_keys(cfg.n_uds, cfg.n_aps, cfg.rrbs_per_ap)
-    bh_keys = _backhaul_keys(cfg.n_aps, cfg.n_mecs)
-    fade_up, fade_bh = _fading_gains(scenario.seed, trial_seed, up_keys, bh_keys)
-    gain_ud_rrb = {(n, m, z): scenario.mean_gain_uplink[(n, m)] * fade_up[(n, m, z)]
-                   for (n, m, z) in up_keys}
-    gain_ap_mec = {(m, k): scenario.mean_gain_backhaul[(m, k)] * fade_bh[(m, k)]
-                   for (m, k) in bh_keys}
-    return ChannelState(gain_ud_rrb=gain_ud_rrb, gain_ap_mec=gain_ap_mec,
-                        noise_w=scenario.channel.noise_w,
-                        rrb_bandwidth_hz=scenario.channel.rrb_bandwidth_hz)
+    return _faded_channel(scenario.config, scenario.seed, trial_seed,
+                          scenario.mean_gain_uplink, scenario.mean_gain_backhaul,
+                          scenario.channel.noise_w, scenario.channel.rrb_bandwidth_hz)
 
 
 def with_channel(scenario: Scenario, channel: ChannelState) -> Scenario:

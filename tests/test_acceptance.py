@@ -13,12 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import gain_arrays, record_criterion
 from nomec import (SCHEMES, ExperimentSpec, PowerConstraints, ScenarioConfig,
                    build_full, build_pruned, conflicts, exact_min_wis,
-                   generate, greedy_min_wis, grid_oracle, random_maximal_is,
-                   run_experiment, run_scheme, solve_cluster_power)
-from nomec.graph import local_load_cps, pair_load_cps
+                   generate, greedy_min_wis, grid_oracle, group_demand_cps,
+                   random_maximal_is, run_experiment, run_scheme,
+                   solve_cluster_power)
 from nomec.model import (AccessPoint, ChannelState, CostWeights, MecServer,
                          RrbAssignment, Task, backhaul_rate, local_cost,
                          mec_cost, sinr, uplink_rate)
@@ -54,7 +54,7 @@ def test_criterion_01_formula_oracle():
         ids = list(rng.choice(50, size=size, replace=False).astype(int))
         gains = {u: float(10.0 ** rng.uniform(-13, -8)) for u in ids}
         powers = {u: float(rng.uniform(1e-3, 0.5)) for u in ids}
-        channel = ChannelState({(u, 0, 0): gains[u] for u in ids}, {},
+        channel = ChannelState(*gain_arrays({(u, 0, 0): gains[u] for u in ids}),
                                NOISE, B0)
         slice_ = RrbAssignment(0, 0, tuple((u, powers[u]) for u in ids))
         for u in ids:
@@ -69,7 +69,7 @@ def test_criterion_01_formula_oracle():
                          0.1, 750.0)
         mec = MecServer(0, (1.0, 0.0), 3e9)
         gain = float(10.0 ** rng.uniform(-12, -7))
-        channel = ChannelState({}, {(0, 0): gain}, NOISE, B0)
+        channel = ChannelState(*gain_arrays(backhaul={(0, 0): gain}), NOISE, B0)
         want = oracles.backhaul_rate(ap.q_tx_w, gain, NOISE, B0, scaled=True)
         track(backhaul_rate(ap, mec, channel), want)
         bare = oracles.backhaul_rate(ap.q_tx_w, gain, NOISE, B0, scaled=False)
@@ -92,7 +92,7 @@ def test_criterion_01_formula_oracle():
                          float(rng.uniform(0.01, 0.3)), 750.0)
         mec = MecServer(0, (1.0, 0.0), float(rng.uniform(1e9, 1e10)))
         gain = float(10.0 ** rng.uniform(-11, -8))
-        channel = ChannelState({}, {(0, 0): gain}, NOISE, B0)
+        channel = ChannelState(*gain_arrays(backhaul={(0, 0): gain}), NOISE, B0)
         rate_bh = oracles.backhaul_rate(ap.q_tx_w, gain, NOISE, B0)
         d, e = mec_cost(group, ap, mec, channel, weights)
         dw, ew = oracles.mec_delay_energy(triples, rate_bh, mec.f_mec_cps,
@@ -175,7 +175,7 @@ def test_criterion_03_solver_quality_ordering():
 def test_criterion_04_power_solver_vs_grid():
     rng = np.random.default_rng(404)
     thresholds = (0.0, 5e4, 5e6, 2e7)
-    channel = ChannelState({}, {}, NOISE, B0)
+    channel = ChannelState(*gain_arrays(), NOISE, B0)
     worst_deficit = 0.0
     feasible_cases = 0
     ok = True
@@ -297,11 +297,11 @@ def test_criterion_09_density_collapse():
         budget = ap.f_loc_max_cps / ap.num_rrbs
         covered = sorted(scn.coverage[ap.id])
         for i, u in enumerate(covered):
-            if local_load_cps(scn.devices[u].task) <= budget:
+            if group_demand_cps([scn.devices[u].task]) <= budget:
                 structural = False
             for v in covered[i + 1:]:
-                if pair_load_cps(scn.devices[u].task,
-                                 scn.devices[v].task) <= budget:
+                if group_demand_cps([scn.devices[u].task,
+                                     scn.devices[v].task]) <= budget:
                     structural = False
     structural = structural and len(build_pruned(scn)) == 0
 
@@ -345,15 +345,16 @@ def test_criterion_10_pruned_subset():
 
 
 def _time_builds(configs, builder, reps=2):
-    times = []
-    for cfg in configs:
-        scn = generate(cfg)
-        best = float("inf")
-        for _ in range(reps):
+    """Best-of-reps build time per config. Each repetition times every size
+    once, so a swing in host speed hits all sizes alike rather than the
+    sizes that happen to be timed during it."""
+    scenarios = [generate(cfg) for cfg in configs]
+    times = [float("inf")] * len(scenarios)
+    for _ in range(reps):
+        for i, scn in enumerate(scenarios):
             start = time.perf_counter()
             builder(scn)
-            best = min(best, time.perf_counter() - start)
-        times.append(best)
+            times[i] = min(times[i], time.perf_counter() - start)
     return times
 
 

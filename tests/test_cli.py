@@ -125,6 +125,14 @@ def test_max_iters_below_one_exits_1(capsys):
     assert out == ""
 
 
+def test_bad_sweep_values_exit_1(capsys):
+    for sweep in ("n_uds=0", "ap_positions=1", "w_latency=nan", "noise_dbm_hz=inf"):
+        code, out, err = run_cli(["--sweep", sweep, "--trials", "1"], capsys)
+        assert code == 1, sweep
+        assert err.startswith("error:") and sweep.split("=")[0] in err
+        assert out == ""
+
+
 def test_seed_sweep_rejected_by_name(capsys):
     code, out, err = run_cli(["--sweep", "seed=1,2", "--trials", "1"], capsys)
     assert code == 1

@@ -3,9 +3,12 @@
 The files were produced by
 
     simulate --sweep n_uds=8,24,48 --trials 5 --seed 7 [FLAGS] --out FILE
+    simulate --sweep density_cpb=100,500,2000 --trials 5 --seed 7 [FLAGS] --out FILE
 
 and pin every scheme's picks, metrics and vertex counts across refactors
-that must not change behaviour. Regenerate them only for a deliberate
+that must not change behaviour. The density sweep overloads AP groups, so
+joint admits, falls back and fails, local fails and random admits at
+random, which the n_uds sweep never reaches. Regenerate them only for a deliberate
 change of results, and say so in CHANGES.md.
 """
 
@@ -16,11 +19,16 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
-BASE = ["--sweep", "n_uds=8,24,48", "--trials", "5", "--seed", "7"]
+BASE = ["--trials", "5", "--seed", "7"]
+BY_SIZE = ["--sweep", "n_uds=8,24,48"]
+BY_DENSITY = ["--sweep", "density_cpb=100,500,2000"]
+MODIFIED_NOFALLBACK = ["--mwis-ordering", "modified", "--fallback-local", "off"]
 CASES = {
-    "default.csv": [],
-    "strict_cc2.csv": ["--strict-cc2"],
-    "modified_nofallback.csv": ["--mwis-ordering", "modified", "--fallback-local", "off"],
+    "default.csv": BY_SIZE,
+    "strict_cc2.csv": BY_SIZE + ["--strict-cc2"],
+    "modified_nofallback.csv": BY_SIZE + MODIFIED_NOFALLBACK,
+    "density.csv": BY_DENSITY,
+    "density_modified_nofallback.csv": BY_DENSITY + MODIFIED_NOFALLBACK,
 }
 
 

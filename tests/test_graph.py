@@ -5,10 +5,8 @@ import pytest
 
 from nomec import (ConflictGraph, NomaAssociation, PowerConstraints,
                    ScenarioConfig, build_full, build_pruned, conflicts,
-                   enumerate_full, generate, modified_weight,
-                   solve_cluster_power, vertex_weight)
-from nomec.graph import from_associations, local_load_cps, pair_load_cps
-from nomec.power import ClusterPowerSolution
+                   enumerate_full, generate, group_demand_cps, modified_weight,
+                   solve_cluster_power)
 import oracles
 
 
@@ -61,7 +59,7 @@ def test_adjacency_matches_pairwise_conflicts():
     for strict in (False, True):
         for _ in range(10):
             verts = random_assocs(rng, 40)
-            graph = from_associations(verts, strict_cc2=strict)
+            graph = ConflictGraph(verts, strict_cc2=strict)
             mat = graph.adjacency_matrix()
             assert mat.shape == (40, 40)
             assert not mat.diagonal().any()
@@ -74,7 +72,7 @@ def test_adjacency_matches_pairwise_conflicts():
 
 def test_neighbor_views_consistent():
     rng = np.random.default_rng(5)
-    graph = from_associations(random_assocs(rng, 30))
+    graph = ConflictGraph(random_assocs(rng, 30))
     mat = graph.adjacency_matrix()
     for i in range(len(graph)):
         assert (graph.neighbor_mask(i) == mat[i]).all()
@@ -84,7 +82,7 @@ def test_neighbor_views_consistent():
 
 def test_graph_lookup_and_dump():
     verts = [assoc((0,), 0, 0, 1.0), assoc((1, 2), 1, 0, 2.0)]
-    graph = from_associations(verts)
+    graph = ConflictGraph(verts)
     assert len(graph) == 2 and graph.n_vertices == 2
     assert graph.index_of(verts[1]) == 1
     assert graph.vertex(0).uds == (0,)
@@ -94,36 +92,33 @@ def test_graph_lookup_and_dump():
 
 
 def test_empty_graph():
-    graph = from_associations(())
+    graph = ConflictGraph(())
     assert len(graph) == 0
     assert graph.adjacency_matrix().shape == (0, 0)
     assert graph.dump_text() == ""
 
 
 def test_vertex_weight_formula():
-    scn = generate(ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, seed=1))
-    d0, d1 = scn.devices[0], scn.devices[1]
-    sol = ClusterPowerSolution((0.3, 0.2), (2e6, 1e6), 1.0, True)
-    a = NomaAssociation((0, 1), 0, 0, sol, 0.0)
-    f = 4e7
-    got = vertex_weight(a, scn, f)
-    want = oracles.vertex_weight(
-        [(d0.task.size_bits, d0.task.density_cpb, 2e6),
-         (d1.task.size_bits, d1.task.density_cpb, 1e6)],
-        f, scn.weights.alpha_cpu)
-    assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        vertex_weight(a, scn, 0.0)
-    bad = NomaAssociation((0, 1), 0, 0,
-                          ClusterPowerSolution((0.3, 0.2), (2e6, 0.0), 1.0, True), 0.0)
-    with pytest.raises(ValueError):
-        vertex_weight(bad, scn, f)
+    """Full and pruned graphs weigh vertices with one formula: the summed
+    per-UD utility at the AP frequency, matching the oracle's."""
+    scn = generate(ScenarioConfig(n_uds=12, n_aps=3, n_mecs=2, seed=1))
+    f_loc = {ap.id: (0.4 + 0.2 * ap.id) * ap.f_loc_max_cps for ap in scn.aps}
+    graphs = ((build_pruned(scn), None), (enumerate_full(scn), None),
+              (enumerate_full(scn, f_loc=f_loc), f_loc))
+    for graph, freqs in graphs:
+        assert len(graph) > 0 and any(len(v.uds) == 2 for v in graph.vertices)
+        for v in graph.vertices:
+            f = scn.aps[v.ap].f_loc_max_cps if freqs is None else freqs[v.ap]
+            entries = [(scn.devices[u].task.size_bits, scn.devices[u].task.density_cpb,
+                        v.power.rates[k]) for k, u in enumerate(v.uds)]
+            want = oracles.vertex_weight(entries, f, scn.weights.alpha_cpu)
+            assert v.weight == pytest.approx(want, rel=1e-12)
 
 
 def test_modified_weight_example():
     # weight 2 with non-adjacent weights {3, 5} gives 2 * 8 = 16
     verts = [assoc((0,), 0, 0, 2.0), assoc((1,), 0, 1, 3.0), assoc((2,), 0, 2, 5.0)]
-    graph = from_associations(verts)
+    graph = ConflictGraph(verts)
     assert modified_weight(0, graph) == pytest.approx(16.0)
     adj = graph.adjacency_matrix()
     for i in range(3):
@@ -156,7 +151,6 @@ def test_build_full_weights_match_scalar_solver():
         assert v.power.powers == pytest.approx(sol.powers, rel=1e-12)
         assert v.power.rates == pytest.approx(sol.rates, rel=1e-12)
         f_ap = scn.aps[v.ap].f_loc_max_cps
-        assert v.weight == pytest.approx(vertex_weight(v, scn, f_ap), rel=1e-12)
         entries = [(scn.devices[u].task.size_bits, scn.devices[u].task.density_cpb,
                     v.power.rates[k]) for k, u in enumerate(v.uds)]
         assert v.weight == pytest.approx(
@@ -206,9 +200,11 @@ def test_load_helpers():
     scn = generate(ScenarioConfig(n_uds=4, n_aps=2, n_mecs=2, seed=7))
     t0 = scn.devices[0].task
     t1 = scn.devices[1].task
-    assert local_load_cps(t0) == pytest.approx(t0.cycles / t0.deadline_s, rel=1e-12)
+    assert group_demand_cps([t0]) == pytest.approx(t0.cycles / t0.deadline_s, rel=1e-12)
     want = (t0.cycles + t1.cycles) / (2.0 * min(t0.deadline_s, t1.deadline_s))
-    assert pair_load_cps(t0, t1) == pytest.approx(want, rel=1e-12)
+    assert group_demand_cps([t0, t1]) == pytest.approx(want, rel=1e-12)
+    assert group_demand_cps([t0, t1]) == oracles.group_demand_cps(
+        [t0.cycles, t1.cycles], [t0.deadline_s, t1.deadline_s])
 
 
 def test_build_pruned_subset_of_full():
@@ -242,9 +238,9 @@ def test_build_pruned_one_seed_per_slot():
                     assert seed_candidates & set(v.uds)
                 ta = scn.devices[v.uds[0]].task
                 tb = scn.devices[v.uds[1]].task
-                assert pair_load_cps(ta, tb) <= budget[ap_id] * (1.0 + 1e-9)
+                assert group_demand_cps([ta, tb]) <= budget[ap_id] * (1.0 + 1e-9)
         if singles:
-            load = local_load_cps(scn.devices[singles[0].uds[0]].task)
+            load = group_demand_cps([scn.devices[singles[0].uds[0]].task])
             assert load <= budget[ap_id] * (1.0 + 1e-9)
 
 
@@ -256,7 +252,7 @@ def test_build_pruned_threshold_seed_is_singleton_only():
     scn = generate(cfg)
     budget = 3e7 / 3
     for d in scn.devices:
-        assert local_load_cps(d.task) == pytest.approx(budget, rel=1e-12)
+        assert group_demand_cps([d.task]) == pytest.approx(budget, rel=1e-12)
     pruned = build_pruned(scn)
     assert len(pruned) > 0
     assert all(len(v.uds) == 1 for v in pruned.vertices)
@@ -285,7 +281,7 @@ def test_enumerate_full_matches_build_full_without_edges():
         scn = generate(ScenarioConfig(n_uds=12, seed=13))
         half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
         for kwargs in ({}, {"f_loc": half, "uds": set(range(8)), "aps": {0, 2, 5}},
-                       {"rrbs": [0], "include_singletons": False}):
+                       {"rrbs": [0]}):
             lazy = enumerate_full(scn, strict_cc2=strict, **kwargs)
             full = build_full(scn, strict_cc2=strict, **kwargs)
             assert lazy._adj_bits is None and full._adj_bits is not None

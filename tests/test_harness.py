@@ -37,6 +37,15 @@ def test_spec_validation():
         tiny_spec(trials=0)
 
 
+def test_spec_rejects_unknown_ordering_and_bad_sweep_values():
+    with pytest.raises(HarnessError, match="lightest"):
+        tiny_spec(mwis_ordering="lightest")
+    for var, values in (("n_uds", (6, 0)), ("n_uds", (True,)), ("w_latency", (float("nan"),)),
+                        ("ap_positions", (1.0,)), ("task_size_range_bits", ((600.0, 400.0),))):
+        with pytest.raises(HarnessError, match=var):
+            tiny_spec(sweep_var=var, sweep_values=values)
+
+
 def test_row_ordering_follows_spec():
     spec = tiny_spec(sweep_values=(6, 8), trials=2)
     rows = run_experiment(spec)

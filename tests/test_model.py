@@ -11,12 +11,13 @@ from nomec import (AccessPoint, ChannelState, CostWeights,
                    InvalidTopologyError, MecServer, RrbAssignment,
                    ScenarioConfig, Task, backhaul_rate, generate, local_cost,
                    mec_cost, run_scheme, sinr, system_metrics, uplink_rate)
+from conftest import gain_arrays
 import oracles
 
 
 def make_channel(gain_ud_rrb=None, gain_ap_mec=None, noise_w=1e-12, b0=1e7):
-    return ChannelState(gain_ud_rrb=gain_ud_rrb or {}, gain_ap_mec=gain_ap_mec or {},
-                        noise_w=noise_w, rrb_bandwidth_hz=b0)
+    up, bh = gain_arrays(gain_ud_rrb, gain_ap_mec)
+    return ChannelState(gain_ud_rrb=up, gain_ap_mec=bh, noise_w=noise_w, rrb_bandwidth_hz=b0)
 
 
 def test_task_cycles():
@@ -42,7 +43,9 @@ def test_entity_validation():
     with pytest.raises(ValueError):
         CostWeights(w_latency=-0.5)
     with pytest.raises(ValueError):
-        ChannelState({}, {}, noise_w=0.0, rrb_bandwidth_hz=1e7)
+        ChannelState(*gain_arrays(), noise_w=0.0, rrb_bandwidth_hz=1e7)
+    with pytest.raises(ValueError):
+        ChannelState(np.zeros((2, 2)), np.zeros((2, 2)), noise_w=1e-12, rrb_bandwidth_hz=1e7)
 
 
 def test_sinr_two_ud_cluster():

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from nomec import (NomaAssociation, ScenarioConfig, enumerate_full,
-                   exact_min_wis, generate, greedy_min_wis, modified_ranks,
-                   random_maximal_is)
-from nomec.graph import from_associations
+from nomec import (ConflictGraph, NomaAssociation, ScenarioConfig,
+                   enumerate_full, exact_min_wis, generate, greedy_min_wis,
+                   modified_ranks, random_maximal_is)
 from nomec.mwis import is_independent, is_maximal
 import oracles
 
@@ -21,7 +20,7 @@ def star_graph():
     leaves = [assoc((2,), rrb=0, ap=0, weight=1.0),
               assoc((0,), rrb=0, ap=1, weight=1.0),
               assoc((1,), rrb=0, ap=2, weight=1.0)]
-    return from_associations([center] + leaves)
+    return ConflictGraph([center] + leaves)
 
 
 def random_graph(rng, n_verts, n_uds=6, n_aps=2, n_rrbs=2):
@@ -39,7 +38,7 @@ def random_graph(rng, n_verts, n_uds=6, n_aps=2, n_rrbs=2):
         seen.add(key)
         out.append(NomaAssociation(key[0], key[1], key[2], None,
                                    float(rng.uniform(0.1, 5.0))))
-    return from_associations(out)
+    return ConflictGraph(out)
 
 
 def test_greedy_takes_lightest_survivor():
@@ -63,7 +62,7 @@ def test_greedy_tie_break_is_deterministic():
     # equal weights: the (ap, rrb, uds) order decides, so ap 0 wins
     verts = [assoc((0, 1), 0, 2, 1.0), assoc((0, 1), 0, 0, 1.0),
              assoc((0, 1), 0, 1, 1.0)]
-    graph = from_associations(verts)
+    graph = ConflictGraph(verts)
     assert greedy_min_wis(graph).indices == (1,)
 
 
@@ -134,11 +133,11 @@ def test_modified_ordering_can_differ():
 
 
 def test_ordering_validation_and_empty():
-    graph = from_associations(())
+    graph = ConflictGraph(())
     assert greedy_min_wis(graph).indices == ()
     assert exact_min_wis(graph).total_weight == 0.0
     assert random_maximal_is(graph, seed=0).vertices == ()
-    some = from_associations([assoc((0,), 0, 0, 1.0)])
+    some = ConflictGraph([assoc((0,), 0, 0, 1.0)])
     with pytest.raises(ValueError):
         greedy_min_wis(some, ordering="lightest")
 

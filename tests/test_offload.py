@@ -5,6 +5,7 @@ import pytest
 from nomec import (AccessPoint, ChannelState, CostWeights, MecServer, Task,
                    admission_control, allocate_local, first_layer_weight,
                    second_layer_weight)
+from conftest import gain_arrays
 import oracles
 
 NOISE = 4e-14
@@ -15,8 +16,8 @@ def make_backhaul(gain=2e-9):
     ap = AccessPoint(id=0, position=(0.0, 0.0), num_rrbs=3, f_loc_max_cps=5e7,
                      q_tx_w=1.0, q_idle_w=0.1, coverage_radius_m=750.0)
     mec = MecServer(id=0, position=(10.0, 0.0), f_mec_cps=3e9)
-    channel = ChannelState(gain_ud_rrb={}, gain_ap_mec={(0, 0): gain},
-                           noise_w=NOISE, rrb_bandwidth_hz=B0)
+    up, bh = gain_arrays(backhaul={(0, 0): gain})
+    channel = ChannelState(gain_ud_rrb=up, gain_ap_mec=bh, noise_w=NOISE, rrb_bandwidth_hz=B0)
     return ap, mec, channel
 
 
@@ -72,8 +73,6 @@ def test_first_layer_weight_matches_oracle():
         [(t.size_bits, t.density_cpb, r) for t, r in group], f,
         weights.alpha_cpu)
     assert first_layer_weight(group, f, weights) == pytest.approx(d + e, rel=1e-12)
-    assert first_layer_weight(group, f, weights, term_weights=(2.0, 0.5)) == \
-        pytest.approx(2.0 * d + 0.5 * e, rel=1e-12)
     assert first_layer_weight([], f, weights) == 0.0
 
 

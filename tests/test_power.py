@@ -7,13 +7,14 @@ import pytest
 
 from nomec import ChannelState, ClusterPowerSolution, PowerConstraints, grid_oracle, solve_cluster_power
 from nomec.power import solve_pairs_batch, solve_singletons_batch
+from conftest import gain_arrays
 
 NOISE = 4e-14
 B0 = 1e7
 
 
 def chan():
-    return ChannelState({}, {}, noise_w=NOISE, rrb_bandwidth_hz=B0)
+    return ChannelState(*gain_arrays(), noise_w=NOISE, rrb_bandwidth_hz=B0)
 
 
 def test_constraints_validation():

@@ -16,10 +16,9 @@ GOLDEN_DIGEST = "2965be61705b9787b7c46aa1f3fd570cc8c78635cf401016d56e40365c7af95
 
 def _digest(scn):
     h = hashlib.sha256()
-    for key in sorted(scn.channel.gain_ud_rrb):
-        h.update(f"{key}:{scn.channel.gain_ud_rrb[key]!r};".encode())
-    for key in sorted(scn.channel.gain_ap_mec):
-        h.update(f"{key}:{scn.channel.gain_ap_mec[key]!r};".encode())
+    for gains in (scn.channel.gain_ud_rrb, scn.channel.gain_ap_mec):
+        for key in np.ndindex(gains.shape):
+            h.update(f"{key}:{gains[key]!r};".encode())
     for d in scn.devices:
         h.update(f"{d.position!r}:{d.task.size_bits!r};".encode())
     return h.hexdigest()
@@ -44,6 +43,43 @@ def test_config_rejects_bad_values():
         ScenarioConfig(task_size_range_bits=(600.0, 400.0))
     with pytest.raises(ConfigError):
         ScenarioConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field", ["cell_radius_m", "ap_coverage_m", "density_cpb",
+                                   "deadline_s", "f_mec_cps", "f_loc_max_cps",
+                                   "alpha_cpu", "rate_threshold_bps",
+                                   "rrb_bandwidth_hz", "noise_dbm_hz", "p_max_dbm_hz",
+                                   "shadowing_std_db", "w_latency", "w_energy",
+                                   "q_idle_factor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ScenarioConfig(**{field: value})
+
+
+def test_config_rejects_non_finite_ranges_and_positions():
+    for bad in ((400.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(task_size_range_bits=bad)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(n_aps=2, ap_positions=((0.0, 0.0), (math.nan, 1.0)))
+    with pytest.raises(ConfigError):
+        ScenarioConfig(n_mecs=1, mec_positions=((0.0, math.inf),))
+
+
+@pytest.mark.parametrize("field", ["n_uds", "n_aps", "n_mecs", "rrbs_per_ap", "seed"])
+@pytest.mark.parametrize("value", [True, False])
+def test_config_rejects_bool_counts(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ScenarioConfig(**{field: value})
+
+
+def test_config_checks_position_shape():
+    for bad in (1.0, ((0.0, 0.0),) * 8, ((0.0, 0.0, 0.0),) * 9, ((0.0,),) * 9):
+        with pytest.raises(ConfigError, match="ap_positions"):
+            ScenarioConfig(ap_positions=bad)
+    with pytest.raises(ConfigError, match="mec_positions"):
+        ScenarioConfig(mec_positions=((0.0, 0.0),) * 5)
 
 
 def test_load_config_empty_gives_defaults():
@@ -84,8 +120,8 @@ def test_generate_is_deterministic():
     cfg = ScenarioConfig(n_uds=8, n_aps=4, n_mecs=2, rrbs_per_ap=2, seed=123)
     a = generate(cfg)
     b = generate(cfg)
-    assert a.channel.gain_ud_rrb == b.channel.gain_ud_rrb
-    assert a.channel.gain_ap_mec == b.channel.gain_ap_mec
+    assert np.array_equal(a.channel.gain_ud_rrb, b.channel.gain_ud_rrb)
+    assert np.array_equal(a.channel.gain_ap_mec, b.channel.gain_ap_mec)
     assert [d.position for d in a.devices] == [d.position for d in b.devices]
     assert _digest(a) == GOLDEN_DIGEST
 
@@ -133,13 +169,12 @@ def test_task_sizes_within_range():
 def test_realize_channels_trials():
     scn = generate(ScenarioConfig(seed=9))
     again = realize_channels(scn, 0)
-    assert again.gain_ud_rrb == scn.channel.gain_ud_rrb
-    assert again.gain_ap_mec == scn.channel.gain_ap_mec
+    assert np.array_equal(again.gain_ud_rrb, scn.channel.gain_ud_rrb)
+    assert np.array_equal(again.gain_ap_mec, scn.channel.gain_ap_mec)
     other = realize_channels(scn, 5)
-    assert other.gain_ud_rrb != scn.channel.gain_ud_rrb
+    assert not np.array_equal(other.gain_ud_rrb, scn.channel.gain_ud_rrb)
     # fading is unit mean: the sample mean over all links stays near one
-    fades = [other.gain_ud_rrb[k] / scn.mean_gain_uplink[(k[0], k[1])]
-             for k in other.gain_ud_rrb]
+    fades = other.gain_ud_rrb / scn.mean_gain_uplink[:, :, None]
     assert abs(float(np.mean(fades)) - 1.0) < 0.2
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
                    NomaAssociation, Schedule, ScenarioConfig, conflicts,
-                   generate, run_baseline, run_joint, run_scheme)
+                   generate, run_scheme)
 from nomec.model import InvalidAssignmentError
 
 BASE = dict(n_uds=10, n_aps=4, n_mecs=2, rrbs_per_ap=2)
@@ -25,7 +25,7 @@ def test_schedule_views():
         NomaAssociation((0, 1), 0, 0, sol((0.2, 0.1), (2e6, 1e6)), 1.0),
         NomaAssociation((2,), 1, 1, sol((0.3,), (3e6,)), 2.0),
     ]
-    sched = Schedule.from_associations(assocs, scn)
+    sched = Schedule.build(assocs, scn)
     assert sched.scheduled_uds == 3
     assert sched.ud_assignment[0] == (0, 0, 0.2, 2e6)
     assert sched.ud_assignment[2] == (1, 1, 0.3, 3e6)
@@ -40,7 +40,7 @@ def test_schedule_rejects_duplicate_ud():
         NomaAssociation((1,), 1, 1, sol((0.3,), (3e6,)), 2.0),
     ]
     with pytest.raises(InvalidAssignmentError):
-        Schedule.from_associations(assocs, scn)
+        Schedule.build(assocs, scn)
 
 
 def test_scheme_invariants_seeded():
@@ -174,7 +174,13 @@ def test_no_scheme_builds_the_adjacency(monkeypatch):
 def test_max_iters_below_one_rejected():
     scn = small_scenario(8)
     for max_iters in (0, -1):
-        with pytest.raises(ValueError):
-            run_joint(scn, max_iters=max_iters)
-        with pytest.raises(ValueError):
-            run_baseline(scn, "local", max_iters=max_iters)
+        for scheme in SCHEMES:
+            with pytest.raises(ValueError):
+                run_scheme(scn, scheme, max_iters=max_iters)
+
+
+def test_unknown_ordering_rejected_by_every_scheme():
+    scn = small_scenario(8)
+    for scheme in SCHEMES:
+        with pytest.raises(ValueError, match="ordering"):
+            run_scheme(scn, scheme, mwis_ordering="bogus")
