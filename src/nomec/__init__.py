@@ -8,8 +8,7 @@ from .model import (AccessPoint, ChannelState, CostWeights,
                     local_cost, mec_cost, sinr, system_metrics, uplink_rate)
 from .scenario import (ConfigError, Scenario, ScenarioConfig, generate,
                        load_config, realize_channels, with_channel)
-from .power import (ClusterPowerSolution, PowerConstraints, grid_oracle,
-                    solve_cluster_power)
+from .power import ClusterPowerSolution, PowerConstraints, solve_cluster_power
 from .graph import (ConflictGraph, NomaAssociation, build_full, build_pruned,
                     conflicts, enumerate_full, modified_weight)
 from .mwis import (IndependentSet, exact_min_wis, greedy_min_wis,

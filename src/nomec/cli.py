@@ -96,11 +96,13 @@ def main(argv=None) -> int:
                               mwis_ordering=args.mwis_ordering,
                               fallback_local=args.fallback_local == "on",
                               max_iters=args.max_iters, timings=args.timings)
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
     except (ConfigError, HarnessError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        rows = run_experiment(spec, workers=max(1, args.workers))
+        rows = run_experiment(spec, workers=args.workers)
         emit(rows, args.out, args.format)
         if args.summary:
             for line in summarize(rows):

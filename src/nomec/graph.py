@@ -238,16 +238,26 @@ def _f_loc_of(f_loc, ap_id, default):
     return float(f_loc)
 
 
-def _solve_cells(scenario, cells, f_ap, strict_cc2: bool, kind: str) -> ConflictGraph:
+def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
+    """Per vertex, the summed per-UD utility: upload delay plus compute
+    delay plus compute energy at the vertex's AP frequency in f_loc (see
+    enumerate_full). u2 = -1 reads an appended zero-size task, adding
+    exact zeros."""
+    sizes = np.array([d.task.size_bits for d in scenario.devices] + [0.0])
+    cycles = np.array([d.task.cycles for d in scenario.devices] + [0.0])
+    f = np.array([_f_loc_of(f_loc, m.id, m.f_loc_max_cps) for m in scenario.aps])
+    per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f)[ap]
+    return sizes[u1] / r1 + sizes[u2] / r2 + cycles[u1] * per_cycle + cycles[u2] * per_cycle
+
+
+def _solve_cells(scenario, cells, f_loc, strict_cc2: bool, kind: str) -> ConflictGraph:
     """The graph over the feasible candidate clusters among cells.
 
     cells holds parallel arrays (u1, u2, ap, rrb), one entry per candidate
-    cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton; f_ap[m]
-    is the frequency of AP m that weights are taken at. Powers come from
-    the batched closed forms; the weight is the summed per-UD utility,
-    upload delay plus compute delay plus compute energy at f_ap. Clusters
-    that miss the rate floor or get a non-positive rate are dropped; the
-    rest keep the order of cells.
+    cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton. Powers
+    come from the batched closed forms and weights from _weights at f_loc.
+    Clusters that miss the rate floor or get a non-positive rate are
+    dropped; the rest keep the order of cells.
     """
     u1, u2, ap, rrb = cells
     chan = scenario.channel
@@ -264,39 +274,36 @@ def _solve_cells(scenario, cells, f_ap, strict_cc2: bool, kind: str) -> Conflict
     keep = np.flatnonzero(feas & (r1 > 0) & (r2 > 0))
     u1, u2, ap, rrb, p1, p2, r1, r2, obj = (
         col[keep] for col in (u1, u2, ap, rrb, p1, p2, r1, r2, obj))
-
-    # u2 = -1 reads the appended zero-size task, adding exact zeros
-    sizes = np.array([d.task.size_bits for d in scenario.devices] + [0.0])
-    cycles = np.array([d.task.cycles for d in scenario.devices] + [0.0])
-    f = np.asarray(f_ap, dtype=float)
-    per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f)[ap]
-    w = sizes[u1] / r1 + sizes[u2] / r2 + cycles[u1] * per_cycle + cycles[u2] * per_cycle
+    w = _weights(scenario, u1, u2, ap, r1, r2, f_loc)
     return ConflictGraph(strict_cc2=strict_cc2, kind=kind,
                          _data=(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj))
 
 
-def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False, uds=None,
-                   aps=None, rrbs=None) -> ConflictGraph:
+def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
+    """The vertices of a solved graph where the boolean mask keep is set,
+    weighed at f_loc; powers and rates are reused, not solved again."""
+    u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
+        col[keep] for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
+                              graph._p2, graph._r1, graph._r2, graph._obj))
+    w = _weights(scenario, u1, u2, ap, r1, r2, f_loc)
+    return ConflictGraph(strict_cc2=graph.strict_cc2, kind=graph.kind,
+                         _data=(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj))
+
+
+def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False,
+                   rrbs=None) -> ConflictGraph:
     """Enumerate every coverage- and rate-feasible association, no edges.
 
     f_loc: per-AP frequency (dict, scalar, or None for each AP's cap) used
-    only in the vertex weights. uds/aps/rrbs restrict the enumeration, for
-    iterative scheduling and baselines. Vertices run AP by AP, RRB by RRB,
-    singletons before pairs; powers and weights are solved in one batch,
-    and the returned graph builds its adjacency only if something reads
-    ``adj_bits``.
+    only in the vertex weights. rrbs restricts the enumeration to those RRB
+    indices. Vertices run AP by AP, RRB by RRB, singletons before pairs;
+    powers and weights are solved in one batch, and the returned graph
+    builds its adjacency only if something reads ``adj_bits``.
     """
-    ud_filter = None if uds is None else set(uds)
-    ap_filter = None if aps is None else set(aps)
     cells = [[np.empty(0, dtype=np.int64)] * 4]   # typed even if no AP contributes
     for ap in scenario.aps:
-        if ap_filter is not None and ap.id not in ap_filter:
-            continue
-        covered = sorted(scenario.coverage[ap.id])
-        if ud_filter is not None:
-            covered = [u for u in covered if u in ud_filter]
         rrb_list = np.asarray(range(ap.num_rrbs) if rrbs is None else rrbs, dtype=np.int64)
-        ids = np.array(covered, dtype=np.int64)
+        ids = np.array(sorted(scenario.coverage[ap.id]), dtype=np.int64)
         pair_i, pair_j = np.triu_indices(ids.size, 1)
         # one row of candidate clusters per RRB: singletons, then pairs
         c1 = np.concatenate([ids, ids[pair_i]])
@@ -304,17 +311,15 @@ def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False, uds=None,
         cells.append((np.tile(c1, rrb_list.size), np.tile(c2, rrb_list.size),
                       np.full(c1.size * rrb_list.size, ap.id, dtype=np.int64),
                       np.repeat(rrb_list, c1.size)))
-    f_ap = [_f_loc_of(f_loc, ap.id, ap.f_loc_max_cps) for ap in scenario.aps]
     return _solve_cells(scenario, [np.concatenate(col) for col in zip(*cells)],
-                        f_ap, strict_cc2, "full")
+                        f_loc, strict_cc2, "full")
 
 
-def build_full(scenario, f_loc=None, strict_cc2: bool = False, uds=None,
-               aps=None, rrbs=None) -> ConflictGraph:
+def build_full(scenario, f_loc=None, strict_cc2: bool = False,
+               rrbs=None) -> ConflictGraph:
     """enumerate_full plus the explicit pairwise adjacency, whose
     O(V^2) build dominates the cost."""
-    graph = enumerate_full(scenario, f_loc=f_loc, strict_cc2=strict_cc2,
-                           uds=uds, aps=aps, rrbs=rrbs)
+    graph = enumerate_full(scenario, f_loc=f_loc, strict_cc2=strict_cc2, rrbs=rrbs)
     graph.adj_bits  # first access builds the edges
     return graph
 
@@ -376,4 +381,4 @@ def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> C
                          <= budget * (1.0 + rel_tol))
     columns = list(zip(*cells)) or [()] * 4
     return _solve_cells(scenario, [np.array(col, dtype=np.int64) for col in columns],
-                        [ap.f_loc_max_cps for ap in scenario.aps], strict_cc2, "pruned")
+                        None, strict_cc2, "pruned")

@@ -53,10 +53,10 @@ class ExperimentSpec:
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise HarnessError(f"unknown schemes: {', '.join(unknown)}")
-        if self.trials < 1:
-            raise HarnessError("trials must be >= 1")
-        if self.max_iters < 1:
-            raise HarnessError("max_iters must be >= 1")
+        for name in ("trials", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise HarnessError(f"{name} must be an int >= 1, got {value!r}")
         if self.mwis_ordering not in ORDERINGS:
             raise HarnessError(f"unknown mwis_ordering {self.mwis_ordering!r}")
         for index, value in enumerate(self.sweep_values):

@@ -4,9 +4,11 @@ The schedule quality target is the maximal independent set whose total
 weight is smallest, so the greedy heuristic takes vertices lightest first.
 Conflicts are shared UDs or shared slots, so the greedy and random passes
 work on UD/slot incidence: a vertex is taken when its UDs and its slot are
-all still unused, with no edge list. An exact enumerator (for small graphs,
-on the explicit adjacency) and a seeded random maximal set provide the
-quality bounds.
+all still unused, with no edge list. The pass reads its order in chunks and
+stops once every slot or every UD is used, and the greedy sorts only the
+prefix of its order that the pass reaches. An exact enumerator (for small
+graphs, on the explicit adjacency) and a seeded random maximal set provide
+the quality bounds.
 """
 
 from dataclasses import dataclass
@@ -28,10 +30,47 @@ class IndependentSet:
     total_weight: float
 
 
-def _ordered(graph: ConflictGraph, rank) -> np.ndarray:
-    """Vertex order by (rank, ap, rrb, uds); lexsort keys run minor-first."""
-    return np.lexsort((graph.u2, graph.u1, graph.rrb_arr, graph.ap_arr,
-                       np.asarray(rank, dtype=float)))
+# the first chunk of an order; each later chunk is _GROWTH times larger
+_FIRST_CHUNK = 512
+_GROWTH = 4
+
+
+def _slices(order):
+    """order in consecutive chunks of growing size."""
+    start, size = 0, _FIRST_CHUNK
+    while start < len(order):
+        yield order[start:start + size]
+        start += size
+        size *= _GROWTH
+
+
+def _sorted_chunks(graph: ConflictGraph, rank):
+    """The vertex order by (rank, ap, rrb, uds), in chunks of growing size.
+
+    A chunk of size k takes every remaining vertex whose rank is at most
+    the k-th smallest remaining rank, so equal ranks never straddle two
+    chunks, and is sorted only when the scan asks for it: by rank alone
+    when its ranks are distinct, else by lexsort, whose keys run
+    minor-first.
+    """
+    rank = np.asarray(rank, dtype=float)
+    rest = np.arange(len(rank))
+    size = _FIRST_CHUNK
+    while rest.size:
+        chunk = rest
+        if rest.size > size:
+            r = rank[rest]
+            head = r <= np.partition(r, size - 1)[size - 1]
+            chunk, rest = rest[head], rest[~head]
+        else:
+            rest = rest[:0]
+        r = rank[chunk]
+        order = np.argsort(r)
+        if not np.all(np.diff(r[order]) > 0):     # equal or NaN ranks
+            order = np.lexsort((graph.u2[chunk], graph.u1[chunk], graph.rrb_arr[chunk],
+                                graph.ap_arr[chunk], r))
+        yield chunk[order]
+        size *= _GROWTH
 
 
 def _collect(graph: ConflictGraph, picked) -> IndependentSet:
@@ -41,22 +80,28 @@ def _collect(graph: ConflictGraph, picked) -> IndependentSet:
     return IndependentSet(verts, picked, total)
 
 
-def _greedy_by_order(graph: ConflictGraph, order) -> IndependentSet:
-    """Maximal independent set taking vertices in the given order: a vertex
-    is taken when its UDs and its slot are all still unused."""
-    order = np.asarray(order, dtype=np.int64)
+def _greedy_by_order(graph: ConflictGraph, chunks) -> IndependentSet:
+    """Maximal independent set taking vertices in the order the index
+    chunks give: a vertex is taken when its UDs and its slot are all still
+    unused. The scan stops once every slot or every UD of the graph is
+    used, since no later vertex could then be taken."""
+    n_slots = int(np.count_nonzero(np.bincount(graph.slot)))
+    n_uds = int(np.count_nonzero(np.bincount(_used_uds(graph, slice(None)))))
     used_uds = set()
     used_slots = set()
     picked = []
-    for i, a, b, s in zip(order.tolist(), graph.u1[order].tolist(),
-                          graph.u2[order].tolist(), graph.slot[order].tolist()):
-        if a in used_uds or b in used_uds or s in used_slots:
-            continue
-        picked.append(i)
-        used_uds.add(a)
-        if b >= 0:
-            used_uds.add(b)
-        used_slots.add(s)
+    for chunk in chunks:
+        for i, a, b, s in zip(chunk.tolist(), graph.u1[chunk].tolist(),
+                              graph.u2[chunk].tolist(), graph.slot[chunk].tolist()):
+            if a in used_uds or b in used_uds or s in used_slots:
+                continue
+            picked.append(i)
+            used_uds.add(a)
+            if b >= 0:
+                used_uds.add(b)
+            used_slots.add(s)
+            if len(used_slots) == n_slots or len(used_uds) == n_uds:
+                return _collect(graph, picked)
     return _collect(graph, picked)
 
 
@@ -103,13 +148,13 @@ def greedy_min_wis(graph: ConflictGraph, ordering: str = "original") -> Independ
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     rank = modified_ranks(graph) if ordering == "modified" else graph.weights
-    return _greedy_by_order(graph, _ordered(graph, rank))
+    return _greedy_by_order(graph, _sorted_chunks(graph, rank))
 
 
 def random_maximal_is(graph: ConflictGraph, seed: int) -> IndependentSet:
     """Maximal independent set grown in a seeded random vertex order."""
     rng = np.random.default_rng(seed)
-    return _greedy_by_order(graph, rng.permutation(len(graph)))
+    return _greedy_by_order(graph, _slices(rng.permutation(len(graph))))
 
 
 _EXACT_LIMIT = 25

@@ -4,8 +4,8 @@ For a 1- or 2-UD cluster on one RRB the solver maximizes the SIC sum rate
 subject to per-UD power caps and a per-UD rate floor. The uplink sum rate
 log2((p_s*g_s + p_w*g_w + noise)/noise) is increasing in both powers, so the
 optimum sits at p_strong = p_max with p_weak at p_max or on the rate-floor
-boundary of the strong UD. A brute-force grid oracle is kept alongside for
-verification and never shares code with the solver.
+boundary of the strong UD. The batched forms solve many clusters at once
+with the same closed form.
 """
 
 import math
@@ -119,59 +119,6 @@ def solve_cluster_power(members, channel, constraints: PowerConstraints,
         if sol is not None and sol.objective > best.objective:
             best = sol
     return best
-
-
-def grid_oracle(members, channel, constraints: PowerConstraints,
-                resolution: int = 512, objective: str = "sum") -> ClusterPowerSolution:
-    """Exhaustive search over a uniform power grid including 0 and p_max.
-
-    Independent of the closed-form solver by construction; resolution is the
-    number of points per axis (resolution=2 evaluates only the corners).
-    """
-    if len(members) not in (1, 2):
-        raise ValueError("clusters hold 1 or 2 UDs")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    p_max = constraints.p_max_w
-    noise = channel.noise_w
-    b0 = channel.rrb_bandwidth_hz
-    r_th = constraints.rate_threshold_bps
-    axis = np.linspace(0.0, p_max, resolution)
-
-    if len(members) == 1:
-        g = members[0][1]
-        snr = axis * g / noise
-        rates = b0 * np.log2(1.0 + snr)
-        obj = np.log2(1.0 + snr)
-        feas = rates >= r_th
-        if not feas.any():
-            return ClusterPowerSolution((0.0,), (0.0,), float("-inf"), False)
-        best = np.flatnonzero(feas)[np.argmax(obj[feas])]
-        return ClusterPowerSolution((float(axis[best]),), (float(rates[best]),),
-                                    float(obj[best]), True)
-
-    order = _sic_order(members)
-    strong, weak = order[0], order[1]
-    g_s = members[strong][1]
-    g_w = members[weak][1]
-    ps, pw = np.meshgrid(axis, axis, indexing="ij")
-    sinr_s = ps * g_s / (pw * g_w + noise)
-    sinr_w = pw * g_w / noise
-    rate_s = b0 * np.log2(1.0 + sinr_s)
-    rate_w = b0 * np.log2(1.0 + sinr_w)
-    obj = np.log2(1.0 + sinr_s) + np.log2(1.0 + sinr_w)
-    if objective == "min":
-        obj = np.minimum(np.log2(1.0 + sinr_s), np.log2(1.0 + sinr_w))
-    feas = (rate_s >= r_th) & (rate_w >= r_th)
-    if not feas.any():
-        return ClusterPowerSolution((0.0, 0.0), (0.0, 0.0), float("-inf"), False)
-    masked = np.where(feas, obj, -np.inf)
-    i, j = np.unravel_index(np.argmax(masked), masked.shape)
-    powers = [0.0, 0.0]
-    rates = [0.0, 0.0]
-    powers[strong], powers[weak] = float(axis[i]), float(axis[j])
-    rates[strong], rates[weak] = float(rate_s[i, j]), float(rate_w[i, j])
-    return ClusterPowerSolution(tuple(powers), tuple(rates), float(masked[i, j]), True)
 
 
 def solve_pairs_batch(ud_lo_gain, ud_hi_gain, p_max, noise_w, bandwidth_hz,

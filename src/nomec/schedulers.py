@@ -14,11 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import build_pruned, enumerate_full
+from .graph import build_pruned, enumerate_full, reweighed
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
 from .model import InvalidAssignmentError, Metrics, system_metrics
-from .mwis import ORDERINGS, _greedy_by_order, greedy_min_wis, random_maximal_is
+from .mwis import (ORDERINGS, _greedy_by_order, _slices, greedy_min_wis,
+                   random_maximal_is)
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
                       allocate_local, first_layer_weight, second_layer_weight)
 
@@ -99,24 +100,26 @@ def _stage1(scenario, opt: _Options):
     per-AP frequencies stop changing.
 
     Groups flagged for offloading are frozen and their UDs and AP leave the
-    next iteration's pool. The associations are the frozen ones plus the
-    last iteration's picks at uncommitted APs; the graph and independent
-    set are the last iteration's.
+    next iteration's pool. Candidate clusters are enumerated and their
+    powers solved once; each later iteration keeps those of the active UDs
+    and APs and weighs them again at the new frequencies. The associations
+    are the frozen ones plus the last iteration's picks at uncommitted APs;
+    the graph and independent set are the last iteration's.
     """
     f_loc = {ap.id: ap.f_loc_max_cps for ap in scenario.aps}
     committed = []
-    committed_aps = set()
-    active_uds = {d.id for d in scenario.devices}
-    active_aps = {ap.id for ap in scenario.aps}
+    # per UD and per AP id, whether it is still in the pool; the extra last
+    # UD entry stays set, so a singleton's u2 = -1 never removes it
+    active_ud = np.ones(len(scenario.devices) + 1, dtype=bool)
+    active_ap = np.ones(len(scenario.aps), dtype=bool)
+    graph = solved = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
     converged = False
-    first_vertices = 0
     iterations = 0
     for it in range(opt.max_iters):
         iterations = it + 1
-        graph = enumerate_full(scenario, f_loc=f_loc, strict_cc2=opt.strict_cc2,
-                               uds=active_uds, aps=active_aps)
-        if it == 0:
-            first_vertices = len(graph)
+        if it > 0:
+            keep = active_ud[solved.u1] & active_ud[solved.u2] & active_ap[solved.ap_arr]
+            graph = reweighed(scenario, solved, keep, f_loc)
         wis = greedy_min_wis(graph, opt.ordering)
         alloc = _allocate(scenario, _tasks_by_ap(wis.vertices, scenario))
         new_flags = {m for m, flagged in alloc.x.items() if flagged}
@@ -124,19 +127,17 @@ def _stage1(scenario, opt: _Options):
         if not new_flags and all(f_loc[m] == f_new[m] for m in f_new):
             converged = True
             break
-        moved_uds = set()
         for a in wis.vertices:
             if a.ap in new_flags:
                 committed.append(a)
-                moved_uds.update(a.uds)
-        committed_aps |= new_flags
-        active_uds -= moved_uds
-        active_aps -= new_flags
+                active_ud[list(a.uds)] = False
+        active_ap[list(new_flags)] = False
         f_loc.update(f_new)
+    committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
     assocs = committed + [a for a in wis.vertices if a.ap not in committed_aps]
-    extras = {"vertices": first_vertices, "iterations": iterations,
+    extras = {"vertices": len(solved), "iterations": iterations,
               "converged": converged, "stage1_f_loc": dict(f_loc),
-              "committed_aps": frozenset(committed_aps)}
+              "committed_aps": committed_aps}
     return assocs, graph, wis, extras
 
 
@@ -158,7 +159,7 @@ def _one_cluster_per_ap(scenario, opt: _Options):
     singleton = (graph.u2 < 0).astype(np.int8)
     order = np.lexsort((graph.u2, graph.u1, graph.rrb_arr, graph.ap_arr,
                         graph.weights, singleton))
-    wis = _greedy_by_order(graph, order)
+    wis = _greedy_by_order(graph, _slices(order))
     return wis.vertices, graph, wis, {}
 
 
@@ -233,8 +234,8 @@ def run_scheme(scenario, scheme: str, seed: int = 0, max_iters: int = 5,
         raise ValueError(f"unknown scheme {scheme!r}")
     if mwis_ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {mwis_ordering!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
+        raise ValueError(f"max_iters must be an int >= 1, got {max_iters!r}")
     select, allocate, admit, may_fall_back = _PIPELINES[scheme]
     assocs, graph, wis, extras = select(
         scenario, _Options(seed, max_iters, strict_cc2, mwis_ordering))

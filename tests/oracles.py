@@ -5,6 +5,9 @@ deliberately shares no code with the package under test.
 """
 
 import math
+from collections import namedtuple
+
+import numpy as np
 
 
 def sic_sinr(members, gains, ud_id, noise_w):
@@ -64,6 +67,74 @@ def modified_weight(i, adj, weights):
     non_adj = sum(weights[j] for j in range(len(weights))
                   if j != i and not adj[i][j])
     return weights[i] * non_adj
+
+
+GridSolution = namedtuple("GridSolution", "powers rates objective feasible")
+
+
+def grid_oracle(members, channel, constraints, resolution=512):
+    """Best sum-rate powers of one cluster over a uniform power grid.
+
+    members is a list of 1 or 2 (ud_id, linear_gain); channel supplies
+    noise_w and rrb_bandwidth_hz, constraints p_max_w and
+    rate_threshold_bps. Each axis has resolution points from 0 to p_max
+    (resolution=2 evaluates only the corners). Decoding runs in descending
+    gain order (ties: ascending id), so the first decoded member sees the
+    other's power as interference. Powers and rates follow the member
+    order; the objective is the sum of log2(1 + sinr), -inf if no grid
+    point meets the rate floor.
+    """
+    if len(members) not in (1, 2):
+        raise ValueError("clusters hold 1 or 2 UDs")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    noise = channel.noise_w
+    b0 = channel.rrb_bandwidth_hz
+    r_th = constraints.rate_threshold_bps
+    axis = np.linspace(0.0, constraints.p_max_w, resolution)
+    none = GridSolution((0.0,) * len(members), (0.0,) * len(members), -math.inf, False)
+    if len(members) == 1:
+        se = np.log2(1.0 + axis * members[0][1] / noise)
+        feasible = b0 * se >= r_th
+        if not feasible.any():
+            return none
+        best = np.flatnonzero(feasible)[np.argmax(se[feasible])]
+        return GridSolution((float(axis[best]),), (float(b0 * se[best]),),
+                            float(se[best]), True)
+    strong, weak = sorted((0, 1), key=lambda i: (-members[i][1], members[i][0]))
+    p_s, p_w = np.meshgrid(axis, axis, indexing="ij")
+    se_s = np.log2(1.0 + p_s * members[strong][1] / (p_w * members[weak][1] + noise))
+    se_w = np.log2(1.0 + p_w * members[weak][1] / noise)
+    feasible = (b0 * se_s >= r_th) & (b0 * se_w >= r_th)
+    if not feasible.any():
+        return none
+    objective = np.where(feasible, se_s + se_w, -np.inf)
+    i, j = np.unravel_index(np.argmax(objective), objective.shape)
+    powers, rates = [0.0, 0.0], [0.0, 0.0]
+    powers[strong], powers[weak] = float(axis[i]), float(axis[j])
+    rates[strong], rates[weak] = float(b0 * se_s[i, j]), float(b0 * se_w[i, j])
+    return GridSolution(tuple(powers), tuple(rates), float(objective[i, j]), True)
+
+
+def greedy_order(rank, aps, rrbs, uds):
+    """Every vertex index, sorted by (rank, ap, rrb, uds); uds are tuples
+    of ascending ids, so a singleton precedes the pairs it starts."""
+    return sorted(range(len(rank)), key=lambda i: (rank[i], aps[i], rrbs[i], uds[i]))
+
+
+def maximal_set_in_order(order, aps, rrbs, uds, strict_cc2):
+    """Walk the whole order and take each vertex none of whose resources is
+    taken yet; a vertex holds its UDs and its RRB of its AP (strict mode:
+    its RRB index on every AP)."""
+    taken = set()
+    picked = []
+    for i in order:
+        block = ("rrb", rrbs[i]) if strict_cc2 else ("rrb", aps[i], rrbs[i])
+        needs = {block} | {("ud", u) for u in uds[i]}
+        if not needs & taken:
+            taken |= needs
+            picked.append(i)
+    return tuple(picked)
 
 
 def full_vertex_count(n_uds, n_aps, n_rrbs):

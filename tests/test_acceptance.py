@@ -16,7 +16,7 @@ import pytest
 from conftest import gain_arrays, record_criterion
 from nomec import (SCHEMES, ExperimentSpec, PowerConstraints, ScenarioConfig,
                    build_full, build_pruned, conflicts, exact_min_wis,
-                   generate, greedy_min_wis, grid_oracle, group_demand_cps,
+                   generate, greedy_min_wis, group_demand_cps,
                    random_maximal_is, run_experiment, run_scheme,
                    solve_cluster_power)
 from nomec.model import (AccessPoint, ChannelState, CostWeights, MecServer,
@@ -185,7 +185,7 @@ def test_criterion_04_power_solver_vs_grid():
         cons = PowerConstraints(p_max_w=0.5,
                                 rate_threshold_bps=thresholds[i % 4])
         exact = solve_cluster_power(members, channel, cons)
-        grid = grid_oracle(members, channel, cons, resolution=512)
+        grid = oracles.grid_oracle(members, channel, cons, resolution=512)
         if grid.feasible:
             feasible_cases += 1
             if not exact.feasible:

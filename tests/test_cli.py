@@ -80,7 +80,9 @@ def test_bad_inputs_exit_1(tmp_path, config_file, capsys):
                  ["--config", config_file, "--sweep", "n_uds"],
                  ["--config", config_file, "--sweep", "bandwidth=1,2"],
                  ["--config", config_file, "--schemes", "joint,optimal"],
-                 ["--config", config_file, "--trials", "0"]):
+                 ["--config", config_file, "--trials", "0"],
+                 ["--config", config_file, "--workers", "0"],
+                 ["--config", config_file, "--workers", "-3"]):
         code, out, err = run_cli(args, capsys)
         assert code == 1
         assert err.startswith("error:")

@@ -175,11 +175,9 @@ def test_build_full_respects_coverage_and_threshold():
 def test_build_full_filters():
     cfg = ScenarioConfig(n_uds=8, n_aps=4, n_mecs=2, seed=5)
     scn = generate(cfg)
-    sub = build_full(scn, uds={0, 1, 2}, aps={1, 3}, rrbs=[0])
-    for v in sub.vertices:
-        assert set(v.uds) <= {0, 1, 2}
-        assert v.ap in {1, 3}
-        assert v.rrb == 0
+    sub = build_full(scn, rrbs=[0])
+    assert len(sub) > 0
+    assert all(v.rrb == 0 for v in sub.vertices)
     pairs_off = build_full(scn, rrbs=[1])
     assert all(v.rrb == 1 for v in pairs_off.vertices)
 
@@ -280,8 +278,7 @@ def test_enumerate_full_matches_build_full_without_edges():
     for strict in (False, True):
         scn = generate(ScenarioConfig(n_uds=12, seed=13))
         half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
-        for kwargs in ({}, {"f_loc": half, "uds": set(range(8)), "aps": {0, 2, 5}},
-                       {"rrbs": [0]}):
+        for kwargs in ({}, {"f_loc": half}, {"rrbs": [0]}):
             lazy = enumerate_full(scn, strict_cc2=strict, **kwargs)
             full = build_full(scn, strict_cc2=strict, **kwargs)
             assert lazy._adj_bits is None and full._adj_bits is not None

@@ -33,8 +33,10 @@ def test_spec_validation():
         tiny_spec(sweep_values=())
     with pytest.raises(HarnessError):
         tiny_spec(schemes=("joint", "optimal"))
-    with pytest.raises(HarnessError):
-        tiny_spec(trials=0)
+    for name in ("trials", "max_iters"):
+        for value in (0, 2.5, True, False, "2", None):
+            with pytest.raises(HarnessError, match=name):
+                tiny_spec(**{name: value})
 
 
 def test_spec_rejects_unknown_ordering_and_bad_sweep_values():

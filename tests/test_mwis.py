@@ -6,7 +6,7 @@ import pytest
 from nomec import (ConflictGraph, NomaAssociation, ScenarioConfig,
                    enumerate_full, exact_min_wis, generate, greedy_min_wis,
                    modified_ranks, random_maximal_is)
-from nomec.mwis import is_independent, is_maximal
+from nomec.mwis import _greedy_by_order, is_independent, is_maximal
 import oracles
 
 
@@ -23,7 +23,8 @@ def star_graph():
     return ConflictGraph([center] + leaves)
 
 
-def random_graph(rng, n_verts, n_uds=6, n_aps=2, n_rrbs=2):
+def random_graph(rng, n_verts, n_uds=6, n_aps=2, n_rrbs=2, weights=None, strict=False):
+    """Distinct random vertices; weights[i], if given, is vertex i's weight."""
     out = []
     seen = set()
     while len(out) < n_verts:
@@ -36,9 +37,9 @@ def random_graph(rng, n_verts, n_uds=6, n_aps=2, n_rrbs=2):
         if key in seen:
             continue
         seen.add(key)
-        out.append(NomaAssociation(key[0], key[1], key[2], None,
-                                   float(rng.uniform(0.1, 5.0))))
-    return ConflictGraph(out)
+        weight = rng.uniform(0.1, 5.0) if weights is None else weights[len(out)]
+        out.append(NomaAssociation(key[0], key[1], key[2], None, float(weight)))
+    return ConflictGraph(out, strict_cc2=strict)
 
 
 def test_greedy_takes_lightest_survivor():
@@ -137,6 +138,13 @@ def test_ordering_validation_and_empty():
     assert greedy_min_wis(graph).indices == ()
     assert exact_min_wis(graph).total_weight == 0.0
     assert random_maximal_is(graph, seed=0).vertices == ()
+    strict = ConflictGraph((), strict_cc2=True)
+    assert greedy_min_wis(strict, "modified").indices == ()
+    assert random_maximal_is(strict, seed=3).indices == ()
+    one = ConflictGraph([assoc((4, 9), rrb=2, ap=1, weight=0.25)])
+    for result in (greedy_min_wis(one), greedy_min_wis(one, "modified"),
+                   random_maximal_is(one, seed=0)):
+        assert result.indices == (0,) and result.total_weight == 0.25
     some = ConflictGraph([assoc((0,), 0, 0, 1.0)])
     with pytest.raises(ValueError):
         greedy_min_wis(some, ordering="lightest")
@@ -249,3 +257,78 @@ def test_independence_and_maximality_match_dense_route():
             outcomes.add((independent, maximal))
     # dependent, non-maximal and valid subsets all occurred
     assert {(True, True), (True, False), (False, True), (False, False)} <= outcomes
+
+
+# Full-order route: tests/oracles.py sorts every vertex and walks the whole
+# order, where the package sorts and scans only the prefix it needs.
+
+def oracle_picks(graph, order=None, rank=None):
+    aps, rrbs = graph.ap_arr.tolist(), graph.rrb_arr.tolist()
+    uds = [(a,) if b < 0 else (a, b) for a, b in zip(graph.u1.tolist(), graph.u2.tolist())]
+    if order is None:
+        order = oracles.greedy_order(np.asarray(rank).tolist(), aps, rrbs, uds)
+    return oracles.maximal_set_in_order(order, aps, rrbs, uds, graph.strict_cc2)
+
+
+def assert_matches_oracle(graph, seeds=(0, 1)):
+    assert greedy_min_wis(graph).indices == oracle_picks(graph, rank=graph.weights)
+    assert greedy_min_wis(graph, "modified").indices == \
+        oracle_picks(graph, rank=modified_ranks(graph))
+    for seed in seeds:
+        order = np.random.default_rng(seed).permutation(len(graph)).tolist()
+        assert random_maximal_is(graph, seed).indices == oracle_picks(graph, order)
+
+
+def test_picks_match_full_order_oracle():
+    checked = 0
+    for n_uds, graph in scenario_corpus():
+        assert_matches_oracle(graph)
+        checked += 1
+    assert checked == 6
+
+
+def test_picks_match_full_order_oracle_on_tie_heavy_graphs():
+    rng = np.random.default_rng(47)
+    for k in range(24):
+        n_uds, n_aps, n_rrbs = (int(rng.integers(lo, hi)) for lo, hi in ((20, 200), (1, 10), (1, 30)))
+        # at most half of the distinct (uds, rrb, ap) keys
+        n = int(rng.integers(100, min(3000, n_uds * (n_uds + 1) // 2 * n_aps * n_rrbs // 2)))
+        weights = rng.integers(1, 4, size=n) * 0.5   # three distinct weights
+        graph = random_graph(rng, n, n_uds, n_aps, n_rrbs, weights=weights, strict=k % 2 == 1)
+        assert_matches_oracle(graph, seeds=(k,))
+
+
+def test_equal_ranks_across_the_first_chunk_boundary():
+    # ranks 0.5 x 100, then 1.0 x 650 across the 512th place, then 2.0 x 300
+    rng = np.random.default_rng(53)
+    weights = rng.permutation(np.repeat([0.5, 1.0, 2.0], [100, 650, 300]))
+    for strict in (False, True):
+        graph = random_graph(rng, len(weights), n_uds=1000, n_aps=10, n_rrbs=400,
+                             weights=weights, strict=strict)
+        picked = greedy_min_wis(graph).indices
+        assert picked == oracle_picks(graph, rank=graph.weights)
+        # the scan took vertices of the tied run and read past it
+        assert {0.5, 1.0, 2.0} <= {float(graph.weights[i]) for i in picked}
+
+
+def scan_up_to(order, stop):
+    """The chunks of order up to position stop, then a chunk that fails."""
+    yield np.asarray(order[:stop], dtype=np.int64)
+    raise AssertionError("the scan read past its last possible pick")
+
+
+def test_scan_stops_when_uds_or_slots_are_used_up():
+    # two UDs over 300 RRBs: both UDs go long before the slots do
+    verts = [assoc((u,), rrb=z, ap=0, weight=1.0 + z + u / 2) for z in range(300) for u in (0, 1)]
+    by_uds = ConflictGraph(verts)
+    # 600 UDs on one RRB index under strict CC2: one slot in all
+    by_slots = ConflictGraph([assoc((u,), rrb=0, ap=u % 5, weight=2.0 - u / 1000)
+                              for u in range(600)], strict_cc2=True)
+    for graph, picks in ((by_uds, 2), (by_slots, 1)):
+        want = oracle_picks(graph, rank=graph.weights)
+        assert len(want) == picks
+        order = oracles.greedy_order(graph.weights.tolist(), graph.ap_arr.tolist(),
+                                     graph.rrb_arr.tolist(), [(u,) for u in graph.u1.tolist()])
+        last = order.index(want[-1]) + 1
+        assert _greedy_by_order(graph, scan_up_to(order, last)).indices == want
+        assert greedy_min_wis(graph).indices == want

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nomec import ChannelState, ClusterPowerSolution, PowerConstraints, grid_oracle, solve_cluster_power
+from nomec import ChannelState, ClusterPowerSolution, PowerConstraints, solve_cluster_power
 from nomec.power import solve_pairs_batch, solve_singletons_batch
 from conftest import gain_arrays
+from oracles import grid_oracle
 
 NOISE = 4e-14
 B0 = 1e7

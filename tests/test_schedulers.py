@@ -1,11 +1,15 @@
 """End-to-end scheme runners and schedule invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
                    NomaAssociation, Schedule, ScenarioConfig, conflicts,
-                   generate, run_scheme)
+                   enumerate_full, generate, run_scheme)
+from nomec import graph as graph_module
+from nomec import schedulers
 from nomec.model import InvalidAssignmentError
 
 BASE = dict(n_uds=10, n_aps=4, n_mecs=2, rrbs_per_ap=2)
@@ -173,9 +177,9 @@ def test_no_scheme_builds_the_adjacency(monkeypatch):
 
 def test_max_iters_below_one_rejected():
     scn = small_scenario(8)
-    for max_iters in (0, -1):
+    for max_iters in (0, -1, 2.5, True, "3"):
         for scheme in SCHEMES:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="max_iters"):
                 run_scheme(scn, scheme, max_iters=max_iters)
 
 
@@ -184,3 +188,68 @@ def test_unknown_ordering_rejected_by_every_scheme():
     for scheme in SCHEMES:
         with pytest.raises(ValueError, match="ordering"):
             run_scheme(scn, scheme, mwis_ordering="bogus")
+
+
+# (mode, config): offload-mixed commits APs at the default CC2 rule; the
+# strict rule leaves three slots in all, so only denser tasks commit there
+STAGE1_CASES = (
+    (False, ScenarioConfig(n_uds=48, task_size_range_bits=(100.0, 2000.0),
+                           density_cpb=500.0, seed=0)),
+    (True, ScenarioConfig(n_uds=48, task_size_range_bits=(100.0, 2000.0),
+                          density_cpb=2000.0, seed=1)),
+)
+
+SOLVED = ("u1", "u2", "rrb_arr", "ap_arr", "weights", "slot",
+          "_p1", "_p2", "_r1", "_r2", "_obj")
+
+
+def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
+    """Each stage-1 iteration schedules on the graph a fresh enumeration of
+    the still-active UDs and APs at that iteration's frequencies gives."""
+    calls = []
+    real = schedulers.greedy_min_wis
+
+    def record(graph, ordering="original"):
+        wis = real(graph, ordering)
+        calls.append((graph, wis))
+        return wis
+
+    monkeypatch.setattr(schedulers, "greedy_min_wis", record)
+    for strict, cfg in STAGE1_CASES:
+        scn = generate(cfg)
+        calls.clear()
+        _, plan = run_scheme(scn, "joint", strict_cc2=strict, mwis_ordering="modified")
+        assert plan.extras["committed_aps"] and len(calls) == plan.extras["iterations"] > 2
+        coverage = dict(scn.coverage)
+        f_loc = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
+        for graph, wis in calls:
+            # the pool as coverage: committed APs cover no one, committed UDs
+            # are covered by no AP
+            fresh = enumerate_full(dataclasses.replace(scn, coverage=coverage),
+                                   f_loc=f_loc, strict_cc2=strict)
+            for name in SOLVED:
+                assert np.array_equal(getattr(graph, name), getattr(fresh, name),
+                                      equal_nan=True), name
+            alloc = schedulers._allocate(scn, schedulers._tasks_by_ap(wis.vertices, scn))
+            flagged = {m for m, x in alloc.x.items() if x}
+            moved = {u for a in wis.vertices if a.ap in flagged for u in a.uds}
+            coverage = {m: frozenset() if m in flagged else uds - moved
+                        for m, uds in coverage.items()}
+            f_loc.update({m: f for m, f in alloc.f_loc.items() if not alloc.x[m]})
+
+
+def test_joint_solves_powers_once(monkeypatch):
+    calls = []
+    real = graph_module.solve_pairs_batch
+
+    def count(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(graph_module, "solve_pairs_batch", count)
+    for strict, cfg in STAGE1_CASES:
+        for scheme in ("joint", "local"):
+            calls.clear()
+            _, plan = run_scheme(generate(cfg), scheme, strict_cc2=strict)
+            assert plan.extras["iterations"] > 1
+            assert len(calls) == 1, scheme
