@@ -10,7 +10,7 @@ from .scenario import (ConfigError, Scenario, ScenarioConfig, generate,
                        load_config, realize_channels, with_channel)
 from .power import ClusterPowerSolution, PowerConstraints, solve_cluster_power
 from .graph import (ConflictGraph, NomaAssociation, build_full, build_pruned,
-                    conflicts, enumerate_full, modified_weight)
+                    enumerate_full, modified_weight)
 from .mwis import (IndependentSet, exact_min_wis, greedy_min_wis,
                    is_independent, is_maximal, modified_ranks,
                    random_maximal_is)

@@ -12,7 +12,7 @@ schedulers use. Adjacency is explicit only as packed bitset rows, built
 lazily on first access to ``adj_bits`` with vectorized pairwise
 comparisons. build_full forces that build, so its cost scales with the
 square of the vertex count, as the enumeration the paper describes does;
-the exact search, the debug dump and the tests use the explicit rows.
+the exact search and the tests use the explicit rows.
 """
 
 from dataclasses import dataclass
@@ -48,57 +48,28 @@ class NomaAssociation:
         return (self.uds, self.rrb, self.ap)
 
 
-def conflicts(a: NomaAssociation, b: NomaAssociation, strict_cc2: bool = False) -> bool:
-    """True when the two associations cannot coexist: shared UD, or same
-    RRB of the same AP (strict mode: same RRB index regardless of AP)."""
-    if set(a.uds) & set(b.uds):
-        return True
-    if a.rrb == b.rrb and (strict_cc2 or a.ap == b.ap):
-        return True
-    return False
-
-
 class ConflictGraph:
     """Array-backed vertex store plus lazily built packed bitset adjacency.
 
-    kind is "full" or "pruned" (or "custom" for hand-built graphs); the
-    strict_cc2 flag records which conflict rule produced the edges. Vertex
-    attributes live in the u1/u2/rrb_arr/ap_arr/weights arrays (u2 is -1
-    for singletons) and ``slot`` names the conflicting resource block;
-    NomaAssociation objects are materialized on demand so building large
-    graphs stays an array operation. ``adj_bits`` is built on first access.
+    Vertex i is the cluster u1[i] (and u2[i], -1 for a singleton) on RRB
+    rrb[i] of AP ap[i], with scheduling weight weights[i] and solved powers
+    p1/p2, rates r1/r2 and objective obj; strict_cc2 records which conflict
+    rule produces the edges. ``slot`` names the conflicting resource block.
+    NomaAssociation objects are materialized on demand, so building large
+    graphs stays an array operation; ``adj_bits`` is built on first access.
     """
 
-    def __init__(self, vertices=None, strict_cc2: bool = False, kind: str = "custom",
-                 _data=None):
+    def __init__(self, u1, u2, rrb, ap, weights, p1, p2, r1, r2, obj,
+                 strict_cc2: bool = False):
         self.strict_cc2 = strict_cc2
-        self.kind = kind
-        if _data is not None:
-            self._verts = None
-            (self.u1, self.u2, self.rrb_arr, self.ap_arr, self.weights,
-             self._p1, self._p2, self._r1, self._r2, self._obj) = _data
-        else:
-            self._verts = tuple(vertices)
-            n = len(self._verts)
-            self.u1 = np.fromiter((v.uds[0] for v in self._verts),
-                                  dtype=np.int64, count=n)
-            self.u2 = np.fromiter((v.uds[1] if len(v.uds) == 2 else -1
-                                   for v in self._verts), dtype=np.int64, count=n)
-            self.rrb_arr = np.fromiter((v.rrb for v in self._verts),
-                                       dtype=np.int64, count=n)
-            self.ap_arr = np.fromiter((v.ap for v in self._verts),
-                                      dtype=np.int64, count=n)
-            self.weights = np.fromiter((v.weight for v in self._verts),
-                                       dtype=float, count=n)
-        n = len(self.weights)
+        self.u1, self.u2, self.rrb_arr, self.ap_arr, self.weights = u1, u2, rrb, ap, weights
+        self._p1, self._p2, self._r1, self._r2, self._obj = p1, p2, r1, r2, obj
         if strict_cc2:
-            slot = self.rrb_arr
+            self.slot = rrb
         else:
-            max_rrb = int(self.rrb_arr.max()) if n else 0
-            slot = self.ap_arr * (max_rrb + 1) + self.rrb_arr
-        self.slot = slot
+            max_rrb = int(rrb.max()) if len(rrb) else 0
+            self.slot = ap * (max_rrb + 1) + rrb
         self._adj_bits = None
-        self._index = None
 
     @property
     def adj_bits(self) -> np.ndarray:
@@ -109,17 +80,10 @@ class ConflictGraph:
 
     @property
     def vertices(self):
-        if self._verts is None:
-            self._verts = tuple(self._materialize(i) for i in range(len(self.weights)))
-        return self._verts
+        return tuple(self.vertex(i) for i in range(len(self)))
 
     def vertex(self, i: int) -> NomaAssociation:
         """Vertex i as a NomaAssociation, built on demand."""
-        if self._verts is not None:
-            return self._verts[i]
-        return self._materialize(i)
-
-    def _materialize(self, i: int) -> NomaAssociation:
         u2 = int(self.u2[i])
         if u2 < 0:
             uds = (int(self.u1[i]),)
@@ -132,11 +96,6 @@ class ConflictGraph:
                                        float(self._obj[i]), True)
         return NomaAssociation(uds, int(self.rrb_arr[i]), int(self.ap_arr[i]),
                                sol, float(self.weights[i]))
-
-    def _index_map(self):
-        if self._index is None:
-            self._index = {v.key: i for i, v in enumerate(self.vertices)}
-        return self._index
 
     @staticmethod
     def _build_adjacency(u1, u2, slot, block: int = 2048):
@@ -184,43 +143,15 @@ class ConflictGraph:
     def __len__(self):
         return len(self.weights)
 
-    @property
-    def n_vertices(self):
-        return len(self.weights)
-
-    def index_of(self, assoc: NomaAssociation) -> int:
-        return self._index_map()[assoc.key]
-
     def neighbor_mask(self, i: int) -> np.ndarray:
         """Boolean neighbor row for vertex i."""
         n = len(self.weights)
         return np.unpackbits(self.adj_bits[i], count=n).astype(bool)
 
-    def neighbors(self, i: int):
-        return np.flatnonzero(self.neighbor_mask(i))
-
-    def adjacent(self, i: int, j: int) -> bool:
-        byte = self.adj_bits[i, j // 8]
-        return bool((byte >> (7 - j % 8)) & 1)
-
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean matrix; intended for small graphs and tests."""
         n = len(self.weights)
         return np.unpackbits(self.adj_bits, axis=1, count=n).astype(bool)
-
-    def dump_text(self) -> str:
-        """Line-oriented debug dump: vertex lines then edge lines."""
-        lines = []
-        for i, v in enumerate(self.vertices):
-            uds = ",".join(str(u) for u in v.uds)
-            lines.append(f"vertex {i} ap={v.ap} rrb={v.rrb} uds={uds} w={v.weight!r}")
-        n = len(self.weights)
-        mat = self.adjacency_matrix()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mat[i, j]:
-                    lines.append(f"edge {i} {j}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def modified_weight(i: int, graph: ConflictGraph) -> float:
@@ -250,7 +181,7 @@ def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
     return sizes[u1] / r1 + sizes[u2] / r2 + cycles[u1] * per_cycle + cycles[u2] * per_cycle
 
 
-def _solve_cells(scenario, cells, f_loc, strict_cc2: bool, kind: str) -> ConflictGraph:
+def _solve_cells(scenario, cells, f_loc, strict_cc2: bool) -> ConflictGraph:
     """The graph over the feasible candidate clusters among cells.
 
     cells holds parallel arrays (u1, u2, ap, rrb), one entry per candidate
@@ -275,8 +206,7 @@ def _solve_cells(scenario, cells, f_loc, strict_cc2: bool, kind: str) -> Conflic
     u1, u2, ap, rrb, p1, p2, r1, r2, obj = (
         col[keep] for col in (u1, u2, ap, rrb, p1, p2, r1, r2, obj))
     w = _weights(scenario, u1, u2, ap, r1, r2, f_loc)
-    return ConflictGraph(strict_cc2=strict_cc2, kind=kind,
-                         _data=(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj))
+    return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, strict_cc2)
 
 
 def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
@@ -286,8 +216,7 @@ def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
         col[keep] for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
                               graph._p2, graph._r1, graph._r2, graph._obj))
     w = _weights(scenario, u1, u2, ap, r1, r2, f_loc)
-    return ConflictGraph(strict_cc2=graph.strict_cc2, kind=graph.kind,
-                         _data=(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj))
+    return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, graph.strict_cc2)
 
 
 def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False,
@@ -312,7 +241,7 @@ def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False,
                       np.full(c1.size * rrb_list.size, ap.id, dtype=np.int64),
                       np.repeat(rrb_list, c1.size)))
     return _solve_cells(scenario, [np.concatenate(col) for col in zip(*cells)],
-                        f_loc, strict_cc2, "full")
+                        f_loc, strict_cc2)
 
 
 def build_full(scenario, f_loc=None, strict_cc2: bool = False,
@@ -324,7 +253,11 @@ def build_full(scenario, f_loc=None, strict_cc2: bool = False,
     return graph
 
 
-def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> ConflictGraph:
+# relative tolerance of the pruned graph's load tests
+_REL_TOL = 1e-9
+
+
+def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
     """Reduced candidate set: one seed UD per RRB slot.
 
     Slots are enumerated (ap, rrb) in order; slot s tries covered UDs
@@ -333,8 +266,9 @@ def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> C
     slot so the seeds spread round-robin over the population. A feasible
     seed contributes its singleton plus a pair with every other covered UD
     passing the pooled two-task load test; a seed sitting exactly on the
-    threshold contributes only its singleton. Weights use the AP's
-    frequency cap. The vertex set is always a subset of the full graph's.
+    threshold (within a relative _REL_TOL) contributes only its singleton.
+    Weights use the AP's frequency cap. The vertex set is always a subset
+    of the full graph's.
     """
     n = len(scenario.devices)
     all_ids = [d.id for d in scenario.devices]
@@ -354,9 +288,9 @@ def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> C
                 if cand not in cover:
                     continue
                 load = group_demand_cps([scenario.device_by_id(cand).task])
-                if load < budget * (1.0 - rel_tol):
+                if load < budget * (1.0 - _REL_TOL):
                     single = False
-                elif abs(load - budget) <= rel_tol * budget:
+                elif abs(load - budget) <= _REL_TOL * budget:
                     single = True
                 else:
                     continue
@@ -378,7 +312,7 @@ def build_pruned(scenario, strict_cc2: bool = False, rel_tol: float = 1e-9) -> C
             cells.extend((min(seed, u), max(seed, u), ap.id, z)
                          for u in sorted(cover) if u != seed
                          and group_demand_cps([seed_task, scenario.device_by_id(u).task])
-                         <= budget * (1.0 + rel_tol))
+                         <= budget * (1.0 + _REL_TOL))
     columns = list(zip(*cells)) or [()] * 4
     return _solve_cells(scenario, [np.array(col, dtype=np.int64) for col in columns],
-                        None, strict_cc2, "pruned")
+                        None, strict_cc2)

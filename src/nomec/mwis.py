@@ -25,8 +25,7 @@ ORDERINGS = ("original", "modified")
 
 @dataclass(frozen=True)
 class IndependentSet:
-    vertices: tuple      # NomaAssociation objects
-    indices: tuple       # positions in the source graph
+    indices: tuple       # positions in the source graph, in pick order
     total_weight: float
 
 
@@ -75,9 +74,7 @@ def _sorted_chunks(graph: ConflictGraph, rank):
 
 def _collect(graph: ConflictGraph, picked) -> IndependentSet:
     picked = tuple(int(i) for i in picked)
-    verts = tuple(graph.vertex(i) for i in picked)
-    total = float(sum(graph.weights[i] for i in picked))
-    return IndependentSet(verts, picked, total)
+    return IndependentSet(picked, float(sum(graph.weights[i] for i in picked)))
 
 
 def _greedy_by_order(graph: ConflictGraph, chunks) -> IndependentSet:
@@ -170,7 +167,7 @@ def exact_min_wis(graph: ConflictGraph) -> IndependentSet:
     if n > _EXACT_LIMIT:
         raise ValueError(f"exact search limited to {_EXACT_LIMIT} vertices, got {n}")
     if n == 0:
-        return IndependentSet((), (), 0.0)
+        return IndependentSet((), 0.0)
     adj = graph.adjacency_matrix()
     full = (1 << n) - 1
     comp = []

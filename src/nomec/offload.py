@@ -17,33 +17,38 @@ class AdmissionPlan:
     assignment: dict    # ap_id -> mec_id, injective
 
 
-def allocate_local(groups: dict, f_loc_max: float, rel_tol: float = 1e-9) -> LocalAllocation:
-    """Three-case closed form per AP group.
+# demands within this relative distance of the cap count as at the cap
+_REL_TOL = 1e-9
+
+
+def allocate_local(groups: dict, caps: dict) -> LocalAllocation:
+    """Three-case closed form per AP group against that AP's cap in caps.
 
     Demand D = total cycles / (group size * tightest deadline). D below the
-    cap gets f = D with no offload; D at the cap (within rel_tol) gets the
+    cap gets f = D with no offload; D at the cap (within _REL_TOL) gets the
     cap; D above the cap flags the group for offloading (f_loc then holds
     the cap as the best-effort fallback frequency). Empty groups are
     skipped with x False and f 0.
     """
-    if f_loc_max <= 0:
-        raise ValueError("f_loc_max must be positive")
     f_out = {}
     x_out = {}
     for ap_id, tasks in groups.items():
+        cap = caps[ap_id]
+        if cap <= 0:
+            raise ValueError(f"the cap of ap {ap_id} must be positive")
         if not tasks:
             f_out[ap_id] = 0.0
             x_out[ap_id] = False
             continue
         demand = group_demand_cps(tasks)
-        if abs(demand - f_loc_max) <= rel_tol * f_loc_max:
-            f_out[ap_id] = f_loc_max
+        if abs(demand - cap) <= _REL_TOL * cap:
+            f_out[ap_id] = cap
             x_out[ap_id] = False
-        elif demand < f_loc_max:
+        elif demand < cap:
             f_out[ap_id] = demand
             x_out[ap_id] = False
         else:
-            f_out[ap_id] = f_loc_max
+            f_out[ap_id] = cap
             x_out[ap_id] = True
     return LocalAllocation(f_out, x_out)
 

@@ -53,18 +53,14 @@ def _evaluate(members, powers, noise_w, bandwidth_hz):
     return out
 
 
-def solve_cluster_power(members, channel, constraints: PowerConstraints,
-                        objective: str = "sum") -> ClusterPowerSolution:
-    """Optimal powers for one cluster.
+def solve_cluster_power(members, channel, constraints: PowerConstraints) -> ClusterPowerSolution:
+    """Sum-rate optimal powers for one cluster, the best of the closed-form
+    candidate points.
 
     members: sequence of (ud_id, linear_gain), length 1 or 2.
-    objective "sum" maximizes the sum rate; "min" maximizes the worst
-    per-UD rate. Both explore the closed-form candidate points.
     """
     if len(members) not in (1, 2):
         raise ValueError("clusters hold 1 or 2 UDs")
-    if objective not in ("sum", "min"):
-        raise ValueError(f"unknown objective {objective!r}")
     p_max = constraints.p_max_w
     noise = channel.noise_w
     b0 = channel.rrb_bandwidth_hz
@@ -78,8 +74,6 @@ def solve_cluster_power(members, channel, constraints: PowerConstraints,
         if any(r < r_th * (1.0 - 1e-12) for r in rates):
             return None
         obj = sum(math.log2(1.0 + s) for s, _ in ev)
-        if objective == "min":
-            obj = min(math.log2(1.0 + s) for s, _ in ev)
         return ClusterPowerSolution(tuple(powers), rates, obj, True)
 
     infeasible = ClusterPowerSolution((0.0,) * len(members), (0.0,) * len(members),
@@ -103,15 +97,6 @@ def solve_cluster_power(members, channel, constraints: PowerConstraints,
             pw[strong] = p_max
             pw[weak] = p_w_hi
             candidates.append(pw)
-    if objective == "min" and g_w > 0.0:
-        # rate-balancing point: sinr_strong == sinr_weak at p_strong = p_max
-        u = (-noise + math.sqrt(noise ** 2 + 4.0 * p_max * g_s * noise)) / 2.0
-        p_bal = u / g_w
-        if 0.0 <= p_bal <= p_max:
-            pb = [0.0, 0.0]
-            pb[strong] = p_max
-            pb[weak] = p_bal
-            candidates.append(pb)
 
     best = infeasible
     for cand in candidates:
@@ -127,7 +112,7 @@ def solve_pairs_batch(ud_lo_gain, ud_hi_gain, p_max, noise_w, bandwidth_hz,
 
     Inputs are arrays of the gains of the lower-id and higher-id member of
     each pair. Returns (p_lo, p_hi, rate_lo, rate_hi, objective, feasible)
-    arrays matching solve_cluster_power with the sum objective.
+    arrays matching solve_cluster_power.
     """
     g1 = np.asarray(ud_lo_gain, dtype=float)
     g2 = np.asarray(ud_hi_gain, dtype=float)

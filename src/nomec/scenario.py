@@ -65,6 +65,9 @@ class ScenarioConfig:
             v = _finite(name, getattr(self, name))
             if v < 0:
                 raise ConfigError(f"{name} must be >= 0, got {v!r}")
+        if not isinstance(self.backhaul_bandwidth_scaling, bool):
+            raise ConfigError("backhaul_bandwidth_scaling must be true or false, "
+                              f"got {self.backhaul_bandwidth_scaling!r}")
         _finite("noise_dbm_hz", self.noise_dbm_hz)
         _finite("p_max_dbm_hz", self.p_max_dbm_hz)
         lo, hi = _finite_pair("task_size_range_bits", self.task_size_range_bits)
@@ -95,6 +98,11 @@ def _finite_pair(name, pair):
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
+def _tuples(value):
+    """JSON arrays as tuples, nested ones too, for ScenarioConfig to check."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def load_config(text: str) -> ScenarioConfig:
     """Parse a flat JSON object into a ScenarioConfig.
 
@@ -109,17 +117,8 @@ def load_config(text: str) -> ScenarioConfig:
     unknown = sorted(set(raw) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "task_size_range_bits":
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise ConfigError("task_size_range_bits must be a [lo, hi] pair")
-            value = (float(value[0]), float(value[1]))
-        elif key in ("ap_positions", "mec_positions") and value is not None:
-            value = tuple((float(p[0]), float(p[1])) for p in value)
-        kwargs[key] = value
     try:
-        return ScenarioConfig(**kwargs)
+        return ScenarioConfig(**{key: _tuples(value) for key, value in raw.items()})
     except TypeError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -161,9 +160,6 @@ class Scenario:
 
     def device_by_id(self, ud_id: int) -> UserDevice:
         return self.devices[ud_id]
-
-    def candidate_aps(self, ud_id: int):
-        return tuple(ap.id for ap in self.aps if ud_id in self.coverage[ap.id])
 
 
 def _in_hexagon(x: float, y: float, radius: float) -> bool:

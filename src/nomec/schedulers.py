@@ -70,29 +70,14 @@ class _Options(NamedTuple):
     ordering: str
 
 
-def _allocate(scenario, groups):
-    """allocate_local per AP against that AP's frequency cap."""
-    ap_by_id = {a.id: a for a in scenario.aps}
-    f_out, x_out = {}, {}
-    for m, tasks in groups.items():
-        sub = allocate_local({m: tasks}, ap_by_id[m].f_loc_max_cps)
-        f_out.update(sub.f_loc)
-        x_out.update(sub.x)
-    return LocalAllocation(f_out, x_out)
+def _caps(scenario):
+    """Per AP id, its local frequency cap."""
+    return {ap.id: ap.f_loc_max_cps for ap in scenario.aps}
 
 
-def _offload_all(scenario, groups):
+def _offload_all(groups, caps):
     """Every group offloads, keeping the cap as its fallback frequency."""
-    ap_by_id = {a.id: a for a in scenario.aps}
-    return LocalAllocation({m: ap_by_id[m].f_loc_max_cps for m in groups},
-                           {m: True for m in groups})
-
-
-def _tasks_by_ap(assocs, scenario):
-    groups = {}
-    for a in assocs:
-        groups.setdefault(a.ap, []).extend(scenario.device_by_id(u).task for u in a.uds)
-    return groups
+    return LocalAllocation({m: caps[m] for m in groups}, {m: True for m in groups})
 
 
 def _stage1(scenario, opt: _Options):
@@ -104,14 +89,16 @@ def _stage1(scenario, opt: _Options):
     powers solved once; each later iteration keeps those of the active UDs
     and APs and weighs them again at the new frequencies. The associations
     are the frozen ones plus the last iteration's picks at uncommitted APs;
-    the graph and independent set are the last iteration's.
+    the graph and the picks are the last iteration's.
     """
-    f_loc = {ap.id: ap.f_loc_max_cps for ap in scenario.aps}
+    caps = _caps(scenario)
+    f_loc = dict(caps)
     committed = []
     # per UD and per AP id, whether it is still in the pool; the extra last
     # UD entry stays set, so a singleton's u2 = -1 never removes it
     active_ud = np.ones(len(scenario.devices) + 1, dtype=bool)
     active_ap = np.ones(len(scenario.aps), dtype=bool)
+    tasks = [d.task for d in scenario.devices]
     graph = solved = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
     converged = False
     iterations = 0
@@ -120,25 +107,36 @@ def _stage1(scenario, opt: _Options):
         if it > 0:
             keep = active_ud[solved.u1] & active_ud[solved.u2] & active_ap[solved.ap_arr]
             graph = reweighed(scenario, solved, keep, f_loc)
-        wis = greedy_min_wis(graph, opt.ordering)
-        alloc = _allocate(scenario, _tasks_by_ap(wis.vertices, scenario))
+        picks = greedy_min_wis(graph, opt.ordering).indices
+        idx = np.array(picks, dtype=np.int64)
+        pick_aps = graph.ap_arr[idx].tolist()
+        # each AP's tasks in pick order, which fixes the demand sums' last bits
+        groups = {}
+        for m, u1, u2 in zip(pick_aps, graph.u1[idx].tolist(), graph.u2[idx].tolist()):
+            groups.setdefault(m, []).extend(tasks[u] for u in (u1, u2) if u >= 0)
+        alloc = allocate_local(groups, caps)
         new_flags = {m for m, flagged in alloc.x.items() if flagged}
         f_new = {m: alloc.f_loc[m] for m in alloc.f_loc if not alloc.x[m]}
         if not new_flags and all(f_loc[m] == f_new[m] for m in f_new):
             converged = True
             break
-        for a in wis.vertices:
-            if a.ap in new_flags:
-                committed.append(a)
-                active_ud[list(a.uds)] = False
+        for i, m in zip(picks, pick_aps):
+            if m in new_flags:
+                committed.append(graph.vertex(i))
+                active_ud[list(committed[-1].uds)] = False
         active_ap[list(new_flags)] = False
         f_loc.update(f_new)
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
-    assocs = committed + [a for a in wis.vertices if a.ap not in committed_aps]
+    assocs = committed + [graph.vertex(i) for i, m in zip(picks, pick_aps)
+                          if m not in committed_aps]
     extras = {"vertices": len(solved), "iterations": iterations,
               "converged": converged, "stage1_f_loc": dict(f_loc),
               "committed_aps": committed_aps}
-    return assocs, graph, wis, extras
+    return assocs, graph, picks, extras
+
+
+def _picked(graph, wis):
+    return [graph.vertex(i) for i in wis.indices], graph, wis.indices, {}
 
 
 def _stage1_original(scenario, opt: _Options):
@@ -148,8 +146,7 @@ def _stage1_original(scenario, opt: _Options):
 
 def _pruned_greedy(scenario, opt: _Options):
     graph = build_pruned(scenario, strict_cc2=opt.strict_cc2)
-    wis = greedy_min_wis(graph, opt.ordering)
-    return wis.vertices, graph, wis, {}
+    return _picked(graph, greedy_min_wis(graph, opt.ordering))
 
 
 def _one_cluster_per_ap(scenario, opt: _Options):
@@ -159,14 +156,12 @@ def _one_cluster_per_ap(scenario, opt: _Options):
     singleton = (graph.u2 < 0).astype(np.int8)
     order = np.lexsort((graph.u2, graph.u1, graph.rrb_arr, graph.ap_arr,
                         graph.weights, singleton))
-    wis = _greedy_by_order(graph, _slices(order))
-    return wis.vertices, graph, wis, {}
+    return _picked(graph, _greedy_by_order(graph, _slices(order)))
 
 
 def _random_maximal(scenario, opt: _Options):
     graph = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
-    wis = random_maximal_is(graph, opt.seed)
-    return wis.vertices, graph, wis, {}
+    return _picked(graph, random_maximal_is(graph, opt.seed))
 
 
 def _admit_weighted(scenario, schedule, candidates, seed):
@@ -205,18 +200,20 @@ def _admit_none(scenario, schedule, candidates, seed):
 
 
 # Per scheme: select (scenario, _Options) -> (associations, final graph,
-# IndependentSet, extras); allocate (scenario, {ap_id: [Task]}) ->
-# LocalAllocation; admit (scenario, Schedule, sorted candidate ap ids,
-# seed) -> AdmissionPlan; and whether rejected offload candidates may run
-# best-effort locally. local is joint's stage 1 with offloading disabled,
-# so overloaded groups fail; all_offload groups that are not admitted fail.
+# picked indices, extras); admit (scenario, Schedule, sorted candidate ap
+# ids, seed) -> AdmissionPlan; whether rejected offload candidates may run
+# best-effort locally; and whether every group offloads instead of getting
+# allocate_local. local is joint's stage 1 with offloading disabled, so
+# overloaded groups fail; all_offload groups that are not admitted fail.
+# allocate_local stays out of the table: run_scheme and _stage1 read it
+# from this module when they call it, so it can be wrapped by name.
 _PIPELINES = {
-    #               select               allocate       admit            fallback
-    "joint":       (_stage1,             _allocate,     _admit_weighted, True),
-    "pruning":     (_pruned_greedy,      _allocate,     _admit_weighted, True),
-    "local":       (_stage1_original,    _allocate,     _admit_none,     False),
-    "all_offload": (_one_cluster_per_ap, _offload_all,  _admit_weighted, False),
-    "random":      (_random_maximal,     _allocate,     _admit_random,   True),
+    #               select               admit            fallback  offload all
+    "joint":       (_stage1,             _admit_weighted, True,     False),
+    "pruning":     (_pruned_greedy,      _admit_weighted, True,     False),
+    "local":       (_stage1_original,    _admit_none,     False,    False),
+    "all_offload": (_one_cluster_per_ap, _admit_weighted, False,    True),
+    "random":      (_random_maximal,     _admit_random,   True,     False),
 }
 
 
@@ -236,18 +233,18 @@ def run_scheme(scenario, scheme: str, seed: int = 0, max_iters: int = 5,
         raise ValueError(f"unknown ordering {mwis_ordering!r}")
     if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
         raise ValueError(f"max_iters must be an int >= 1, got {max_iters!r}")
-    select, allocate, admit, may_fall_back = _PIPELINES[scheme]
-    assocs, graph, wis, extras = select(
+    select, admit, may_fall_back, offload_all = _PIPELINES[scheme]
+    assocs, graph, picks, extras = select(
         scenario, _Options(seed, max_iters, strict_cc2, mwis_ordering))
     schedule = Schedule.build(assocs, scenario)
-    alloc = allocate(scenario, {m: [t for _, t, _ in entries]
-                                for m, entries in schedule.ap_groups.items()})
+    groups = {m: [t for _, t, _ in entries] for m, entries in schedule.ap_groups.items()}
+    alloc = (_offload_all if offload_all else allocate_local)(groups, _caps(scenario))
     candidates = sorted(m for m, flagged in alloc.x.items() if flagged)
     admission = admit(scenario, schedule, candidates, seed)
     rejected = frozenset(m for m in candidates if not admission.y.get(m, False))
     fallback = rejected if may_fall_back and fallback_local else frozenset()
     extras = {"vertices": len(graph), **extras, "final_graph": graph,
-              "final_is_indices": wis.indices}
+              "final_is_indices": picks}
     plan = OffloadPlan(local=alloc, admission=admission, failed_aps=rejected - fallback,
                        fallback_aps=fallback, extras=extras)
     return schedule, dataclasses.replace(plan, metrics=system_metrics(schedule, plan, scenario))

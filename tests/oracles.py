@@ -1,13 +1,17 @@
 """Independent re-implementations of the model formulas for oracle checks.
 
 Everything here is written straight from the definitions in plain Python and
-deliberately shares no code with the package under test.
+deliberately shares no code with the package under test. The one exception
+is graph_of, which only packs hand-written associations into the package's
+ConflictGraph so that tests can run the solvers on them.
 """
 
 import math
 from collections import namedtuple
 
 import numpy as np
+
+from nomec import ConflictGraph
 
 
 def sic_sinr(members, gains, ud_id, noise_w):
@@ -61,6 +65,34 @@ def vertex_weight(entries, f_loc, alpha):
         cycles = b * lam
         total += b / r + cycles / f_loc + alpha * cycles * f_loc ** 2
     return total
+
+
+def conflicts(a, b, strict_cc2=False):
+    """True when two associations cannot coexist: a shared UD, or the same
+    RRB of the same AP (strict mode: the same RRB index on any AP)."""
+    if set(a.uds) & set(b.uds):
+        return True
+    return a.rrb == b.rrb and (strict_cc2 or a.ap == b.ap)
+
+
+def graph_of(assocs, strict_cc2=False):
+    """A ConflictGraph whose vertex i is assocs[i]. An association without
+    a power solution gets NaN powers, rates and objective; a singleton gets
+    the NaN power and unbounded rate the package gives its absent member."""
+    rows = []
+    for a in assocs:
+        if a.power is None:
+            powers, rates, obj = (math.nan, math.nan), (math.nan, math.nan), math.nan
+        else:
+            powers = a.power.powers + (math.nan,)
+            rates = a.power.rates + (math.inf,)
+            obj = a.power.objective
+        u2 = a.uds[1] if len(a.uds) == 2 else -1
+        rows.append((a.uds[0], u2, a.rrb, a.ap, a.weight,
+                     powers[0], powers[1], rates[0], rates[1], obj))
+    cols = [np.array([row[k] for row in rows], dtype=np.int64 if k < 4 else float)
+            for k in range(10)]
+    return ConflictGraph(*cols, strict_cc2=strict_cc2)
 
 
 def modified_weight(i, adj, weights):

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import gain_arrays, record_criterion
 from nomec import (SCHEMES, ExperimentSpec, PowerConstraints, ScenarioConfig,
-                   build_full, build_pruned, conflicts, exact_min_wis,
+                   build_full, build_pruned, exact_min_wis,
                    generate, greedy_min_wis, group_demand_cps,
                    random_maximal_is, run_experiment, run_scheme,
                    solve_cluster_power)
@@ -24,6 +24,7 @@ from nomec.model import (AccessPoint, ChannelState, CostWeights, MecServer,
                          mec_cost, sinr, uplink_rate)
 from nomec.mwis import is_independent, is_maximal
 import oracles
+from oracles import conflicts
 
 NOISE = 4e-14
 B0 = 1e7

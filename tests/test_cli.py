@@ -75,7 +75,13 @@ def test_summary_goes_to_stderr(config_file, capsys):
 def test_bad_inputs_exit_1(tmp_path, config_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
+    flat_positions = tmp_path / "flat_positions.json"
+    flat_positions.write_text(json.dumps({"ap_positions": list(range(1, 10))}), encoding="utf-8")
+    null_range = tmp_path / "null_range.json"
+    null_range.write_text(json.dumps({"task_size_range_bits": [None, 1]}), encoding="utf-8")
     for args in (["--config", str(bad)],
+                 ["--config", str(flat_positions)],
+                 ["--config", str(null_range)],
                  ["--config", str(tmp_path / "missing.json")],
                  ["--config", config_file, "--sweep", "n_uds"],
                  ["--config", config_file, "--sweep", "bandwidth=1,2"],

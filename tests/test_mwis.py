@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from nomec import (ConflictGraph, NomaAssociation, ScenarioConfig,
-                   enumerate_full, exact_min_wis, generate, greedy_min_wis,
-                   modified_ranks, random_maximal_is)
+from nomec import (NomaAssociation, ScenarioConfig, enumerate_full,
+                   exact_min_wis, generate, greedy_min_wis, modified_ranks,
+                   random_maximal_is)
 from nomec.mwis import _greedy_by_order, is_independent, is_maximal
 import oracles
+from oracles import graph_of
 
 
 def assoc(uds, rrb=0, ap=0, weight=1.0):
@@ -20,7 +21,7 @@ def star_graph():
     leaves = [assoc((2,), rrb=0, ap=0, weight=1.0),
               assoc((0,), rrb=0, ap=1, weight=1.0),
               assoc((1,), rrb=0, ap=2, weight=1.0)]
-    return ConflictGraph([center] + leaves)
+    return graph_of([center] + leaves)
 
 
 def random_graph(rng, n_verts, n_uds=6, n_aps=2, n_rrbs=2, weights=None, strict=False):
@@ -39,7 +40,7 @@ def random_graph(rng, n_verts, n_uds=6, n_aps=2, n_rrbs=2, weights=None, strict=
         seen.add(key)
         weight = rng.uniform(0.1, 5.0) if weights is None else weights[len(out)]
         out.append(NomaAssociation(key[0], key[1], key[2], None, float(weight)))
-    return ConflictGraph(out, strict_cc2=strict)
+    return graph_of(out, strict_cc2=strict)
 
 
 def test_greedy_takes_lightest_survivor():
@@ -63,7 +64,7 @@ def test_greedy_tie_break_is_deterministic():
     # equal weights: the (ap, rrb, uds) order decides, so ap 0 wins
     verts = [assoc((0, 1), 0, 2, 1.0), assoc((0, 1), 0, 0, 1.0),
              assoc((0, 1), 0, 1, 1.0)]
-    graph = ConflictGraph(verts)
+    graph = graph_of(verts)
     assert greedy_min_wis(graph).indices == (1,)
 
 
@@ -134,18 +135,18 @@ def test_modified_ordering_can_differ():
 
 
 def test_ordering_validation_and_empty():
-    graph = ConflictGraph(())
+    graph = graph_of(())
     assert greedy_min_wis(graph).indices == ()
     assert exact_min_wis(graph).total_weight == 0.0
-    assert random_maximal_is(graph, seed=0).vertices == ()
-    strict = ConflictGraph((), strict_cc2=True)
+    assert random_maximal_is(graph, seed=0).indices == ()
+    strict = graph_of((), strict_cc2=True)
     assert greedy_min_wis(strict, "modified").indices == ()
     assert random_maximal_is(strict, seed=3).indices == ()
-    one = ConflictGraph([assoc((4, 9), rrb=2, ap=1, weight=0.25)])
+    one = graph_of([assoc((4, 9), rrb=2, ap=1, weight=0.25)])
     for result in (greedy_min_wis(one), greedy_min_wis(one, "modified"),
                    random_maximal_is(one, seed=0)):
         assert result.indices == (0,) and result.total_weight == 0.25
-    some = ConflictGraph([assoc((0,), 0, 0, 1.0)])
+    some = graph_of([assoc((0,), 0, 0, 1.0)])
     with pytest.raises(ValueError):
         greedy_min_wis(some, ordering="lightest")
 
@@ -320,9 +321,9 @@ def scan_up_to(order, stop):
 def test_scan_stops_when_uds_or_slots_are_used_up():
     # two UDs over 300 RRBs: both UDs go long before the slots do
     verts = [assoc((u,), rrb=z, ap=0, weight=1.0 + z + u / 2) for z in range(300) for u in (0, 1)]
-    by_uds = ConflictGraph(verts)
+    by_uds = graph_of(verts)
     # 600 UDs on one RRB index under strict CC2: one slot in all
-    by_slots = ConflictGraph([assoc((u,), rrb=0, ap=u % 5, weight=2.0 - u / 1000)
+    by_slots = graph_of([assoc((u,), rrb=0, ap=u % 5, weight=2.0 - u / 1000)
                               for u in range(600)], strict_cc2=True)
     for graph, picks in ((by_uds, 2), (by_slots, 1)):
         want = oracle_picks(graph, rank=graph.weights)

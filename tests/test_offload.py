@@ -28,7 +28,7 @@ def test_allocate_local_three_cases():
         1: [Task(2e5, 100.0, 0.01)],    # demand exactly at the cap
         2: [Task(4e5, 100.0, 0.01)],    # demand 4e9, must offload
     }
-    alloc = allocate_local(groups, cap)
+    alloc = allocate_local(groups, dict.fromkeys(groups, cap))
     assert alloc.f_loc[0] == pytest.approx(1e9, rel=1e-12)
     assert alloc.x[0] is False
     assert alloc.f_loc[1] == cap
@@ -40,10 +40,10 @@ def test_allocate_local_three_cases():
 def test_allocate_local_group_demand_uses_tightest_deadline():
     # 3e7 cycles over 2 tasks with min deadline 0.005 -> 3e9 cycles/s
     groups = {0: [Task(1e5, 100.0, 0.01), Task(2e5, 100.0, 0.005)]}
-    alloc = allocate_local(groups, 4e9)
+    alloc = allocate_local(groups, {0: 4e9})
     assert alloc.f_loc[0] == pytest.approx(3e9, rel=1e-12)
     assert alloc.x[0] is False
-    tight = allocate_local(groups, 2e9)
+    tight = allocate_local(groups, {0: 2e9})
     assert tight.f_loc[0] == 2e9
     assert tight.x[0] is True
 
@@ -51,18 +51,18 @@ def test_allocate_local_group_demand_uses_tightest_deadline():
 def test_allocate_local_tolerance_band():
     cap = 1e9
     groups = {0: [Task(cap * 0.01 * (1.0 + 1e-10) / 100.0, 100.0, 0.01)]}
-    alloc = allocate_local(groups, cap)
+    alloc = allocate_local(groups, {0: cap})
     assert alloc.f_loc[0] == cap
     assert alloc.x[0] is False
 
 
 def test_allocate_local_empty_and_invalid():
-    alloc = allocate_local({0: []}, 1e9)
+    alloc = allocate_local({0: []}, {0: 1e9})
     assert alloc.f_loc[0] == 0.0
     assert alloc.x[0] is False
-    assert allocate_local({}, 1e9).f_loc == {}
+    assert allocate_local({}, {0: 1e9}).f_loc == {}
     with pytest.raises(ValueError):
-        allocate_local({0: [Task(1.0, 1.0, 1.0)]}, 0.0)
+        allocate_local({0: [Task(1.0, 1.0, 1.0)]}, {0: 0.0})
 
 
 def test_first_layer_weight_matches_oracle():

@@ -82,19 +82,10 @@ def test_pair_infeasible_threshold():
     assert not sol.feasible
 
 
-def test_min_objective_balances_rates():
-    cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=0.0)
-    sol = solve_cluster_power([(0, 1e-11), (1, 2e-12)], chan(), cons, objective="min")
-    assert sol.feasible
-    assert sol.rates[0] == pytest.approx(sol.rates[1], rel=1e-9)
-
-
 def test_solver_argument_validation():
     cons = PowerConstraints(p_max_w=0.5)
     with pytest.raises(ValueError):
         solve_cluster_power([(0, 1e-12), (1, 1e-12), (2, 1e-12)], chan(), cons)
-    with pytest.raises(ValueError):
-        solve_cluster_power([(0, 1e-12)], chan(), cons, objective="max")
     with pytest.raises(ValueError):
         grid_oracle([(0, 1e-12)], chan(), cons, resolution=1)
 

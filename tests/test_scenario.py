@@ -101,6 +101,26 @@ def test_load_config_values_and_errors():
         load_config('{"task_size_range_bits": [1, 2, 3]}')
 
 
+def test_load_config_rejects_malformed_entries():
+    for text in ('{"ap_positions": [1, 2, 3, 4, 5, 6, 7, 8, 9]}',
+                 '{"task_size_range_bits": [null, 1]}',
+                 '{"task_size_range_bits": 5}',
+                 '{"mec_positions": [[0, 0], [0, "1"], [1, 1], [1, 0]]}'):
+        with pytest.raises(ConfigError):
+            load_config(text)
+    cfg = load_config('{"n_aps": 2, "ap_positions": [[0, 0], [100, 0]]}')
+    assert cfg.ap_positions == ((0, 0), (100, 0))
+
+
+def test_backhaul_scaling_must_be_a_bool():
+    assert load_config('{"backhaul_bandwidth_scaling": false}').backhaul_bandwidth_scaling is False
+    for value in ("false", 0, 1, None):
+        with pytest.raises(ConfigError, match="backhaul_bandwidth_scaling"):
+            ScenarioConfig(backhaul_bandwidth_scaling=value)
+    with pytest.raises(ConfigError, match="backhaul_bandwidth_scaling"):
+        load_config('{"backhaul_bandwidth_scaling": "false"}')
+
+
 def test_dbm_per_hz_to_watts():
     # -174 dBm/Hz over 10 MHz
     want = 10.0 ** (-174.0 / 10.0) * 1e-3 * 1e7
@@ -187,11 +207,3 @@ def test_with_channel_swaps_only_channel():
     assert swapped.coverage == scn.coverage
     assert swapped.seed == scn.seed
 
-
-def test_candidate_aps_respects_coverage():
-    scn = generate(ScenarioConfig(seed=4))
-    for d in scn.devices:
-        cands = scn.candidate_aps(d.id)
-        for m in cands:
-            assert d.id in scn.coverage[m]
-        assert set(cands) == {m for m in scn.coverage if d.id in scn.coverage[m]}

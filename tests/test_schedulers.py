@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
-                   NomaAssociation, Schedule, ScenarioConfig, conflicts,
+                   NomaAssociation, Schedule, ScenarioConfig, allocate_local,
                    enumerate_full, generate, run_scheme)
 from nomec import graph as graph_module
 from nomec import schedulers
 from nomec.model import InvalidAssignmentError
+from oracles import conflicts
 
 BASE = dict(n_uds=10, n_aps=4, n_mecs=2, rrbs_per_ap=2)
 
@@ -230,9 +231,13 @@ def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
             for name in SOLVED:
                 assert np.array_equal(getattr(graph, name), getattr(fresh, name),
                                       equal_nan=True), name
-            alloc = schedulers._allocate(scn, schedulers._tasks_by_ap(wis.vertices, scn))
+            picked = [graph.vertex(i) for i in wis.indices]
+            groups = {}
+            for a in picked:
+                groups.setdefault(a.ap, []).extend(scn.devices[u].task for u in a.uds)
+            alloc = allocate_local(groups, {ap.id: ap.f_loc_max_cps for ap in scn.aps})
             flagged = {m for m, x in alloc.x.items() if x}
-            moved = {u for a in wis.vertices if a.ap in flagged for u in a.uds}
+            moved = {u for a in picked if a.ap in flagged for u in a.uds}
             coverage = {m: frozenset() if m in flagged else uds - moved
                         for m, uds in coverage.items()}
             f_loc.update({m: f for m, f in alloc.f_loc.items() if not alloc.x[m]})
@@ -253,3 +258,36 @@ def test_joint_solves_powers_once(monkeypatch):
             _, plan = run_scheme(generate(cfg), scheme, strict_cc2=strict)
             assert plan.extras["iterations"] > 1
             assert len(calls) == 1, scheme
+
+
+# The module attributes of nomec.schedulers each scheme reaches. A benchmark
+# tracer times the layers by wrapping these attributes, so a scheme must call
+# them through the module, not through a reference bound elsewhere.
+REACHED = {
+    "joint": {"greedy_min_wis", "allocate_local", "admission_control", "system_metrics"},
+    "pruning": {"build_pruned", "greedy_min_wis", "allocate_local", "admission_control",
+                "system_metrics"},
+    "local": {"greedy_min_wis", "allocate_local", "system_metrics"},
+    "all_offload": {"admission_control", "system_metrics"},
+    "random": {"random_maximal_is", "allocate_local", "system_metrics"},
+}
+
+
+def test_schemes_reach_the_module_attributes(monkeypatch):
+    reached = set()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in set().union(*REACHED.values()):
+        monkeypatch.setattr(schedulers, name, counting(name, getattr(schedulers, name)))
+    for strict, cfg in STAGE1_CASES:
+        scn = generate(cfg)
+        for ordering in ("original", "modified"):
+            for scheme in SCHEMES:
+                reached.clear()
+                run_scheme(scn, scheme, seed=1, strict_cc2=strict, mwis_ordering=ordering)
+                assert reached == REACHED[scheme], (scheme, ordering)
