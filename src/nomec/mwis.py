@@ -103,9 +103,9 @@ def _greedy_by_order(graph: ConflictGraph, chunks) -> IndependentSet:
 
 
 def _sum_by(weights, keys):
-    """Per entry, the total weight of the entries sharing its integer key."""
-    _, inverse = np.unique(keys, return_inverse=True)
-    return np.bincount(inverse, weights=weights)[inverse]
+    """Per entry, the total weight of the entries sharing its non-negative
+    integer key, each key's entries added in input order."""
+    return np.bincount(keys, weights=weights)[keys]
 
 
 def modified_ranks(graph: ConflictGraph) -> np.ndarray:
@@ -114,24 +114,29 @@ def modified_ranks(graph: ConflictGraph) -> np.ndarray:
     Vertex i and its neighbours are the union of the cliques of its UDs and
     its slot, so their weight follows by inclusion-exclusion over weight
     sums per UD, per slot, per UD pair, per (UD, slot) and per (UD pair,
-    slot). Vectorized equivalent of graph.modified_weight.
+    slot), each one bincount over keys the ids give: ud*S + slot, u1*N + u2
+    and, under strict CC2, (u1*N + u2)*S + slot, with N and S one past the
+    largest UD id and slot. Under the default CC2 rule a slot is one RRB of
+    one AP, where a cluster is enumerated once, so a (pair, slot) sum is
+    the pair's own weight. Vectorized equivalent of graph.modified_weight.
     """
     w = graph.weights
     n = len(w)
+    if n == 0:      # bincount of no keys is an int array
+        return np.zeros(0)
     pair = np.flatnonzero(graph.u2 >= 0)
-    # one membership entry per (vertex, UD): u1 of every vertex, then u2 of
-    # the pairs; ids and slots are renumbered densely so keys stay small
-    uds, member_ud = np.unique(np.concatenate([graph.u1, graph.u2[pair]]),
-                               return_inverse=True)
-    slots, slot = np.unique(graph.slot, return_inverse=True)
-    member_of = np.concatenate([np.arange(n), pair])
-    member_w = w[member_of]
-    by_ud = _sum_by(member_w, member_ud)
-    by_ud_slot = _sum_by(member_w, member_ud * len(slots) + slot[member_of])
-    union = by_ud[:n] + _sum_by(w, slot) - by_ud_slot[:n]
-    pair_key = member_ud[pair] * len(uds) + member_ud[n:]
-    union[pair] += (by_ud[n:] - by_ud_slot[n:] - _sum_by(w[pair], pair_key)
-                    + _sum_by(w[pair], pair_key * len(slots) + slot[pair]))
+    w_pair = w[pair]
+    # one membership entry per (vertex, UD): u1 of every vertex, then u2 of the pairs
+    ud = np.concatenate([graph.u1, graph.u2[pair]])
+    slot = np.concatenate([graph.slot, graph.slot[pair]])
+    member_w = np.concatenate([w, w_pair])
+    n_ids, n_slots = ud.max() + 1, slot.max() + 1
+    by_ud = _sum_by(member_w, ud)
+    by_ud_slot = _sum_by(member_w, ud * n_slots + slot)
+    union = by_ud[:n] + _sum_by(w, graph.slot) - by_ud_slot[:n]
+    pair_key = ud[pair] * n_ids + ud[n:]
+    by_pair_slot = _sum_by(w_pair, pair_key * n_slots + slot[n:]) if graph.strict_cc2 else w_pair
+    union[pair] += by_ud[n:] - by_ud_slot[n:] - _sum_by(w_pair, pair_key) + by_pair_slot
     return w * (w.sum() - union)
 
 

@@ -85,19 +85,21 @@ def _stage1(scenario, opt: _Options):
     per-AP frequencies stop changing.
 
     Groups flagged for offloading are frozen and their UDs and AP leave the
-    next iteration's pool. Candidate clusters are enumerated and their
-    powers solved once; each later iteration keeps those of the active UDs
-    and APs and weighs them again at the new frequencies. The associations
+    next iteration's pool, and under strict CC2 their RRB indices, which a
+    frozen cluster holds on every AP. Candidate clusters are enumerated and
+    their powers solved once; each later iteration keeps those still in the
+    pool and weighs them again at the new frequencies. The associations
     are the frozen ones plus the last iteration's picks at uncommitted APs;
     the graph and the picks are the last iteration's.
     """
     caps = _caps(scenario)
     f_loc = dict(caps)
     committed = []
-    # per UD and per AP id, whether it is still in the pool; the extra last
-    # UD entry stays set, so a singleton's u2 = -1 never removes it
+    # per UD, AP id and RRB index, whether it is still in the pool; the
+    # extra last UD entry stays set, so a singleton's u2 = -1 never removes it
     active_ud = np.ones(len(scenario.devices) + 1, dtype=bool)
     active_ap = np.ones(len(scenario.aps), dtype=bool)
+    active_rrb = np.ones(max(ap.num_rrbs for ap in scenario.aps), dtype=bool)
     tasks = [d.task for d in scenario.devices]
     graph = solved = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
     converged = False
@@ -105,7 +107,8 @@ def _stage1(scenario, opt: _Options):
     for it in range(opt.max_iters):
         iterations = it + 1
         if it > 0:
-            keep = active_ud[solved.u1] & active_ud[solved.u2] & active_ap[solved.ap_arr]
+            keep = (active_ud[solved.u1] & active_ud[solved.u2] & active_ap[solved.ap_arr]
+                    & active_rrb[solved.rrb_arr])
             graph = reweighed(scenario, solved, keep, f_loc)
         picks = greedy_min_wis(graph, opt.ordering).indices
         idx = np.array(picks, dtype=np.int64)
@@ -124,6 +127,8 @@ def _stage1(scenario, opt: _Options):
             if m in new_flags:
                 committed.append(graph.vertex(i))
                 active_ud[list(committed[-1].uds)] = False
+                if opt.strict_cc2:
+                    active_rrb[committed[-1].rrb] = False
         active_ap[list(new_flags)] = False
         f_loc.update(f_new)
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())

@@ -1,9 +1,11 @@
 """Independent re-implementations of the model formulas for oracle checks.
 
 Everything here is written straight from the definitions in plain Python and
-deliberately shares no code with the package under test. The one exception
-is graph_of, which only packs hand-written associations into the package's
-ConflictGraph so that tests can run the solvers on them.
+deliberately shares no code with the package under test. The exceptions
+are graph_of, which only packs hand-written associations into the package's
+ConflictGraph so that tests can run the solvers on them, and
+modified_ranks_by_unique, the package's earlier vectorized route kept as the
+bit-for-bit reference of its modified ranks.
 """
 
 import math
@@ -101,6 +103,34 @@ def modified_weight(i, adj, weights):
     return weights[i] * non_adj
 
 
+def _sum_by_unique(weights, keys):
+    _, inverse = np.unique(keys, return_inverse=True)
+    return np.bincount(inverse, weights=weights)[inverse]
+
+
+def modified_ranks_by_unique(graph):
+    """Every vertex's weight times its total non-neighbour weight, by
+    inclusion-exclusion over the weight sums per UD, per slot, per (UD,
+    slot), per UD pair and per (UD pair, slot), each group numbered
+    densely with np.unique. Summing each group's entries in input order,
+    it gives the package's modified_ranks bit for bit."""
+    w = graph.weights
+    n = len(w)
+    pair = np.flatnonzero(graph.u2 >= 0)
+    uds, member_ud = np.unique(np.concatenate([graph.u1, graph.u2[pair]]),
+                               return_inverse=True)
+    slots, slot = np.unique(graph.slot, return_inverse=True)
+    member_of = np.concatenate([np.arange(n), pair])
+    member_w = w[member_of]
+    by_ud = _sum_by_unique(member_w, member_ud)
+    by_ud_slot = _sum_by_unique(member_w, member_ud * len(slots) + slot[member_of])
+    union = by_ud[:n] + _sum_by_unique(w, slot) - by_ud_slot[:n]
+    pair_key = member_ud[pair] * len(uds) + member_ud[n:]
+    union[pair] += (by_ud[n:] - by_ud_slot[n:] - _sum_by_unique(w[pair], pair_key)
+                    + _sum_by_unique(w[pair], pair_key * len(slots) + slot[pair]))
+    return w * (w.sum() - union)
+
+
 GridSolution = namedtuple("GridSolution", "powers rates objective feasible")
 
 
@@ -167,6 +197,16 @@ def maximal_set_in_order(order, aps, rrbs, uds, strict_cc2):
             taken |= needs
             picked.append(i)
     return tuple(picked)
+
+
+def picks_in_order(graph, order=None, rank=None):
+    """maximal_set_in_order over a graph's vertices, walking order or, if
+    it is None, the greedy_order of rank."""
+    aps, rrbs = graph.ap_arr.tolist(), graph.rrb_arr.tolist()
+    uds = [(a,) if b < 0 else (a, b) for a, b in zip(graph.u1.tolist(), graph.u2.tolist())]
+    if order is None:
+        order = greedy_order(np.asarray(rank).tolist(), aps, rrbs, uds)
+    return maximal_set_in_order(order, aps, rrbs, uds, graph.strict_cc2)
 
 
 def full_vertex_count(n_uds, n_aps, n_rrbs):

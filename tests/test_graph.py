@@ -319,3 +319,30 @@ def test_pairs_outweigh_both_member_singletons():
                         assert w > alone[(u, ap, rrb)]
                         checked += 1
     assert checked > 100_000
+
+
+def pair_slot_repeats(graph):
+    """How many vertices repeat the (u1, u2, slot) of an earlier one."""
+    keys = np.stack([graph.u1, graph.u2, graph.slot], axis=1)
+    return len(keys) - len(np.unique(keys, axis=0))
+
+
+def test_default_cc2_emits_each_cluster_once_per_slot():
+    """modified_ranks takes the (pair, slot) weight sum under the default
+    CC2 rule to be the pair's own weight. That needs every (u1, u2, slot)
+    to be unique: a slot is one RRB of one AP, and enumerate_full and
+    build_pruned emit a cluster there at most once. Strict CC2 slots are
+    RRB indices that every AP shares, so its keys repeat."""
+    configs = (ScenarioConfig(), ScenarioConfig(n_uds=96),
+               ScenarioConfig(n_uds=48, task_size_range_bits=(100.0, 2000.0), density_cpb=500.0),
+               ScenarioConfig(n_uds=24, rrbs_per_ap=1, n_mecs=12))
+    pairs = 0
+    for base in configs:
+        for seed in range(3):
+            scn = generate(dataclasses.replace(base, seed=seed))
+            for graph in (enumerate_full(scn), build_pruned(scn)):
+                assert pair_slot_repeats(graph) == 0
+                pairs += int(np.count_nonzero(graph.u2 >= 0))
+            if base == ScenarioConfig():
+                assert pair_slot_repeats(enumerate_full(scn, strict_cc2=True)) > 0
+    assert pairs > 10_000

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from nomec import (NomaAssociation, ScenarioConfig, enumerate_full,
-                   exact_min_wis, generate, greedy_min_wis, modified_ranks,
-                   random_maximal_is)
+from nomec import (NomaAssociation, ScenarioConfig, build_pruned,
+                   enumerate_full, exact_min_wis, generate, greedy_min_wis,
+                   modified_ranks, random_maximal_is)
+from nomec.graph import reweighed
 from nomec.mwis import _greedy_by_order, is_independent, is_maximal
 import oracles
-from oracles import graph_of
+from oracles import graph_of, picks_in_order
 
 
 def assoc(uds, rrb=0, ap=0, weight=1.0):
@@ -139,9 +140,18 @@ def test_ordering_validation_and_empty():
     assert greedy_min_wis(graph).indices == ()
     assert exact_min_wis(graph).total_weight == 0.0
     assert random_maximal_is(graph, seed=0).indices == ()
+    assert greedy_min_wis(graph, "modified").indices == ()
     strict = graph_of((), strict_cc2=True)
     assert greedy_min_wis(strict, "modified").indices == ()
     assert random_maximal_is(strict, seed=3).indices == ()
+    # no pairs: the pair keys are empty, the UD and slot keys are not
+    for strict in (False, True):
+        singles = graph_of([assoc((0,), 0, 0, 1.0), assoc((1,), 0, 1, 2.0),
+                            assoc((1,), 1, 0, 0.5)], strict_cc2=strict)
+        assert np.array_equal(modified_ranks(singles),
+                              oracles.modified_ranks_by_unique(singles))
+        # ranks 2.5, 2, 0.5; strict CC2 puts vertices 0 and 1 on one slot: 0.5, 0, 0.5
+        assert greedy_min_wis(singles, "modified").indices == ((1,) if strict else (2, 0))
     one = graph_of([assoc((4, 9), rrb=2, ap=1, weight=0.25)])
     for result in (greedy_min_wis(one), greedy_min_wis(one, "modified"),
                    random_maximal_is(one, seed=0)):
@@ -237,6 +247,32 @@ def test_modified_ranks_match_oracle():
         assert modified_ranks(graph) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def bit_identity_corpus():
+    """Full and pruned graphs at n_uds 1/8/24/96 in both CC2 modes, each
+    full graph also reweighed under random masks at random per-AP f_loc."""
+    rng = np.random.default_rng(59)
+    for n_uds in (1, 8, 24, 96):
+        scn = generate(ScenarioConfig(n_uds=n_uds, seed=59 + n_uds))
+        for strict in (False, True):
+            full = enumerate_full(scn, strict_cc2=strict)
+            yield full
+            yield build_pruned(scn, strict_cc2=strict)
+            for _ in range(3):
+                keep = rng.random(len(full)) < rng.uniform(0.1, 1.0)
+                f_loc = {ap.id: float(rng.uniform(0.2, 1.0)) * ap.f_loc_max_cps
+                         for ap in scn.aps}
+                yield reweighed(scn, full, keep, f_loc)
+
+
+def test_modified_ranks_bit_identical_to_unique_route():
+    checked = 0
+    for graph in bit_identity_corpus():
+        assert np.array_equal(modified_ranks(graph),
+                              oracles.modified_ranks_by_unique(graph))
+        checked += 1
+    assert checked == 40
+
+
 def test_independence_and_maximality_match_dense_route():
     rng = np.random.default_rng(43)
     graphs = [random_graph(rng, int(rng.integers(2, 30))) for _ in range(30)]
@@ -263,21 +299,13 @@ def test_independence_and_maximality_match_dense_route():
 # Full-order route: tests/oracles.py sorts every vertex and walks the whole
 # order, where the package sorts and scans only the prefix it needs.
 
-def oracle_picks(graph, order=None, rank=None):
-    aps, rrbs = graph.ap_arr.tolist(), graph.rrb_arr.tolist()
-    uds = [(a,) if b < 0 else (a, b) for a, b in zip(graph.u1.tolist(), graph.u2.tolist())]
-    if order is None:
-        order = oracles.greedy_order(np.asarray(rank).tolist(), aps, rrbs, uds)
-    return oracles.maximal_set_in_order(order, aps, rrbs, uds, graph.strict_cc2)
-
-
 def assert_matches_oracle(graph, seeds=(0, 1)):
-    assert greedy_min_wis(graph).indices == oracle_picks(graph, rank=graph.weights)
+    assert greedy_min_wis(graph).indices == picks_in_order(graph, rank=graph.weights)
     assert greedy_min_wis(graph, "modified").indices == \
-        oracle_picks(graph, rank=modified_ranks(graph))
+        picks_in_order(graph, rank=modified_ranks(graph))
     for seed in seeds:
         order = np.random.default_rng(seed).permutation(len(graph)).tolist()
-        assert random_maximal_is(graph, seed).indices == oracle_picks(graph, order)
+        assert random_maximal_is(graph, seed).indices == picks_in_order(graph, order)
 
 
 def test_picks_match_full_order_oracle():
@@ -307,7 +335,7 @@ def test_equal_ranks_across_the_first_chunk_boundary():
         graph = random_graph(rng, len(weights), n_uds=1000, n_aps=10, n_rrbs=400,
                              weights=weights, strict=strict)
         picked = greedy_min_wis(graph).indices
-        assert picked == oracle_picks(graph, rank=graph.weights)
+        assert picked == picks_in_order(graph, rank=graph.weights)
         # the scan took vertices of the tied run and read past it
         assert {0.5, 1.0, 2.0} <= {float(graph.weights[i]) for i in picked}
 
@@ -326,7 +354,7 @@ def test_scan_stops_when_uds_or_slots_are_used_up():
     by_slots = graph_of([assoc((u,), rrb=0, ap=u % 5, weight=2.0 - u / 1000)
                               for u in range(600)], strict_cc2=True)
     for graph, picks in ((by_uds, 2), (by_slots, 1)):
-        want = oracle_picks(graph, rank=graph.weights)
+        want = picks_in_order(graph, rank=graph.weights)
         assert len(want) == picks
         order = oracles.greedy_order(graph.weights.tolist(), graph.ap_arr.tolist(),
                                      graph.rrb_arr.tolist(), [(u,) for u in graph.u1.tolist()])

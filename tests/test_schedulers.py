@@ -7,11 +7,11 @@ import pytest
 
 from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
                    NomaAssociation, Schedule, ScenarioConfig, allocate_local,
-                   enumerate_full, generate, run_scheme)
+                   enumerate_full, generate, modified_ranks, run_scheme)
 from nomec import graph as graph_module
 from nomec import schedulers
 from nomec.model import InvalidAssignmentError
-from oracles import conflicts
+from oracles import conflicts, modified_ranks_by_unique
 
 BASE = dict(n_uds=10, n_aps=4, n_mecs=2, rrbs_per_ap=2)
 
@@ -148,12 +148,14 @@ def test_seed_is_ignored_outside_random():
 
 
 def test_strict_cc2_blocks_rrb_reuse():
-    scn = generate(ScenarioConfig(n_uds=12, n_aps=4, n_mecs=2,
-                                  rrbs_per_ap=3, seed=6))
-    for scheme in ("joint", "pruning", "random"):
-        schedule, _ = run_scheme(scn, scheme, seed=1, strict_cc2=True)
-        rrbs = [a.rrb for a in schedule.associations]
-        assert len(rrbs) == len(set(rrbs))
+    # the second scenario commits APs in stage 1, whose RRBs stay taken
+    for cfg in (ScenarioConfig(n_uds=12, n_aps=4, n_mecs=2, rrbs_per_ap=3, seed=6),
+                STAGE1_CASES[1][1]):
+        scn = generate(cfg)
+        for scheme in ("joint", "pruning", "local", "random"):
+            schedule, _ = run_scheme(scn, scheme, seed=1, strict_cc2=True)
+            rrbs = [a.rrb for a in schedule.associations]
+            assert len(rrbs) == len(set(rrbs)), scheme
 
 
 def test_unknown_scheme_rejected():
@@ -197,7 +199,7 @@ STAGE1_CASES = (
     (False, ScenarioConfig(n_uds=48, task_size_range_bits=(100.0, 2000.0),
                            density_cpb=500.0, seed=0)),
     (True, ScenarioConfig(n_uds=48, task_size_range_bits=(100.0, 2000.0),
-                          density_cpb=2000.0, seed=1)),
+                          density_cpb=2000.0, seed=2)),
 )
 
 SOLVED = ("u1", "u2", "rrb_arr", "ap_arr", "weights", "slot",
@@ -206,7 +208,8 @@ SOLVED = ("u1", "u2", "rrb_arr", "ap_arr", "weights", "slot",
 
 def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
     """Each stage-1 iteration schedules on the graph a fresh enumeration of
-    the still-active UDs and APs at that iteration's frequencies gives."""
+    the still-active UDs and APs at that iteration's frequencies gives, and
+    ranks it bit for bit as the np.unique route does."""
     calls = []
     real = schedulers.greedy_min_wis
 
@@ -223,14 +226,16 @@ def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
         assert plan.extras["committed_aps"] and len(calls) == plan.extras["iterations"] > 2
         coverage = dict(scn.coverage)
         f_loc = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
+        rrbs = list(range(cfg.rrbs_per_ap))
         for graph, wis in calls:
             # the pool as coverage: committed APs cover no one, committed UDs
-            # are covered by no AP
+            # are covered by no AP; strict CC2 also drops committed RRBs
             fresh = enumerate_full(dataclasses.replace(scn, coverage=coverage),
-                                   f_loc=f_loc, strict_cc2=strict)
+                                   f_loc=f_loc, strict_cc2=strict, rrbs=rrbs)
             for name in SOLVED:
                 assert np.array_equal(getattr(graph, name), getattr(fresh, name),
                                       equal_nan=True), name
+            assert np.array_equal(modified_ranks(graph), modified_ranks_by_unique(graph))
             picked = [graph.vertex(i) for i in wis.indices]
             groups = {}
             for a in picked:
@@ -238,6 +243,8 @@ def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
             alloc = allocate_local(groups, {ap.id: ap.f_loc_max_cps for ap in scn.aps})
             flagged = {m for m, x in alloc.x.items() if x}
             moved = {u for a in picked if a.ap in flagged for u in a.uds}
+            if strict:
+                rrbs = [z for z in rrbs if z not in {a.rrb for a in picked if a.ap in flagged}]
             coverage = {m: frozenset() if m in flagged else uds - moved
                         for m, uds in coverage.items()}
             f_loc.update({m: f for m, f in alloc.f_loc.items() if not alloc.x[m]})
