@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import group_demand_cps
-from .power import (ClusterPowerSolution, solve_pairs_batch,
-                    solve_singletons_batch)
+from .model import REL_TOL, group_demand_cps
+from .power import ClusterPowerSolution, solve_pairs_batch
+# kept bound here: perfbench/tracer.py wraps graph.solve_singletons_batch by name
+from .power import solve_singletons_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -161,57 +162,46 @@ def modified_weight(i: int, graph: ConflictGraph) -> float:
     return float(w[i] * (w.sum() - w[i] - adj_sum))
 
 
-def _f_loc_of(f_loc, ap_id, default):
-    if f_loc is None:
-        return default
-    if isinstance(f_loc, dict):
-        return f_loc.get(ap_id, default)
-    return float(f_loc)
-
-
 def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
     """Per vertex, the summed per-UD utility: upload delay plus compute
-    delay plus compute energy at the vertex's AP frequency in f_loc (see
-    enumerate_full). u2 = -1 reads an appended zero-size task, adding
-    exact zeros."""
+    delay plus compute energy at the frequency of the vertex's AP in the
+    dict f_loc. u2 = -1 reads an appended zero-size task, adding exact
+    zeros."""
     sizes = np.array([d.task.size_bits for d in scenario.devices] + [0.0])
     cycles = np.array([d.task.cycles for d in scenario.devices] + [0.0])
-    f = np.array([_f_loc_of(f_loc, m.id, m.f_loc_max_cps) for m in scenario.aps])
+    f = np.array([f_loc[m.id] for m in scenario.aps])
     per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f)[ap]
     return sizes[u1] / r1 + sizes[u2] / r2 + cycles[u1] * per_cycle + cycles[u2] * per_cycle
 
 
-def _solve_cells(scenario, cells, f_loc, strict_cc2: bool) -> ConflictGraph:
+def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
     """The graph over the feasible candidate clusters among cells.
 
     cells holds parallel arrays (u1, u2, ap, rrb), one entry per candidate
     cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton. Powers
-    come from the batched closed forms and weights from _weights at f_loc.
-    Clusters that miss the rate floor or get a non-positive rate are
-    dropped; the rest keep the order of cells.
+    come from one call of the batched closed form and weights from
+    _weights at each AP's frequency cap. Clusters that miss the rate floor
+    or get a non-positive rate are dropped; the rest keep the order of
+    cells.
     """
     u1, u2, ap, rrb = cells
     chan = scenario.channel
-    args = (scenario.devices[0].p_max_w, chan.noise_w, chan.rrb_bandwidth_hz,
-            scenario.weights.rate_threshold_bps)
-    g1 = chan.gain_ud_rrb[u1, ap, rrb]
-    # every cell is solved as a pair, a singleton with the gain its u2 = -1
-    # happens to index; singletons are then solved again on their own, and
-    # their absent second member gets no power and an unbounded rate
-    p1, p2, r1, r2, obj, feas = solve_pairs_batch(g1, chan.gain_ud_rrb[u2, ap, rrb], *args)
-    s = np.flatnonzero(u2 < 0)
-    p1[s], r1[s], obj[s], feas[s] = solve_singletons_batch(g1[s], *args)
-    p2[s], r2[s] = np.nan, np.inf
+    # a singleton's absent member has gain NaN, no power and an unbounded rate
+    p1, p2, r1, r2, obj, feas = solve_pairs_batch(
+        chan.gain_ud_rrb[u1, ap, rrb], np.where(u2 >= 0, chan.gain_ud_rrb[u2, ap, rrb], np.nan),
+        scenario.devices[0].p_max_w, chan.noise_w, chan.rrb_bandwidth_hz,
+        scenario.weights.rate_threshold_bps)
     keep = np.flatnonzero(feas & (r1 > 0) & (r2 > 0))
     u1, u2, ap, rrb, p1, p2, r1, r2, obj = (
         col[keep] for col in (u1, u2, ap, rrb, p1, p2, r1, r2, obj))
-    w = _weights(scenario, u1, u2, ap, r1, r2, f_loc)
+    w = _weights(scenario, u1, u2, ap, r1, r2, {m.id: m.f_loc_max_cps for m in scenario.aps})
     return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, strict_cc2)
 
 
 def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     """The vertices of a solved graph where the boolean mask keep is set,
-    weighed at f_loc; powers and rates are reused, not solved again."""
+    weighed at the per-AP frequencies in the dict f_loc; powers and rates
+    are reused, not solved again."""
     u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
         col[keep] for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
                               graph._p2, graph._r1, graph._r2, graph._obj))
@@ -219,12 +209,11 @@ def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, graph.strict_cc2)
 
 
-def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False,
-                   rrbs=None) -> ConflictGraph:
+def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
     """Enumerate every coverage- and rate-feasible association, no edges.
 
-    f_loc: per-AP frequency (dict, scalar, or None for each AP's cap) used
-    only in the vertex weights. rrbs restricts the enumeration to those RRB
+    Vertex weights use each AP's frequency cap; reweighed gives them at
+    other frequencies. rrbs restricts the enumeration to those RRB
     indices. Vertices run AP by AP, RRB by RRB, singletons before pairs;
     powers and weights are solved in one batch, and the returned graph
     builds its adjacency only if something reads ``adj_bits``.
@@ -240,21 +229,15 @@ def enumerate_full(scenario, f_loc=None, strict_cc2: bool = False,
         cells.append((np.tile(c1, rrb_list.size), np.tile(c2, rrb_list.size),
                       np.full(c1.size * rrb_list.size, ap.id, dtype=np.int64),
                       np.repeat(rrb_list, c1.size)))
-    return _solve_cells(scenario, [np.concatenate(col) for col in zip(*cells)],
-                        f_loc, strict_cc2)
+    return _solve_cells(scenario, [np.concatenate(col) for col in zip(*cells)], strict_cc2)
 
 
-def build_full(scenario, f_loc=None, strict_cc2: bool = False,
-               rrbs=None) -> ConflictGraph:
+def build_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
     """enumerate_full plus the explicit pairwise adjacency, whose
     O(V^2) build dominates the cost."""
-    graph = enumerate_full(scenario, f_loc=f_loc, strict_cc2=strict_cc2, rrbs=rrbs)
+    graph = enumerate_full(scenario, strict_cc2=strict_cc2, rrbs=rrbs)
     graph.adj_bits  # first access builds the edges
     return graph
-
-
-# relative tolerance of the pruned graph's load tests
-_REL_TOL = 1e-9
 
 
 def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
@@ -266,7 +249,7 @@ def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
     slot so the seeds spread round-robin over the population. A feasible
     seed contributes its singleton plus a pair with every other covered UD
     passing the pooled two-task load test; a seed sitting exactly on the
-    threshold (within a relative _REL_TOL) contributes only its singleton.
+    threshold (within a relative REL_TOL) contributes only its singleton.
     Weights use the AP's frequency cap. The vertex set is always a subset
     of the full graph's.
     """
@@ -287,10 +270,10 @@ def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
                 cand = all_ids[(slot_index + offset) % n]
                 if cand not in cover:
                     continue
-                load = group_demand_cps([scenario.device_by_id(cand).task])
-                if load < budget * (1.0 - _REL_TOL):
+                load = group_demand_cps([scenario.devices[cand].task])
+                if load < budget * (1.0 - REL_TOL):
                     single = False
-                elif abs(load - budget) <= _REL_TOL * budget:
+                elif abs(load - budget) <= REL_TOL * budget:
                     single = True
                 else:
                     continue
@@ -308,11 +291,11 @@ def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
             cells.append((seed, -1, ap.id, z))
             if singleton_only:
                 continue
-            seed_task = scenario.device_by_id(seed).task
+            seed_task = scenario.devices[seed].task
             cells.extend((min(seed, u), max(seed, u), ap.id, z)
                          for u in sorted(cover) if u != seed
-                         and group_demand_cps([seed_task, scenario.device_by_id(u).task])
-                         <= budget * (1.0 + _REL_TOL))
+                         and group_demand_cps([seed_task, scenario.devices[u].task])
+                         <= budget * (1.0 + REL_TOL))
     columns = list(zip(*cells)) or [()] * 4
     return _solve_cells(scenario, [np.array(col, dtype=np.int64) for col in columns],
-                        None, strict_cc2)
+                        strict_cc2)

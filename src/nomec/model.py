@@ -248,6 +248,10 @@ def mec_cost(group, ap: AccessPoint, mec: MecServer, channel: ChannelState,
     return delay, energy
 
 
+# demands within this relative distance of a cap count as at the cap
+REL_TOL = 1e-9
+
+
 def group_demand_cps(tasks) -> float:
     """CPU demand of a group processed at its AP, cycles/s: total cycles
     over the pooled deadline budget len(tasks) * min(deadline)."""
@@ -290,7 +294,7 @@ def system_metrics(schedule, plan, scenario) -> Metrics:
         if not offload:
             d, e = local_cost(group, plan.local.f_loc[ap_id], w)
             demand = group_demand_cps(tasks)
-            ok = demand <= ap.f_loc_max_cps * (1.0 + 1e-9)
+            ok = demand <= ap.f_loc_max_cps * (1.0 + REL_TOL)
         elif plan.admission.y.get(ap_id, False):
             mec = mec_by_id[plan.admission.assignment[ap_id]]
             d, e = mec_cost(group, ap, mec, scenario.channel, w, bh_scaled)

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .model import backhaul_rate, group_demand_cps, local_cost
+from .model import REL_TOL, backhaul_rate, group_demand_cps, local_cost
 
 
 @dataclass(frozen=True)
@@ -17,15 +17,11 @@ class AdmissionPlan:
     assignment: dict    # ap_id -> mec_id, injective
 
 
-# demands within this relative distance of the cap count as at the cap
-_REL_TOL = 1e-9
-
-
 def allocate_local(groups: dict, caps: dict) -> LocalAllocation:
     """Three-case closed form per AP group against that AP's cap in caps.
 
     Demand D = total cycles / (group size * tightest deadline). D below the
-    cap gets f = D with no offload; D at the cap (within _REL_TOL) gets the
+    cap gets f = D with no offload; D at the cap (within REL_TOL) gets the
     cap; D above the cap flags the group for offloading (f_loc then holds
     the cap as the best-effort fallback frequency). Empty groups are
     skipped with x False and f 0.
@@ -41,7 +37,7 @@ def allocate_local(groups: dict, caps: dict) -> LocalAllocation:
             x_out[ap_id] = False
             continue
         demand = group_demand_cps(tasks)
-        if abs(demand - cap) <= _REL_TOL * cap:
+        if abs(demand - cap) <= REL_TOL * cap:
             f_out[ap_id] = cap
             x_out[ap_id] = False
         elif demand < cap:

@@ -158,9 +158,6 @@ class Scenario:
     def backhaul_bandwidth_scaling(self) -> bool:
         return self.config.backhaul_bandwidth_scaling
 
-    def device_by_id(self, ud_id: int) -> UserDevice:
-        return self.devices[ud_id]
-
 
 def _in_hexagon(x: float, y: float, radius: float) -> bool:
     # regular hexagon, circumradius `radius`, one vertex on the +x axis

@@ -44,7 +44,7 @@ class Schedule:
                     raise InvalidAssignmentError(f"ud {ud} scheduled twice")
                 rate = a.power.rates[i]
                 ud_map[ud] = (a.ap, a.rrb, a.power.powers[i], rate)
-                groups.setdefault(a.ap, []).append((ud, scenario.device_by_id(ud).task, rate))
+                groups.setdefault(a.ap, []).append((ud, scenario.devices[ud].task, rate))
         groups = {m: tuple(sorted(entries)) for m, entries in groups.items()}
         return cls(tuple(assocs), ud_map, groups)
 

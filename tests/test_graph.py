@@ -1,13 +1,15 @@
 """Conflict graph construction: vertices, edges, weights, pruning."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from nomec import (NomaAssociation, PowerConstraints, ScenarioConfig,
                    build_full, build_pruned, enumerate_full, generate,
-                   group_demand_cps, modified_weight, solve_cluster_power)
+                   group_demand_cps, modified_weight)
+from nomec.graph import reweighed
 import oracles
 from oracles import conflicts, graph_of
 
@@ -100,8 +102,9 @@ def test_vertex_weight_formula():
     per-UD utility at the AP frequency, matching the oracle's."""
     scn = generate(ScenarioConfig(n_uds=12, n_aps=3, n_mecs=2, seed=1))
     f_loc = {ap.id: (0.4 + 0.2 * ap.id) * ap.f_loc_max_cps for ap in scn.aps}
-    graphs = ((build_pruned(scn), None), (enumerate_full(scn), None),
-              (enumerate_full(scn, f_loc=f_loc), f_loc))
+    full = enumerate_full(scn)
+    graphs = ((build_pruned(scn), None), (full, None),
+              (reweighed(scn, full, np.ones(len(full), bool), f_loc), f_loc))
     for graph, freqs in graphs:
         assert len(graph) > 0 and any(len(v.uds) == 2 for v in graph.vertices)
         for v in graph.vertices:
@@ -130,22 +133,28 @@ def test_build_full_unconstrained_count():
     assert len(graph) == oracles.full_vertex_count(6, 3, 2)
 
 
-def test_build_full_weights_match_scalar_solver():
-    """Dual route: every batched vertex reproduces the scalar per-cluster
-    solution and the direct weight formula."""
+def test_build_full_weights_match_oracles():
+    """Every vertex's rates are the SIC rates at its solved powers, no grid
+    point beats its objective, and its weight is the direct formula's."""
     cfg = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, rrbs_per_ap=2, seed=3)
     scn = generate(cfg)
     graph = build_full(scn)
     cons = PowerConstraints(p_max_w=scn.devices[0].p_max_w,
                             rate_threshold_bps=cfg.rate_threshold_bps)
-    assert len(graph) > 0
+    chan = scn.channel
+    assert len(graph) > 0 and any(len(v.uds) == 2 for v in graph.vertices)
     for i in range(len(graph)):
         v = graph.vertex(i)
-        members = [(u, scn.channel.gain_ud_rrb[(u, v.ap, v.rrb)]) for u in v.uds]
-        sol = solve_cluster_power(members, scn.channel, cons)
-        assert sol.feasible
-        assert v.power.powers == pytest.approx(sol.powers, rel=1e-12)
-        assert v.power.rates == pytest.approx(sol.rates, rel=1e-12)
+        gains = {u: float(chan.gain_ud_rrb[u, v.ap, v.rrb]) for u in v.uds}
+        powered = list(zip(v.uds, v.power.powers))
+        sinrs = [oracles.sic_sinr(powered, gains, u, chan.noise_w) for u in v.uds]
+        assert v.power.rates == pytest.approx(
+            [oracles.shannon_rate(s, chan.rrb_bandwidth_hz) for s in sinrs], rel=1e-12)
+        assert all(0.0 <= p <= cons.p_max_w for p in v.power.powers)
+        objective = sum(math.log2(1.0 + s) for s in sinrs)
+        assert v.power.objective == pytest.approx(objective, rel=1e-12)
+        grid = oracles.grid_oracle(list(gains.items()), chan, cons, resolution=64)
+        assert grid.objective <= objective * (1.0 + 1e-12)
         f_ap = scn.aps[v.ap].f_loc_max_cps
         entries = [(scn.devices[u].task.size_bits, scn.devices[u].task.density_cpb,
                     v.power.rates[k]) for k, u in enumerate(v.uds)]
@@ -179,13 +188,17 @@ def test_build_full_filters():
 
 
 def test_build_full_f_loc_forms():
+    """build_full weighs at the caps; reweighed is the route to any other
+    per-AP frequency and gives the caps' weights back bit for bit."""
     cfg = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, seed=6)
     scn = generate(cfg)
     g_default = build_full(scn)
-    g_scalar = build_full(scn, f_loc=scn.aps[0].f_loc_max_cps)
-    assert list(g_default.weights) == list(g_scalar.weights)
+    keep = np.ones(len(g_default), bool)
+    caps = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
+    g_caps = reweighed(scn, g_default, keep, caps)
+    assert list(g_default.weights) == list(g_caps.weights)
     half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
-    g_dict = build_full(scn, f_loc=half)
+    g_dict = reweighed(scn, g_default, keep, half)
     assert len(g_dict) == len(g_default)
     assert list(g_dict.weights) != list(g_default.weights)
 
@@ -272,8 +285,7 @@ def test_custom_graph_lazy_vertex_access():
 def test_enumerate_full_matches_build_full_without_edges():
     for strict in (False, True):
         scn = generate(ScenarioConfig(n_uds=12, seed=13))
-        half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
-        for kwargs in ({}, {"f_loc": half}, {"rrbs": [0]}):
+        for kwargs in ({}, {"rrbs": [0]}):
             lazy = enumerate_full(scn, strict_cc2=strict, **kwargs)
             full = build_full(scn, strict_cc2=strict, **kwargs)
             assert lazy._adj_bits is None and full._adj_bits is not None
@@ -309,7 +321,8 @@ def test_pairs_outweigh_both_member_singletons():
             scn = generate(dataclasses.replace(base, seed=seed))
             f_loc = {ap.id: float(rng.uniform(0.05, 1.0)) * ap.f_loc_max_cps for ap in scn.aps}
             for strict in (False, True):
-                graph = enumerate_full(scn, f_loc=f_loc, strict_cc2=strict)
+                graph = enumerate_full(scn, strict_cc2=strict)
+                graph = reweighed(scn, graph, np.ones(len(graph), bool), f_loc)
                 rows = list(zip(graph.u1.tolist(), graph.u2.tolist(), graph.ap_arr.tolist(),
                                 graph.rrb_arr.tolist(), graph.weights.tolist()))
                 alone = {(u1, ap, rrb): w for u1, u2, ap, rrb, w in rows if u2 < 0}

@@ -9,6 +9,7 @@ from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
                    NomaAssociation, Schedule, ScenarioConfig, allocate_local,
                    enumerate_full, generate, modified_ranks, run_scheme)
 from nomec import graph as graph_module
+from nomec.graph import reweighed
 from nomec import schedulers
 from nomec.model import InvalidAssignmentError
 from oracles import conflicts, modified_ranks_by_unique
@@ -231,7 +232,8 @@ def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
             # the pool as coverage: committed APs cover no one, committed UDs
             # are covered by no AP; strict CC2 also drops committed RRBs
             fresh = enumerate_full(dataclasses.replace(scn, coverage=coverage),
-                                   f_loc=f_loc, strict_cc2=strict, rrbs=rrbs)
+                                   strict_cc2=strict, rrbs=rrbs)
+            fresh = reweighed(scn, fresh, np.ones(len(fresh), bool), f_loc)
             for name in SOLVED:
                 assert np.array_equal(getattr(graph, name), getattr(fresh, name),
                                       equal_nan=True), name
@@ -251,6 +253,8 @@ def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
 
 
 def test_joint_solves_powers_once(monkeypatch):
+    """Every scheme builds one graph and solves all its clusters, singletons
+    and pairs, in one solve_pairs_batch call."""
     calls = []
     real = graph_module.solve_pairs_batch
 
@@ -258,12 +262,17 @@ def test_joint_solves_powers_once(monkeypatch):
         calls.append(len(args[0]))
         return real(*args)
 
+    def never(*args):
+        raise AssertionError("singletons are solved with the pairs")
+
     monkeypatch.setattr(graph_module, "solve_pairs_batch", count)
+    monkeypatch.setattr(graph_module, "solve_singletons_batch", never)
     for strict, cfg in STAGE1_CASES:
-        for scheme in ("joint", "local"):
+        for scheme in SCHEMES:
             calls.clear()
             _, plan = run_scheme(generate(cfg), scheme, strict_cc2=strict)
-            assert plan.extras["iterations"] > 1
+            if scheme in ("joint", "local"):
+                assert plan.extras["iterations"] > 1
             assert len(calls) == 1, scheme
 
 
