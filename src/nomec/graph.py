@@ -255,6 +255,8 @@ def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
     """
     n = len(scenario.devices)
     all_ids = [d.id for d in scenario.devices]
+    cycles = np.array([d.task.cycles for d in scenario.devices], dtype=float)
+    deadline = np.array([d.task.deadline_s for d in scenario.devices], dtype=float)
     cells = []      # (u1, u2, ap, rrb) per candidate cluster
     used_seeds = set()
     slot_index = 0
@@ -291,11 +293,12 @@ def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
             cells.append((seed, -1, ap.id, z))
             if singleton_only:
                 continue
-            seed_task = scenario.devices[seed].task
+            # group_demand_cps of the seed with each other covered UD, in one pass
+            others = np.array([u for u in sorted(cover) if u != seed], dtype=np.int64)
+            load = (cycles[seed] + cycles[others]) / (2 * np.minimum(deadline[seed],
+                                                                     deadline[others]))
             cells.extend((min(seed, u), max(seed, u), ap.id, z)
-                         for u in sorted(cover) if u != seed
-                         and group_demand_cps([seed_task, scenario.devices[u].task])
-                         <= budget * (1.0 + REL_TOL))
+                         for u in others[load <= budget * (1.0 + REL_TOL)].tolist())
     columns = list(zip(*cells)) or [()] * 4
     return _solve_cells(scenario, [np.array(col, dtype=np.int64) for col in columns],
                         strict_cc2)

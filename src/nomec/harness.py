@@ -11,7 +11,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +49,15 @@ class ExperimentSpec:
             raise HarnessError(f"unknown sweep variable {self.sweep_var!r}")
         if not self.sweep_values:
             raise HarnessError("sweep_values is empty")
+        if not self.schemes:
+            raise HarnessError("schemes is empty")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise HarnessError(f"unknown schemes: {', '.join(unknown)}")
-        for name in ("trials", "max_iters"):
+        for name, low in (("trials", 1), ("max_iters", 1), ("master_seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise HarnessError(f"{name} must be an int >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise HarnessError(f"{name} must be an int >= {low}, got {value!r}")
         if self.mwis_ordering not in ORDERINGS:
             raise HarnessError(f"unknown mwis_ordering {self.mwis_ordering!r}")
         for index, value in enumerate(self.sweep_values):
@@ -135,6 +136,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
     if workers <= 1 or len(units) == 1:
         chunks = [_run_value(u) for u in units]
     else:
+        # imported here: the pool's modules take tens of ms to load
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_value, units))
     return [row for chunk in chunks for row in chunk]

@@ -91,25 +91,38 @@ def _stage1(scenario, opt: _Options):
     pool and weighs them again at the new frequencies. The associations
     are the frozen ones plus the last iteration's picks at uncommitted APs;
     the graph and the picks are the last iteration's.
+
+    Under the original ordering the pool holds the singletons only: a pair
+    is strictly heavier than both of its member singletons on its slot and
+    conflicts with each, so the lightest-first greedy never takes it. The
+    last iteration's full graph is then weighed once, after the loop, and
+    the picks are mapped into it. The modified ordering ranks by sums over
+    pair weights, so its pool keeps the pairs.
     """
     caps = _caps(scenario)
     f_loc = dict(caps)
     committed = []
     # per UD, AP id and RRB index, whether it is still in the pool; the
     # extra last UD entry stays set, so a singleton's u2 = -1 never removes it
-    active_ud = np.ones(len(scenario.devices) + 1, dtype=bool)
-    active_ap = np.ones(len(scenario.aps), dtype=bool)
-    active_rrb = np.ones(max(ap.num_rrbs for ap in scenario.aps), dtype=bool)
+    active = (np.ones(len(scenario.devices) + 1, dtype=bool),
+              np.ones(len(scenario.aps), dtype=bool),
+              np.ones(max(ap.num_rrbs for ap in scenario.aps), dtype=bool))
+    active_ud, active_ap, active_rrb = active
+
+    def in_pool(g, ud, ap, rrb):
+        return ud[g.u1] & ud[g.u2] & ap[g.ap_arr] & rrb[g.rrb_arr]
+
     tasks = [d.task for d in scenario.devices]
-    graph = solved = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
+    solved = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
+    pool = graph = (solved if opt.ordering == "modified"
+                    else reweighed(scenario, solved, solved.u2 < 0, caps))
     converged = False
     iterations = 0
     for it in range(opt.max_iters):
         iterations = it + 1
         if it > 0:
-            keep = (active_ud[solved.u1] & active_ud[solved.u2] & active_ap[solved.ap_arr]
-                    & active_rrb[solved.rrb_arr])
-            graph = reweighed(scenario, solved, keep, f_loc)
+            masks, weighed_at = [a.copy() for a in active], dict(f_loc)
+            graph = reweighed(scenario, pool, in_pool(pool, *masks), f_loc)
         picks = greedy_min_wis(graph, opt.ordering).indices
         idx = np.array(picks, dtype=np.int64)
         pick_aps = graph.ap_arr[idx].tolist()
@@ -134,6 +147,10 @@ def _stage1(scenario, opt: _Options):
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
     assocs = committed + [graph.vertex(i) for i, m in zip(picks, pick_aps)
                           if m not in committed_aps]
+    if pool is not solved:
+        graph = solved if iterations == 1 else reweighed(
+            scenario, solved, in_pool(solved, *masks), weighed_at)
+        picks = tuple(np.flatnonzero(graph.u2 < 0)[idx].tolist())
     extras = {"vertices": len(solved), "iterations": iterations,
               "converged": converged, "stage1_f_loc": dict(f_loc),
               "committed_aps": committed_aps}

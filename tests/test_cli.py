@@ -93,6 +93,14 @@ def test_bad_inputs_exit_1(tmp_path, config_file, capsys):
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
+    # the message names the bad field, not the sweep
+    for args, field in ((["--schemes", ""], "schemes is empty"),
+                        (["--schemes", ","], "schemes is empty"),
+                        (["--seed", "-1"], "master_seed")):
+        code, out, err = run_cli(["--config", config_file, *args], capsys)
+        assert code == 1
+        assert err.startswith("error:") and field in err and "sweep" not in err
+        assert out == ""
 
 
 def test_unwritable_output_exits_2(tmp_path, config_file, capsys):

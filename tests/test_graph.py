@@ -250,6 +250,49 @@ def test_build_pruned_one_seed_per_slot():
             assert load <= budget[ap_id] * (1.0 + 1e-9)
 
 
+def test_build_pruned_pairs_every_covered_ud_passing_the_load_test():
+    """Each seed pairs with exactly the covered UDs whose pooled load with
+    it, group_demand_cps of the two tasks, fits the slot budget, among the
+    rate-feasible clusters. Per-UD deadlines make the pooled deadline the
+    smaller of two; in the last scenario, tasks of 500 and 1500 bits pool
+    to a load on the budget itself."""
+    rng = np.random.default_rng(71)
+
+    def with_tasks(scn, task_of):
+        return dataclasses.replace(scn, devices=tuple(
+            dataclasses.replace(d, task=dataclasses.replace(d.task, **task_of(d)))
+            for d in scn.devices))
+
+    scenarios = []
+    for seed in range(6):
+        scn = generate(ScenarioConfig(n_uds=40, task_size_range_bits=(100.0, 2000.0),
+                                      density_cpb=300.0, seed=seed))
+        if seed % 2:
+            scn = with_tasks(scn, lambda d: {"deadline_s": float(rng.choice([0.005, 0.01, 0.02]))})
+        scenarios.append(scn)
+    scn = generate(ScenarioConfig(n_uds=12, n_aps=3, f_loc_max_cps=3e7, seed=1))
+    scenarios.append(with_tasks(scn, lambda d: {"size_bits": 500.0 + 1000.0 * (d.id % 2)}))
+    outcomes = set()
+    for scn in scenarios:
+        full_keys = {v.key for v in enumerate_full(scn).vertices}
+        budget = {ap.id: ap.f_loc_max_cps / ap.num_rrbs for ap in scn.aps}
+        pruned = build_pruned(scn).vertices
+        for single in (v for v in pruned if len(v.uds) == 1):
+            (s,) = single.uds
+            got = {u for v in pruned if len(v.uds) == 2 and (v.ap, v.rrb) == (single.ap, single.rrb)
+                   for u in v.uds if u != s}
+            cap = budget[single.ap]
+            # a seed whose own load sits on the budget takes no partner
+            alone = abs(group_demand_cps([scn.devices[s].task]) - cap) <= 1e-9 * cap
+            for u in scn.coverage[single.ap] - {s}:
+                fits = not alone and group_demand_cps(
+                    [scn.devices[s].task, scn.devices[u].task]) <= cap * (1.0 + 1e-9)
+                feasible = (tuple(sorted((s, u))), single.rrb, single.ap) in full_keys
+                assert (u in got) == (fits and feasible)
+                outcomes.add(fits)
+    assert outcomes == {True, False}
+
+
 def test_build_pruned_threshold_seed_is_singleton_only():
     # every UD load sits exactly on the per-slot budget, so the pruned
     # graph contains singletons only

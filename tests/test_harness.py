@@ -1,6 +1,8 @@
 """Monte Carlo harness: sweeps, determinism, summaries, and I/O."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +39,12 @@ def test_spec_validation():
         for value in (0, 2.5, True, False, "2", None):
             with pytest.raises(HarnessError, match=name):
                 tiny_spec(**{name: value})
+    with pytest.raises(HarnessError, match="schemes"):
+        tiny_spec(schemes=())
+    for value in (-1, 2.5, True, False, "2", None):
+        with pytest.raises(HarnessError, match="master_seed"):
+            tiny_spec(master_seed=value)
+    assert tiny_spec(master_seed=0).master_seed == 0
 
 
 def test_spec_rejects_unknown_ordering_and_bad_sweep_values():
@@ -46,6 +54,16 @@ def test_spec_rejects_unknown_ordering_and_bad_sweep_values():
                         ("ap_positions", (1.0,)), ("task_size_range_bits", ((600.0, 400.0),))):
         with pytest.raises(HarnessError, match=var):
             tiny_spec(sweep_var=var, sweep_values=values)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """The pool's modules load only when run_experiment starts workers."""
+    code = ("import sys, nomec; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_row_ordering_follows_spec():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nomec import (NomaAssociation, ScenarioConfig, build_pruned,
+from nomec import (ConflictGraph, NomaAssociation, ScenarioConfig, build_pruned,
                    enumerate_full, exact_min_wis, generate, greedy_min_wis,
                    modified_ranks, random_maximal_is)
 from nomec.graph import reweighed
@@ -262,6 +262,53 @@ def bit_identity_corpus():
                 f_loc = {ap.id: float(rng.uniform(0.2, 1.0)) * ap.f_loc_max_cps
                          for ap in scn.aps}
                 yield reweighed(scn, full, keep, f_loc)
+
+
+def singleton_rows(graph):
+    """The singleton vertices of graph as a graph of their own, and their
+    positions in graph."""
+    rows = np.flatnonzero(graph.u2 < 0)
+    cols = (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph.weights,
+            graph._p1, graph._p2, graph._r1, graph._r2, graph._obj)
+    return ConflictGraph(*(c[rows] for c in cols), strict_cc2=graph.strict_cc2), rows
+
+
+def stage1_corpus(rng):
+    """Full and pruned graphs at n_uds 8/24/96 in both CC2 modes, each full
+    graph also reweighed at random per-AP f_loc after dropping random UDs,
+    APs and RRB indices, the way stage 1 drops committed clusters."""
+    for n_uds in (8, 24, 96):
+        scn = generate(ScenarioConfig(n_uds=n_uds, seed=67 + n_uds))
+        for strict in (False, True):
+            full = enumerate_full(scn, strict_cc2=strict)
+            yield full
+            yield build_pruned(scn, strict_cc2=strict)
+            for _ in range(4):
+                active_ud = np.append(rng.random(n_uds) < rng.uniform(0.5, 1.0), True)
+                active_ap = rng.random(len(scn.aps)) < rng.uniform(0.5, 1.0)
+                # only strict CC2 drops the RRB indices of committed clusters
+                active_rrb = (rng.random(scn.config.rrbs_per_ap) < rng.uniform(0.5, 1.0)
+                              if strict else np.ones(scn.config.rrbs_per_ap, bool))
+                keep = (active_ud[full.u1] & active_ud[full.u2] & active_ap[full.ap_arr]
+                        & active_rrb[full.rrb_arr])
+                f_loc = {ap.id: float(rng.uniform(0.05, 1.0)) * ap.f_loc_max_cps
+                         for ap in scn.aps}
+                yield reweighed(scn, full, keep, f_loc)
+
+
+def test_original_greedy_on_the_singletons_picks_what_it_picks_on_the_whole_graph():
+    """A pair is heavier than its member singletons on its slot and blocked
+    by each, so the lightest-first greedy never takes one: on a graph's
+    singleton rows it picks the same clusters, in the same order."""
+    rng = np.random.default_rng(67)
+    checked = pairs = 0
+    for graph in stage1_corpus(rng):
+        whole = greedy_min_wis(graph).indices
+        alone, rows = singleton_rows(graph)
+        assert rows[list(greedy_min_wis(alone).indices)].tolist() == list(whole)
+        checked += 1
+        pairs += int(np.count_nonzero(graph.u2 >= 0))
+    assert checked == 36 and pairs > 50_000
 
 
 def test_modified_ranks_bit_identical_to_unique_route():

@@ -252,6 +252,65 @@ def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
             f_loc.update({m: f for m, f in alloc.f_loc.items() if not alloc.x[m]})
 
 
+# STAGE1_CASES' strict config commits only under the modified ordering;
+# denser tasks commit APs, and so RRB indices, under the original one
+ORIGINAL_CASES = (STAGE1_CASES[0],
+                  (True, dataclasses.replace(STAGE1_CASES[1][1], density_cpb=4000.0, seed=5)))
+
+
+@pytest.mark.parametrize("scheme", ["local", "joint"])
+def test_stage1_searches_the_singletons_of_a_fresh_enumeration(monkeypatch, scheme):
+    """Under the original ordering each stage-1 iteration schedules on a
+    pair-free graph: bit for bit the singleton rows of the graph a fresh
+    enumeration of the still-active UDs, APs and RRBs at that iteration's
+    frequencies gives. The final graph is the last such fresh graph whole,
+    pairs included, and the final picks index it."""
+    calls = []
+    real = schedulers.greedy_min_wis
+
+    def record(graph, ordering="original"):
+        wis = real(graph, ordering)
+        calls.append((graph, wis))
+        return wis
+
+    monkeypatch.setattr(schedulers, "greedy_min_wis", record)
+    for strict, cfg in ORIGINAL_CASES:
+        scn = generate(cfg)
+        calls.clear()
+        _, plan = run_scheme(scn, scheme, strict_cc2=strict)
+        assert plan.extras["committed_aps"] and len(calls) == plan.extras["iterations"] > 2
+        coverage = dict(scn.coverage)
+        f_loc = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
+        rrbs = list(range(cfg.rrbs_per_ap))
+        for graph, wis in calls:
+            fresh = enumerate_full(dataclasses.replace(scn, coverage=coverage),
+                                   strict_cc2=strict, rrbs=rrbs)
+            fresh = reweighed(scn, fresh, np.ones(len(fresh), bool), f_loc)
+            singles = fresh.u2 < 0
+            assert np.all(graph.u2 < 0) and not np.all(singles)
+            for name in SOLVED:
+                assert np.array_equal(getattr(graph, name), getattr(fresh, name)[singles],
+                                      equal_nan=True), name
+            picked = [graph.vertex(i) for i in wis.indices]
+            groups = {}
+            for a in picked:
+                groups.setdefault(a.ap, []).extend(scn.devices[u].task for u in a.uds)
+            alloc = allocate_local(groups, {ap.id: ap.f_loc_max_cps for ap in scn.aps})
+            flagged = {m for m, x in alloc.x.items() if x}
+            moved = {u for a in picked if a.ap in flagged for u in a.uds}
+            if strict:
+                rrbs = [z for z in rrbs if z not in {a.rrb for a in picked if a.ap in flagged}]
+            coverage = {m: frozenset() if m in flagged else uds - moved
+                        for m, uds in coverage.items()}
+            f_loc.update({m: f for m, f in alloc.f_loc.items() if not alloc.x[m]})
+        final = plan.extras["final_graph"]
+        for name in SOLVED:
+            assert np.array_equal(getattr(final, name), getattr(fresh, name), equal_nan=True), name
+        assert list(plan.extras["final_is_indices"]) == \
+            np.flatnonzero(fresh.u2 < 0)[list(wis.indices)].tolist()
+        assert plan.extras["vertices"] == len(enumerate_full(scn, strict_cc2=strict))
+
+
 def test_joint_solves_powers_once(monkeypatch):
     """Every scheme builds one graph and solves all its clusters, singletons
     and pairs, in one solve_pairs_batch call."""
