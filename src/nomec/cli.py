@@ -16,26 +16,32 @@ _RANGE_VARS = {"task_size_range_bits"}
 _INT_VARS = {"n_uds", "n_aps", "n_mecs", "rrbs_per_ap"}
 
 
+def _lo_hi(item: str):
+    lo, sep, hi = item.partition(":")
+    if not sep:
+        raise ValueError(item)
+    return float(lo), float(hi)
+
+
 def _parse_sweep(text: str):
     """Parse "var=v1,v2,..."; range-valued variables take lo:hi items."""
     if "=" not in text:
         raise ValueError("expected var=value[,value...]")
     var, _, values = text.partition("=")
     var = var.strip()
-    items = [v.strip() for v in values.split(",") if v.strip()]
-    if not items:
+    if not values.strip():
         raise ValueError("sweep has no values")
+    items = [v.strip() for v in values.split(",")]
+    if not all(items):
+        raise ValueError(f"{var} sweep has an empty value in {values!r}")
+    convert, kind = ((_lo_hi, "lo:hi pairs") if var in _RANGE_VARS
+                     else (int, "integers") if var in _INT_VARS else (float, "numbers"))
     parsed = []
     for item in items:
-        if var in _RANGE_VARS:
-            lo, sep, hi = item.partition(":")
-            if not sep:
-                raise ValueError(f"{var} values must be lo:hi pairs, got {item!r}")
-            parsed.append((float(lo), float(hi)))
-        elif var in _INT_VARS:
-            parsed.append(int(item))
-        else:
-            parsed.append(float(item))
+        try:
+            parsed.append(convert(item))
+        except ValueError:
+            raise ValueError(f"{var} values must be {kind}, got {item!r}") from None
     return var, tuple(parsed)
 
 

@@ -15,11 +15,12 @@ square of the vertex count, as the enumeration the paper describes does;
 the exact search and the tests use the explicit rows.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import REL_TOL, group_demand_cps
+from .model import REL_TOL
 from .power import ClusterPowerSolution, solve_pairs_batch
 # kept bound here: perfbench/tracer.py wraps graph.solve_singletons_batch by name
 from .power import solve_singletons_batch  # noqa: F401
@@ -162,13 +163,31 @@ def modified_weight(i: int, graph: ConflictGraph) -> float:
     return float(w[i] * (w.sum() - w[i] - adj_sum))
 
 
+def _cached(scenario, key, build):
+    """The tuple of arrays build(scenario), kept read-only in the
+    scenario's topology cache under key. Only channel-independent results
+    may go there: with_channel copies share the cache."""
+    cache = scenario._topology_cache
+    if key not in cache:
+        cache[key] = build(scenario)
+        for column in cache[key]:
+            column.flags.writeable = False
+    return cache[key]
+
+
+def _task_columns(scenario):
+    """Per UD, task size in bits and task cycles, each with an appended
+    0.0 that u2 = -1 reads."""
+    return (np.array([d.task.size_bits for d in scenario.devices] + [0.0]),
+            np.array([d.task.cycles for d in scenario.devices] + [0.0]))
+
+
 def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
     """Per vertex, the summed per-UD utility: upload delay plus compute
     delay plus compute energy at the frequency of the vertex's AP in the
     dict f_loc. u2 = -1 reads an appended zero-size task, adding exact
     zeros."""
-    sizes = np.array([d.task.size_bits for d in scenario.devices] + [0.0])
-    cycles = np.array([d.task.cycles for d in scenario.devices] + [0.0])
+    sizes, cycles = _cached(scenario, "task_columns", _task_columns)
     f = np.array([f_loc[m.id] for m in scenario.aps])
     per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f)[ap]
     return sizes[u1] / r1 + sizes[u2] / r2 + cycles[u1] * per_cycle + cycles[u2] * per_cycle
@@ -177,14 +196,15 @@ def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
 def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
     """The graph over the feasible candidate clusters among cells.
 
-    cells holds parallel arrays (u1, u2, ap, rrb), one entry per candidate
-    cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton. Powers
+    cells holds parallel integer arrays (u1, u2, ap, rrb), one entry per
+    candidate cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton;
+    the graph holds them as int64. Powers
     come from one call of the batched closed form and weights from
     _weights at each AP's frequency cap. Clusters that miss the rate floor
     or get a non-positive rate are dropped; the rest keep the order of
     cells.
     """
-    u1, u2, ap, rrb = cells
+    u1, u2, ap, rrb = (np.asarray(col, dtype=np.int64) for col in cells)
     chan = scenario.channel
     # a singleton's absent member has gain NaN, no power and an unbounded rate
     p1, p2, r1, r2, obj, feas = solve_pairs_batch(
@@ -209,6 +229,29 @@ def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, graph.strict_cc2)
 
 
+def _ap_clusters(scenario):
+    """Per AP, in scenario.aps order, its candidate clusters on one RRB:
+    the covered UDs as singletons and their pairs in triu order. Returns
+    (c1, c2), every AP's singletons and then every AP's pairs, with c2 = -1
+    for a singleton, as int32 to halve what the cache holds; per AP the
+    start and length of its singletons and of its pairs in there, as (A, 2)
+    arrays; the AP ids and RRB counts."""
+    covers = [sorted(scenario.coverage[ap.id]) for ap in scenario.aps]
+    n = np.array([len(c) for c in covers], dtype=np.int64)
+    ids = np.array([u for c in covers for u in c], dtype=np.int32)
+    # an AP's pair row p joins ids[p] with each later UD the AP covers
+    row_len = np.repeat(np.cumsum(n), n) - np.arange(ids.size) - 1
+    lo = np.repeat(np.arange(ids.size), row_len)
+    hi = lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(row_len) - row_len, row_len)
+    pairs = n * (n - 1) // 2
+    start = np.stack([np.cumsum(n) - n, ids.size + np.cumsum(pairs) - pairs], axis=1)
+    return (np.concatenate([ids, ids[lo]]),
+            np.concatenate([np.full(ids.size, -1, dtype=np.int32), ids[hi]]),
+            start, np.stack([n, pairs], axis=1),
+            np.array([ap.id for ap in scenario.aps], dtype=np.int64),
+            np.array([ap.num_rrbs for ap in scenario.aps], dtype=np.int64))
+
+
 def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
     """Enumerate every coverage- and rate-feasible association, no edges.
 
@@ -216,20 +259,25 @@ def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGra
     other frequencies. rrbs restricts the enumeration to those RRB
     indices. Vertices run AP by AP, RRB by RRB, singletons before pairs;
     powers and weights are solved in one batch, and the returned graph
-    builds its adjacency only if something reads ``adj_bits``.
+    builds its adjacency only if something reads ``adj_bits``. Each AP's
+    one-RRB cluster list depends on the topology alone, so it is built once
+    per scenario and repeated over the RRBs here.
     """
-    cells = [[np.empty(0, dtype=np.int64)] * 4]   # typed even if no AP contributes
-    for ap in scenario.aps:
-        rrb_list = np.asarray(range(ap.num_rrbs) if rrbs is None else rrbs, dtype=np.int64)
-        ids = np.array(sorted(scenario.coverage[ap.id]), dtype=np.int64)
-        pair_i, pair_j = np.triu_indices(ids.size, 1)
-        # one row of candidate clusters per RRB: singletons, then pairs
-        c1 = np.concatenate([ids, ids[pair_i]])
-        c2 = np.concatenate([np.full(ids.size, -1, dtype=np.int64), ids[pair_j]])
-        cells.append((np.tile(c1, rrb_list.size), np.tile(c2, rrb_list.size),
-                      np.full(c1.size * rrb_list.size, ap.id, dtype=np.int64),
-                      np.repeat(rrb_list, c1.size)))
-    return _solve_cells(scenario, [np.concatenate(col) for col in zip(*cells)], strict_cc2)
+    c1, c2, start, length, ap_ids, num_rrbs = _cached(scenario, "ap_clusters", _ap_clusters)
+    if rrbs is not None:
+        rrbs = np.asarray(rrbs, dtype=np.int64)
+        num_rrbs = np.full(ap_ids.size, rrbs.size, dtype=np.int64)
+    # one slot per (AP, RRB); each takes its AP's singletons, then its pairs
+    owner = np.repeat(np.arange(ap_ids.size), num_rrbs)
+    rrb = (np.arange(owner.size) - np.repeat(np.cumsum(num_rrbs) - num_rrbs, num_rrbs)
+           if rrbs is None else np.tile(rrbs, ap_ids.size))
+    seg_start, seg_len = start[owner].ravel(), length[owner].ravel()
+    cluster = np.arange(seg_len.sum()) - np.repeat(np.cumsum(seg_len) - seg_len - seg_start,
+                                                   seg_len)
+    slot_len = seg_len.reshape(-1, 2).sum(axis=1)
+    cells = (c1[cluster], c2[cluster], np.repeat(ap_ids[owner], slot_len),
+             np.repeat(rrb, slot_len))
+    return _solve_cells(scenario, cells, strict_cc2)
 
 
 def build_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
@@ -238,6 +286,54 @@ def build_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
     graph = enumerate_full(scenario, strict_cc2=strict_cc2, rrbs=rrbs)
     graph.adj_bits  # first access builds the edges
     return graph
+
+
+def _pruned_cells(scenario):
+    """build_pruned's candidate clusters as (u1, u2, ap, rrb) int32
+    columns. They read the tasks, the coverage and the AP budgets, not the
+    channel."""
+    n = len(scenario.devices)
+    cycles = _cached(scenario, "task_columns", _task_columns)[1][:n]
+    deadline = np.array([d.task.deadline_s for d in scenario.devices], dtype=float)
+    load = cycles / deadline        # group_demand_cps of each task alone
+    covered = np.zeros((len(scenario.aps), n), dtype=bool)
+    for a, ap in enumerate(scenario.aps):
+        covered[a, list(scenario.coverage[ap.id])] = True
+    budget = np.array([ap.f_loc_max_cps / ap.num_rrbs for ap in scenario.aps])[:, None]
+    below = load < budget * (1.0 - REL_TOL)
+    on_budget = ~below & (np.abs(load - budget) <= REL_TOL * budget)
+    seeds, slots = [], []           # per seeded slot, its seed and (AP index, RRB)
+    used_seeds = set()
+    slot_index = 0
+    for a, ap in enumerate(scenario.aps):
+        ids = np.flatnonzero(covered[a] & (below[a] | on_budget[a])).tolist()
+        for z in range(ap.num_rrbs):
+            # scan from position slot_index mod N, wrapping around; the
+            # first qualifying UD that has not seeded yet wins, else the first
+            k = bisect.bisect_left(ids, slot_index % n)
+            order = ids[k:] + ids[:k]
+            slot_index += 1
+            seed = next((u for u in order if u not in used_seeds), order[0] if order else None)
+            if seed is not None:
+                used_seeds.add(seed)
+                seeds.append(seed)
+                slots.append((a, z))
+    seeds = np.array(seeds, dtype=np.int64)
+    slot_ap, slot_rrb = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+    # group_demand_cps of each seed with every UD, in one pass; column 0 of
+    # take is the seed's singleton, column u + 1 its pair with UD u
+    pooled = (cycles[seeds, None] + cycles) / (2 * np.minimum(deadline[seeds, None], deadline))
+    take = np.ones((seeds.size, n + 1), dtype=bool)
+    take[:, 1:] = (covered[slot_ap] & (pooled <= budget[slot_ap] * (1.0 + REL_TOL))
+                   & ~on_budget[slot_ap, seeds][:, None])
+    take[np.arange(seeds.size), seeds + 1] = False
+    row, col = np.nonzero(take)
+    seed, partner = seeds[row], col - 1
+    ap_ids = np.array([ap.id for ap in scenario.aps], dtype=np.int64)
+    return tuple(col.astype(np.int32) for col in (
+        np.where(partner < 0, seed, np.minimum(seed, partner)),
+        np.where(partner < 0, -1, np.maximum(seed, partner)),
+        ap_ids[slot_ap][row], slot_rrb[row]))
 
 
 def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
@@ -251,54 +347,8 @@ def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
     passing the pooled two-task load test; a seed sitting exactly on the
     threshold (within a relative REL_TOL) contributes only its singleton.
     Weights use the AP's frequency cap. The vertex set is always a subset
-    of the full graph's.
+    of the full graph's. The candidate clusters depend on the topology
+    alone, so they are chosen once per scenario; powers and weights are
+    solved on every call.
     """
-    n = len(scenario.devices)
-    all_ids = [d.id for d in scenario.devices]
-    cycles = np.array([d.task.cycles for d in scenario.devices], dtype=float)
-    deadline = np.array([d.task.deadline_s for d in scenario.devices], dtype=float)
-    cells = []      # (u1, u2, ap, rrb) per candidate cluster
-    used_seeds = set()
-    slot_index = 0
-    for ap in scenario.aps:
-        cover = scenario.coverage[ap.id]
-        budget = ap.f_loc_max_cps / ap.num_rrbs
-        for z in range(ap.num_rrbs):
-            seed = None
-            singleton_only = False
-            fallback = None            # first qualifying but already-seeded UD
-            fallback_single = False
-            for offset in range(n):
-                cand = all_ids[(slot_index + offset) % n]
-                if cand not in cover:
-                    continue
-                load = group_demand_cps([scenario.devices[cand].task])
-                if load < budget * (1.0 - REL_TOL):
-                    single = False
-                elif abs(load - budget) <= REL_TOL * budget:
-                    single = True
-                else:
-                    continue
-                if cand not in used_seeds:
-                    seed, singleton_only = cand, single
-                    break
-                if fallback is None:
-                    fallback, fallback_single = cand, single
-            if seed is None and fallback is not None:
-                seed, singleton_only = fallback, fallback_single
-            slot_index += 1
-            if seed is None:
-                continue
-            used_seeds.add(seed)
-            cells.append((seed, -1, ap.id, z))
-            if singleton_only:
-                continue
-            # group_demand_cps of the seed with each other covered UD, in one pass
-            others = np.array([u for u in sorted(cover) if u != seed], dtype=np.int64)
-            load = (cycles[seed] + cycles[others]) / (2 * np.minimum(deadline[seed],
-                                                                     deadline[others]))
-            cells.extend((min(seed, u), max(seed, u), ap.id, z)
-                         for u in others[load <= budget * (1.0 + REL_TOL)].tolist())
-    columns = list(zip(*cells)) or [()] * 4
-    return _solve_cells(scenario, [np.array(col, dtype=np.int64) for col in columns],
-                        strict_cc2)
+    return _solve_cells(scenario, _cached(scenario, "pruned_cells", _pruned_cells), strict_cc2)

@@ -76,10 +76,13 @@ def solve_pairs_batch(ud_lo_gain, ud_hi_gain, p_max, noise_w, bandwidth_hz,
     first_is_lo = ~(g2 > g1)
     g_s = np.where(first_is_lo, g1, g2)
     g_w = np.where(pair, np.where(first_is_lo, g2, g1), 0.0)
-    gamma_th = 2.0 ** (rate_threshold_bps / bandwidth_hz) - 1.0
+    try:
+        gamma_th = 2.0 ** (rate_threshold_bps / bandwidth_hz) - 1.0
+    except OverflowError:
+        gamma_th = math.inf     # no SINR meets the floor: nothing is feasible
 
     p_s = np.full_like(g1, p_max)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if gamma_th > 0.0:
             p_w_cap = (p_max * g_s / gamma_th - noise_w) / np.where(g_w > 0, g_w, np.nan)
             p_w = np.minimum(p_max, p_w_cap)

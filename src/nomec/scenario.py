@@ -10,7 +10,7 @@ import dataclasses
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,8 +68,15 @@ class ScenarioConfig:
         if not isinstance(self.backhaul_bandwidth_scaling, bool):
             raise ConfigError("backhaul_bandwidth_scaling must be true or false, "
                               f"got {self.backhaul_bandwidth_scaling!r}")
-        _finite("noise_dbm_hz", self.noise_dbm_hz)
-        _finite("p_max_dbm_hz", self.p_max_dbm_hz)
+        for name in ("noise_dbm_hz", "p_max_dbm_hz"):
+            v = _finite(name, getattr(self, name))
+            try:
+                watts = dbm_per_hz_to_watts(v, self.rrb_bandwidth_hz)
+            except OverflowError:
+                watts = math.inf
+            if not (math.isfinite(watts) and watts > 0):
+                raise ConfigError(f"{name} must give a finite, positive power per RRB, "
+                                  f"got {v!r} dBm/Hz over {self.rrb_bandwidth_hz!r} Hz")
         lo, hi = _finite_pair("task_size_range_bits", self.task_size_range_bits)
         if not (0 < lo <= hi):
             raise ConfigError(f"task_size_range_bits must satisfy 0 < lo <= hi, got {self.task_size_range_bits!r}")
@@ -153,6 +160,10 @@ class Scenario:
     unservable: frozenset   # ud ids no AP covers
     mean_gain_uplink: np.ndarray    # [ud, ap] -> path loss * shadowing
     mean_gain_backhaul: np.ndarray  # [ap, mec] -> path loss * shadowing
+    # channel-independent arrays derived from the topology, filled lazily by
+    # graph.py; with_channel shares it, every other copy starts empty
+    _topology_cache: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     @property
     def backhaul_bandwidth_scaling(self) -> bool:
@@ -279,5 +290,9 @@ def realize_channels(scenario: Scenario, trial_seed: int) -> ChannelState:
 
 
 def with_channel(scenario: Scenario, channel: ChannelState) -> Scenario:
-    """A copy of the scenario using a different channel realization."""
-    return dataclasses.replace(scenario, channel=channel)
+    """A copy of the scenario using a different channel realization. It
+    shares the original's topology cache, which holds nothing that reads
+    the channel."""
+    copy = dataclasses.replace(scenario, channel=channel)
+    object.__setattr__(copy, "_topology_cache", scenario._topology_cache)
+    return copy

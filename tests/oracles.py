@@ -3,9 +3,12 @@
 Everything here is written straight from the definitions in plain Python and
 deliberately shares no code with the package under test. The exceptions
 are graph_of, which only packs hand-written associations into the package's
-ConflictGraph so that tests can run the solvers on them, and
+ConflictGraph so that tests can run the solvers on them;
 modified_ranks_by_unique, the package's earlier vectorized route kept as the
-bit-for-bit reference of its modified ranks.
+bit-for-bit reference of its modified ranks; and full_cells_by_ap and
+pruned_cells_by_scan, the package's earlier per-call candidate builders,
+kept as the bit-for-bit reference of the candidate clusters it now builds
+once per topology.
 """
 
 import math
@@ -207,6 +210,71 @@ def picks_in_order(graph, order=None, rank=None):
     if order is None:
         order = greedy_order(np.asarray(rank).tolist(), aps, rrbs, uds)
     return maximal_set_in_order(order, aps, rrbs, uds, graph.strict_cc2)
+
+
+def full_cells_by_ap(scenario, rrbs=None):
+    """enumerate_full's candidate clusters as (u1, u2, ap, rrb) int64
+    columns, built AP by AP: per RRB the covered UDs as singletons, then
+    their pairs in triu order."""
+    cells = [[np.empty(0, dtype=np.int64)] * 4]
+    for ap in scenario.aps:
+        rrb_list = np.asarray(range(ap.num_rrbs) if rrbs is None else rrbs, dtype=np.int64)
+        ids = np.array(sorted(scenario.coverage[ap.id]), dtype=np.int64)
+        pair_i, pair_j = np.triu_indices(ids.size, 1)
+        c1 = np.concatenate([ids, ids[pair_i]])
+        c2 = np.concatenate([np.full(ids.size, -1, dtype=np.int64), ids[pair_j]])
+        cells.append((np.tile(c1, rrb_list.size), np.tile(c2, rrb_list.size),
+                      np.full(c1.size * rrb_list.size, ap.id, dtype=np.int64),
+                      np.repeat(rrb_list, c1.size)))
+    return tuple(np.concatenate(col) for col in zip(*cells))
+
+
+def pruned_cells_by_scan(scenario, rel_tol=1e-9):
+    """build_pruned's candidate clusters as (u1, u2, ap, rrb) int64
+    columns, from a slot-by-slot scan over the UDs with one load test per
+    candidate seed and per partner."""
+    n = len(scenario.devices)
+    cells = []
+    used_seeds = set()
+    slot_index = 0
+    for ap in scenario.aps:
+        cover = scenario.coverage[ap.id]
+        budget = ap.f_loc_max_cps / ap.num_rrbs
+        for z in range(ap.num_rrbs):
+            seed, fallback = None, None
+            for offset in range(n):
+                cand = (slot_index + offset) % n
+                if cand not in cover:
+                    continue
+                task = scenario.devices[cand].task
+                load = group_demand_cps([task.cycles], [task.deadline_s])
+                if load < budget * (1.0 - rel_tol):
+                    single = False
+                elif abs(load - budget) <= rel_tol * budget:
+                    single = True
+                else:
+                    continue
+                if cand not in used_seeds:
+                    seed = (cand, single)
+                    break
+                if fallback is None:
+                    fallback = (cand, single)
+            seed = seed or fallback
+            slot_index += 1
+            if seed is None:
+                continue
+            seed, single = seed
+            used_seeds.add(seed)
+            cells.append((seed, -1, ap.id, z))
+            if single:
+                continue
+            mine = scenario.devices[seed].task
+            for u in sorted(cover - {seed}):
+                other = scenario.devices[u].task
+                if group_demand_cps([mine.cycles, other.cycles],
+                                    [mine.deadline_s, other.deadline_s]) <= budget * (1.0 + rel_tol):
+                    cells.append((min(seed, u), max(seed, u), ap.id, z))
+    return tuple(np.array(col, dtype=np.int64) for col in (zip(*cells) if cells else [()] * 4))
 
 
 def full_vertex_count(n_uds, n_aps, n_rrbs):

@@ -33,6 +33,12 @@ def test_parse_sweep_forms():
         _parse_sweep("n_uds=")
     with pytest.raises(ValueError):
         _parse_sweep("task_size_range_bits=400,600")
+    for text in ("n_uds=4,,5", "n_uds=4,5,", "n_uds=,4"):
+        with pytest.raises(ValueError, match="empty value"):
+            _parse_sweep(text)
+    for text in ("rrbs_per_ap=2.0", "deadline_s=fast", "task_size_range_bits=400:x"):
+        with pytest.raises(ValueError, match=text.split("=")[0]):
+            _parse_sweep(text)
 
 
 def test_parser_defaults():
@@ -103,6 +109,29 @@ def test_bad_inputs_exit_1(tmp_path, config_file, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("field", ["p_max_dbm_hz", "noise_dbm_hz"])
+@pytest.mark.parametrize("value", [4000, -4000])
+def test_dbm_config_outside_float_range_exits_1(tmp_path, capsys, field, value):
+    path = tmp_path / "dbm.json"
+    path.write_text(json.dumps({field: value}), encoding="utf-8")
+    code, out, err = run_cli(["--config", str(path), "--trials", "1"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and field in err and "unexpected" not in err
+    assert out == ""
+
+
+def test_rate_floor_beyond_float_range_runs_clean(capsys):
+    code, out, err = run_cli(["--trials", "1", "--sweep", "rate_threshold_bps=5e4,2e10"],
+                             capsys)
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(rows) == 10
+    # the unreachable floor schedules nobody: zero cost, capacity and vertices
+    for row in rows[5:]:
+        assert row.split(",")[6:9] == ["0.0", "0", "0"] and row.endswith(",0")
+    assert all(row.split(",")[7] != "0" for row in rows[:5])
+
+
 def test_unwritable_output_exits_2(tmp_path, config_file, capsys):
     out_path = str(tmp_path / "no_such_dir" / "rows.csv")
     code, _, err = run_cli(["--config", config_file, "--trials", "1",
@@ -142,7 +171,9 @@ def test_max_iters_below_one_exits_1(capsys):
 
 
 def test_bad_sweep_values_exit_1(capsys):
-    for sweep in ("n_uds=0", "ap_positions=1", "w_latency=nan", "noise_dbm_hz=inf"):
+    for sweep in ("n_uds=0", "ap_positions=1", "w_latency=nan", "noise_dbm_hz=inf",
+                  "n_uds=4,,5", "rrbs_per_ap=2.0", "p_max_dbm_hz=4000",
+                  "noise_dbm_hz=-4000"):
         code, out, err = run_cli(["--sweep", sweep, "--trials", "1"], capsys)
         assert code == 1, sweep
         assert err.startswith("error:") and sweep.split("=")[0] in err

@@ -9,7 +9,8 @@ import pytest
 from nomec import (NomaAssociation, PowerConstraints, ScenarioConfig,
                    build_full, build_pruned, enumerate_full, generate,
                    group_demand_cps, modified_weight)
-from nomec.graph import reweighed
+from nomec.graph import _solve_cells, reweighed
+from nomec.scenario import realize_channels, with_channel
 import oracles
 from oracles import conflicts, graph_of
 
@@ -402,3 +403,119 @@ def test_default_cc2_emits_each_cluster_once_per_slot():
             if base == ScenarioConfig():
                 assert pair_slot_repeats(enumerate_full(scn, strict_cc2=True)) > 0
     assert pairs > 10_000
+
+
+def with_deadlines(scn):
+    """scn with per-UD deadlines of 5, 10 or 20 ms, fixed by the UD id."""
+    return dataclasses.replace(scn, devices=tuple(
+        dataclasses.replace(d, task=dataclasses.replace(d.task, deadline_s=(0.005, 0.01, 0.02)[d.id % 3]))
+        for d in scn.devices))
+
+
+# topologies the candidate cache is checked on; the last one's seeds sit
+# on the load budget, so they take no partner
+CACHE_TOPOLOGIES = (
+    lambda: generate(ScenarioConfig(n_uds=12, seed=3)),
+    lambda: generate(ScenarioConfig(n_uds=30, rrbs_per_ap=4, ap_coverage_m=1000.0, seed=4)),
+    lambda: with_deadlines(generate(ScenarioConfig(
+        n_uds=40, task_size_range_bits=(100.0, 2000.0), density_cpb=300.0, seed=5))),
+    lambda: generate(ScenarioConfig(n_uds=6, n_aps=3, f_loc_max_cps=3e7,
+                                    task_size_range_bits=(1000.0, 1000.0), seed=10)),
+)
+GRAPH_COLUMNS = ("u1", "u2", "rrb_arr", "ap_arr", "slot", "weights",
+                 "_p1", "_p2", "_r1", "_r2", "_obj")
+
+
+def assert_same_graph(got, want):
+    """Every vertex column equal bit for bit, dtypes included."""
+    for name in GRAPH_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.strict_cc2 == want.strict_cc2
+
+
+def candidate_graphs(scenario_of):
+    """Under both CC2 rules: the full enumeration on all RRBs, on [0] and on
+    [1, 2], then the pruned graph; each built on a scenario_of() call."""
+    for strict in (False, True):
+        for rrbs in (None, [0], [1, 2]):
+            yield enumerate_full(scenario_of(), strict_cc2=strict, rrbs=rrbs)
+        yield build_pruned(scenario_of(), strict_cc2=strict)
+
+
+def reference_graphs(scenario_of):
+    """candidate_graphs' graphs from the reference cell builders."""
+    for strict in (False, True):
+        for rrbs in (None, [0], [1, 2]):
+            scn = scenario_of()
+            yield _solve_cells(scn, oracles.full_cells_by_ap(scn, rrbs), strict)
+        scn = scenario_of()
+        yield _solve_cells(scn, oracles.pruned_cells_by_scan(scn), strict)
+
+
+def test_cached_candidates_match_a_fresh_scenario_on_every_trial():
+    """One topology serves every fading trial through with_channel copies.
+    Each graph built on them equals, bit for bit, the one a freshly
+    generated scenario builds cold on the same channel, and the one the
+    reference cell builders give."""
+    graphs = 0
+    for topology in CACHE_TOPOLOGIES:
+        scn = topology()
+        for trial in range(4):
+            channel = realize_channels(scn, trial)
+            fresh = topology()
+            cold = list(candidate_graphs(lambda: dataclasses.replace(fresh, channel=channel)))
+            assert fresh._topology_cache == {}
+            reference = list(reference_graphs(lambda: dataclasses.replace(fresh, channel=channel)))
+            for got, want, ref in zip(candidate_graphs(lambda: with_channel(scn, channel)),
+                                      cold, reference):
+                assert_same_graph(got, want)
+                assert_same_graph(got, ref)
+                graphs += 1
+        assert set(scn._topology_cache) == {"ap_clusters", "pruned_cells", "task_columns"}
+    assert graphs == len(CACHE_TOPOLOGIES) * 4 * 8
+
+
+def test_with_channel_copies_reuse_the_cache_entries():
+    scn = generate(ScenarioConfig(n_uds=12, seed=3))
+    first = with_channel(scn, realize_channels(scn, 1))
+    assert first._topology_cache is scn._topology_cache
+    enumerate_full(first)
+    build_pruned(first)
+    entries = dict(scn._topology_cache)
+    second = with_channel(first, realize_channels(scn, 2))
+    enumerate_full(second, strict_cc2=True, rrbs=[0])
+    build_pruned(second, strict_cc2=True)
+    assert second._topology_cache is scn._topology_cache
+    assert scn._topology_cache.keys() == entries.keys()
+    assert all(scn._topology_cache[key] is value for key, value in entries.items())
+
+
+def test_replaced_coverage_or_devices_recompute_the_cache():
+    scn = generate(ScenarioConfig(n_uds=12, seed=3))
+    enumerate_full(scn)
+    build_pruned(scn)
+    coverage = {**scn.coverage, 0: frozenset(), 1: frozenset(range(12))}
+    heavy = dataclasses.replace(scn, devices=tuple(
+        dataclasses.replace(d, task=dataclasses.replace(d.task, density_cpb=1000.0 + 100.0 * d.id))
+        for d in scn.devices))
+    for changed in (dataclasses.replace(scn, coverage=coverage), heavy, with_deadlines(scn)):
+        assert changed._topology_cache == {}
+        for got, want in zip(candidate_graphs(lambda: changed),
+                             reference_graphs(lambda: dataclasses.replace(changed))):
+            assert_same_graph(got, want)
+    moved = enumerate_full(dataclasses.replace(scn, coverage=coverage))
+    assert 0 not in moved.ap_arr.tolist()
+    assert set(moved.u1[moved.ap_arr == 1].tolist()) == set(range(12))
+    assert not np.array_equal(build_pruned(heavy).weights, build_pruned(scn).weights)
+
+
+def test_a_second_channel_gets_its_own_graph():
+    config = ScenarioConfig(n_uds=24, seed=6)
+    scn = generate(config)
+    channel_a, channel_b = realize_channels(scn, 1), realize_channels(scn, 2)
+    for build in (enumerate_full, build_pruned):
+        on_a = build(with_channel(scn, channel_a))
+        on_b = build(with_channel(scn, channel_b))
+        assert_same_graph(on_b, build(with_channel(generate(config), channel_b)))
+        assert not np.array_equal(on_a.weights, on_b.weights)

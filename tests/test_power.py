@@ -83,6 +83,17 @@ def test_pair_infeasible_threshold():
     assert not sol.feasible
 
 
+def test_rate_floor_beyond_float_range_is_infeasible():
+    """2 ** (R / B) overflows a float once R / B > 1024: no cluster can
+    meet such a floor, and the solve raises nothing and warns nothing."""
+    g1, g2 = np.array([1e-13, 1e-12, 1e-10]), np.array([np.nan, 1e-13, 1e-11])
+    for threshold in (1025.0 * B0, 2e10, 1e300):
+        *_, objective, feasible = solve_pairs_batch(g1, g2, 0.5, NOISE, B0, threshold)
+        assert not feasible.any() and (objective == -np.inf).all()
+        cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=threshold)
+        assert not solve_cluster_power([(0, 1e-10), (1, 1e-11)], chan(), cons).feasible
+
+
 def test_solver_argument_validation():
     cons = PowerConstraints(p_max_w=0.5)
     with pytest.raises(ValueError):

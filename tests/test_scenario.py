@@ -57,6 +57,16 @@ def test_config_rejects_non_finite_floats(field, value):
         ScenarioConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["noise_dbm_hz", "p_max_dbm_hz"])
+@pytest.mark.parametrize("value", [4000.0, 3060.0, -4000.0, -3500.0])
+def test_config_rejects_dbm_outside_float_range(field, value):
+    """Per-RRB watts must be finite and positive: 4000 dBm/Hz overflows
+    10 ** (v / 10), 3060 overflows once multiplied by the bandwidth, and
+    -4000 and -3500 dBm/Hz underflow to zero watts."""
+    with pytest.raises(ConfigError, match=field):
+        ScenarioConfig(**{field: value})
+
+
 def test_config_rejects_non_finite_ranges_and_positions():
     for bad in ((400.0, math.nan), (math.inf, math.inf)):
         with pytest.raises(ConfigError):
@@ -206,4 +216,5 @@ def test_with_channel_swaps_only_channel():
     assert swapped.devices == scn.devices
     assert swapped.coverage == scn.coverage
     assert swapped.seed == scn.seed
+    assert swapped._topology_cache is scn._topology_cache
 

@@ -366,3 +366,13 @@ def test_schemes_reach_the_module_attributes(monkeypatch):
                 reached.clear()
                 run_scheme(scn, scheme, seed=1, strict_cc2=strict, mwis_ordering=ordering)
                 assert reached == REACHED[scheme], (scheme, ordering)
+
+
+def test_rate_floor_beyond_float_range_schedules_nothing():
+    """A floor whose SINR threshold 2 ** (R / B) - 1 overflows a float
+    leaves every scheme an empty schedule, not a crash."""
+    scn = generate(ScenarioConfig(rate_threshold_bps=2e10))
+    for scheme in SCHEMES:
+        schedule, plan = run_scheme(scn, scheme)
+        assert schedule.associations == () and plan.extras["vertices"] == 0, scheme
+        assert plan.metrics.cost == 0.0 and plan.metrics.effective_capacity == 0, scheme
