@@ -16,6 +16,7 @@ the exact search and the tests use the explicit rows.
 """
 
 import bisect
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,8 @@ class ConflictGraph:
             self.slot = rrb
         else:
             max_rrb = int(rrb.max()) if len(rrb) else 0
-            self.slot = ap * (max_rrb + 1) + rrb
+            self.slot = ap * (max_rrb + 1)
+            self.slot += rrb
         self._adj_bits = None
 
     @property
@@ -186,11 +188,41 @@ def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
     """Per vertex, the summed per-UD utility: upload delay plus compute
     delay plus compute energy at the frequency of the vertex's AP in the
     dict f_loc. u2 = -1 reads an appended zero-size task, adding exact
-    zeros."""
+    zeros. The four terms are summed left to right in one buffer."""
     sizes, cycles = _cached(scenario, "task_columns", _task_columns)
     f = np.array([f_loc[m.id] for m in scenario.aps])
-    per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f)[ap]
-    return sizes[u1] / r1 + sizes[u2] / r2 + cycles[u1] * per_cycle + cycles[u2] * per_cycle
+    per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f).take(ap)
+    w = sizes.take(u1)
+    w /= r1
+    term = sizes.take(u2)
+    term /= r2
+    w += term
+    for u in (u1, u2):
+        np.take(cycles, u, out=term, mode="wrap")   # wrap: u2 = -1 reads the 0.0
+        term *= per_cycle
+        w += term
+    return w
+
+
+def _member_gains(gains, u1, u2, ap, rrb):
+    """Each cell's gains of u1 and of u2 on its (AP, RRB), read from the
+    (N, M, Z) gains through one flat index, (u*M + ap)*Z + rrb, built in
+    one reused buffer. u2 = -1 gets NaN, the gain of a singleton's absent
+    member."""
+    _, n_aps, n_rrbs = gains.shape
+    if u1.size and not (0 <= ap.min() and ap.max() < n_aps
+                        and 0 <= rrb.min() and rrb.max() < n_rrbs):
+        raise IndexError(f"cells name an (AP, RRB) outside the {gains.shape} gains")
+    out = []
+    at = np.empty_like(u1)
+    for u in (u1, u2):
+        np.multiply(u, n_aps, out=at)
+        at += ap
+        at *= n_rrbs
+        at += rrb
+        out.append(gains.take(at))      # u2 = -1 reads a gain from the end
+    np.copyto(out[1], np.nan, where=u2 < 0)
+    return out
 
 
 def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
@@ -198,22 +230,26 @@ def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
 
     cells holds parallel integer arrays (u1, u2, ap, rrb), one entry per
     candidate cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton;
-    the graph holds them as int64. Powers
-    come from one call of the batched closed form and weights from
-    _weights at each AP's frequency cap. Clusters that miss the rate floor
-    or get a non-positive rate are dropped; the rest keep the order of
-    cells.
+    the graph holds them as int64. Both members' gains are read through one
+    flat index into the channel's (N, M, Z) gains, powers come from one
+    call of the batched closed form and weights from _weights at each AP's
+    frequency cap. Clusters that miss the rate floor or get a non-positive
+    rate are dropped; the rest keep the order of cells. When every cluster
+    passes, no filtered copy is made: the graph holds the int64 cell
+    columns and the solver's outputs as they are.
     """
     u1, u2, ap, rrb = (np.asarray(col, dtype=np.int64) for col in cells)
     chan = scenario.channel
-    # a singleton's absent member has gain NaN, no power and an unbounded rate
     p1, p2, r1, r2, obj, feas = solve_pairs_batch(
-        chan.gain_ud_rrb[u1, ap, rrb], np.where(u2 >= 0, chan.gain_ud_rrb[u2, ap, rrb], np.nan),
-        scenario.devices[0].p_max_w, chan.noise_w, chan.rrb_bandwidth_hz,
-        scenario.weights.rate_threshold_bps)
-    keep = np.flatnonzero(feas & (r1 > 0) & (r2 > 0))
-    u1, u2, ap, rrb, p1, p2, r1, r2, obj = (
-        col[keep] for col in (u1, u2, ap, rrb, p1, p2, r1, r2, obj))
+        *_member_gains(chan.gain_ud_rrb, u1, u2, ap, rrb), scenario.devices[0].p_max_w,
+        chan.noise_w, chan.rrb_bandwidth_hz, scenario.weights.rate_threshold_bps)
+    feas &= r1 > 0
+    feas &= r2 > 0
+    columns = (u1, u2, ap, rrb, p1, p2, r1, r2, obj)
+    if not feas.all():
+        keep = np.flatnonzero(feas)
+        columns = tuple(col[keep] for col in columns)
+    u1, u2, ap, rrb, p1, p2, r1, r2, obj = columns
     w = _weights(scenario, u1, u2, ap, r1, r2, {m.id: m.f_loc_max_cps for m in scenario.aps})
     return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, strict_cc2)
 
@@ -221,7 +257,23 @@ def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
 def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     """The vertices of a solved graph where the boolean mask keep is set,
     weighed at the per-AP frequencies in the dict f_loc; powers and rates
-    are reused, not solved again."""
+    are reused, not solved again.
+
+    When keep is set everywhere, the new graph shares graph's vertex
+    columns and slots instead of copying them, and only its weights are
+    new. The shared arrays are made read-only, in graph as well, so that
+    neither graph can change the other's vertices.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if keep.all():
+        shared = copy.copy(graph)
+        for name in ("u1", "u2", "rrb_arr", "ap_arr", "slot", "_p1", "_p2", "_r1", "_r2",
+                     "_obj"):
+            getattr(graph, name).flags.writeable = False
+        shared._adj_bits = None
+        shared.weights = _weights(scenario, graph.u1, graph.u2, graph.ap_arr, graph._r1,
+                                  graph._r2, f_loc)
+        return shared
     u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
         col[keep] for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
                               graph._p2, graph._r1, graph._r2, graph._obj))
@@ -231,23 +283,18 @@ def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
 
 def _ap_clusters(scenario):
     """Per AP, in scenario.aps order, its candidate clusters on one RRB:
-    the covered UDs as singletons and their pairs in triu order. Returns
-    (c1, c2), every AP's singletons and then every AP's pairs, with c2 = -1
-    for a singleton, as int32 to halve what the cache holds; per AP the
-    start and length of its singletons and of its pairs in there, as (A, 2)
-    arrays; the AP ids and RRB counts."""
-    covers = [sorted(scenario.coverage[ap.id]) for ap in scenario.aps]
-    n = np.array([len(c) for c in covers], dtype=np.int64)
-    ids = np.array([u for c in covers for u in c], dtype=np.int32)
-    # an AP's pair row p joins ids[p] with each later UD the AP covers
-    row_len = np.repeat(np.cumsum(n), n) - np.arange(ids.size) - 1
-    lo = np.repeat(np.arange(ids.size), row_len)
-    hi = lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(row_len) - row_len, row_len)
-    pairs = n * (n - 1) // 2
-    start = np.stack([np.cumsum(n) - n, ids.size + np.cumsum(pairs) - pairs], axis=1)
-    return (np.concatenate([ids, ids[lo]]),
-            np.concatenate([np.full(ids.size, -1, dtype=np.int32), ids[hi]]),
-            start, np.stack([n, pairs], axis=1),
+    the covered UDs as singletons, then their pairs in triu order. Returns
+    (c1, c2) as int64, the dtype the graph holds, with c2 = -1 for a
+    singleton and each AP's clusters in one block; the block offsets, A + 1
+    of them; the AP ids and RRB counts."""
+    c1, c2, offsets = [], [], [0]
+    for ap in scenario.aps:
+        ids = np.array(sorted(scenario.coverage[ap.id]), dtype=np.int64)
+        lo, hi = np.triu_indices(ids.size, 1)
+        c1 += [ids, ids[lo]]
+        c2 += [np.full(ids.size, -1, dtype=np.int64), ids[hi]]
+        offsets.append(offsets[-1] + ids.size + lo.size)
+    return (np.concatenate(c1), np.concatenate(c2), np.array(offsets),
             np.array([ap.id for ap in scenario.aps], dtype=np.int64),
             np.array([ap.num_rrbs for ap in scenario.aps], dtype=np.int64))
 
@@ -261,22 +308,22 @@ def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGra
     powers and weights are solved in one batch, and the returned graph
     builds its adjacency only if something reads ``adj_bits``. Each AP's
     one-RRB cluster list depends on the topology alone, so it is built once
-    per scenario and repeated over the RRBs here.
+    per scenario; here each (AP, RRB) slot copies its AP's block, so the
+    cells take no index array.
     """
-    c1, c2, start, length, ap_ids, num_rrbs = _cached(scenario, "ap_clusters", _ap_clusters)
-    if rrbs is not None:
+    c1, c2, offsets, ap_ids, num_rrbs = _cached(scenario, "ap_clusters", _ap_clusters)
+    if rrbs is None:
+        slot_ap = np.repeat(np.arange(ap_ids.size), num_rrbs)
+        slot_rrb = np.arange(slot_ap.size) - np.repeat(np.cumsum(num_rrbs) - num_rrbs, num_rrbs)
+    else:
         rrbs = np.asarray(rrbs, dtype=np.int64)
-        num_rrbs = np.full(ap_ids.size, rrbs.size, dtype=np.int64)
-    # one slot per (AP, RRB); each takes its AP's singletons, then its pairs
-    owner = np.repeat(np.arange(ap_ids.size), num_rrbs)
-    rrb = (np.arange(owner.size) - np.repeat(np.cumsum(num_rrbs) - num_rrbs, num_rrbs)
-           if rrbs is None else np.tile(rrbs, ap_ids.size))
-    seg_start, seg_len = start[owner].ravel(), length[owner].ravel()
-    cluster = np.arange(seg_len.sum()) - np.repeat(np.cumsum(seg_len) - seg_len - seg_start,
-                                                   seg_len)
-    slot_len = seg_len.reshape(-1, 2).sum(axis=1)
-    cells = (c1[cluster], c2[cluster], np.repeat(ap_ids[owner], slot_len),
-             np.repeat(rrb, slot_len))
+        slot_ap = np.repeat(np.arange(ap_ids.size), rrbs.size)
+        slot_rrb = np.tile(rrbs, ap_ids.size)
+    blocks = [slice(offsets[a], offsets[a + 1]) for a in slot_ap.tolist()]
+    size = np.diff(offsets)[slot_ap]
+    cells = (np.concatenate([c1[:0]] + [c1[b] for b in blocks]),
+             np.concatenate([c2[:0]] + [c2[b] for b in blocks]),
+             np.repeat(ap_ids[slot_ap], size), np.repeat(slot_rrb, size))
     return _solve_cells(scenario, cells, strict_cc2)
 
 
@@ -289,7 +336,7 @@ def build_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
 
 
 def _pruned_cells(scenario):
-    """build_pruned's candidate clusters as (u1, u2, ap, rrb) int32
+    """build_pruned's candidate clusters as (u1, u2, ap, rrb) int64
     columns. They read the tasks, the coverage and the AP budgets, not the
     channel."""
     n = len(scenario.devices)
@@ -330,10 +377,9 @@ def _pruned_cells(scenario):
     row, col = np.nonzero(take)
     seed, partner = seeds[row], col - 1
     ap_ids = np.array([ap.id for ap in scenario.aps], dtype=np.int64)
-    return tuple(col.astype(np.int32) for col in (
-        np.where(partner < 0, seed, np.minimum(seed, partner)),
-        np.where(partner < 0, -1, np.maximum(seed, partner)),
-        ap_ids[slot_ap][row], slot_rrb[row]))
+    return (np.where(partner < 0, seed, np.minimum(seed, partner)),
+            np.where(partner < 0, -1, np.maximum(seed, partner)),
+            ap_ids[slot_ap][row], slot_rrb[row])
 
 
 def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:

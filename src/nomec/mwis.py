@@ -43,17 +43,19 @@ def _slices(order):
         size *= _GROWTH
 
 
-def _sorted_chunks(graph: ConflictGraph, rank):
+def _sorted_chunks(graph: ConflictGraph, rank, subset=None):
     """The vertex order by (rank, ap, rrb, uds), in chunks of growing size.
 
-    A chunk of size k takes every remaining vertex whose rank is at most
-    the k-th smallest remaining rank, so equal ranks never straddle two
-    chunks, and is sorted only when the scan asks for it: by rank alone
-    when its ranks are distinct, else by lexsort, whose keys run
-    minor-first.
+    rank holds one entry per vertex. subset, an index array, restricts the
+    order to those vertices; by default it covers them all. A chunk of size
+    k takes every remaining vertex whose rank is at most the k-th smallest
+    remaining rank, so equal ranks never straddle two chunks, and is sorted
+    only when the scan asks for it: by rank alone when its ranks are
+    distinct, else by lexsort, whose keys run minor-first and which puts
+    NaN ranks last.
     """
     rank = np.asarray(rank, dtype=float)
-    rest = np.arange(len(rank))
+    rest = np.arange(len(rank)) if subset is None else subset
     size = _FIRST_CHUNK
     while rest.size:
         chunk = rest

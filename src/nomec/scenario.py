@@ -80,6 +80,18 @@ class ScenarioConfig:
         lo, hi = _finite_pair("task_size_range_bits", self.task_size_range_bits)
         if not (0 < lo <= hi):
             raise ConfigError(f"task_size_range_bits must satisfy 0 < lo <= hi, got {self.task_size_range_bits!r}")
+        # finite fields can still give an infinite task, load or AP cost,
+        # which would turn into inf and NaN costs
+        cycles = hi * self.density_cpb
+        f = self.f_loc_max_cps
+        for what, value in (
+                ("task cycles task_size_range_bits[1] * density_cpb", cycles),
+                ("single-task load task_size_range_bits[1] * density_cpb / deadline_s",
+                 cycles / self.deadline_s),
+                ("per-cycle AP cost 1 / f_loc_max_cps + alpha_cpu * f_loc_max_cps**2",
+                 1.0 / f + self.alpha_cpu * (f * f))):
+            if not math.isfinite(value):
+                raise ConfigError(f"{what} must be finite, got {value!r}")
         for name, count in (("ap_positions", self.n_aps), ("mec_positions", self.n_mecs)):
             points = getattr(self, name)
             if points is not None and (not isinstance(points, (tuple, list))

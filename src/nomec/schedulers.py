@@ -18,7 +18,7 @@ from .graph import build_pruned, enumerate_full, reweighed
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
 from .model import InvalidAssignmentError, Metrics, system_metrics
-from .mwis import (ORDERINGS, _greedy_by_order, _slices, greedy_min_wis,
+from .mwis import (ORDERINGS, _greedy_by_order, _sorted_chunks, greedy_min_wis,
                    random_maximal_is)
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
                       allocate_local, first_layer_weight, second_layer_weight)
@@ -171,14 +171,19 @@ def _pruned_greedy(scenario, opt: _Options):
     return _picked(graph, greedy_min_wis(graph, opt.ordering))
 
 
+def _pairs_first(graph):
+    """The vertex order by (is singleton, weight, ap, rrb, uds), as the
+    pairs' sorted chunks and then the singletons'."""
+    single = graph.u2 < 0
+    for subset in (np.flatnonzero(~single), np.flatnonzero(single)):
+        yield from _sorted_chunks(graph, graph.weights, subset)
+
+
 def _one_cluster_per_ap(scenario, opt: _Options):
     # one RRB per AP caps each collected group at a single cluster;
     # pairs order before singletons so clusters fill up
     graph = enumerate_full(scenario, strict_cc2=opt.strict_cc2, rrbs=[0])
-    singleton = (graph.u2 < 0).astype(np.int8)
-    order = np.lexsort((graph.u2, graph.u1, graph.rrb_arr, graph.ap_arr,
-                        graph.weights, singleton))
-    return _picked(graph, _greedy_by_order(graph, _slices(order)))
+    return _picked(graph, _greedy_by_order(graph, _pairs_first(graph)))
 
 
 def _random_maximal(scenario, opt: _Options):

@@ -3,12 +3,14 @@
 Everything here is written straight from the definitions in plain Python and
 deliberately shares no code with the package under test. The exceptions
 are graph_of, which only packs hand-written associations into the package's
-ConflictGraph so that tests can run the solvers on them;
-modified_ranks_by_unique, the package's earlier vectorized route kept as the
-bit-for-bit reference of its modified ranks; and full_cells_by_ap and
-pruned_cells_by_scan, the package's earlier per-call candidate builders,
-kept as the bit-for-bit reference of the candidate clusters it now builds
-once per topology.
+ConflictGraph so that tests can run the solvers on them; and the
+package's earlier routes, each kept as the bit-for-bit reference of the one
+that replaced it: modified_ranks_by_unique for its modified ranks;
+full_cells_by_ap and pruned_cells_by_scan, per-call candidate builders, for
+the candidate clusters it now builds once per topology; and
+solve_pairs_batch_by_where, solve_cells_by_copy, reweighed_by_copy and
+pairs_first_order, which allocate an array per step and sort in full, for
+its buffered power solve, graph assembly and chunked all_offload order.
 """
 
 import math
@@ -132,6 +134,89 @@ def modified_ranks_by_unique(graph):
     union[pair] += (by_ud[n:] - by_ud_slot[n:] - _sum_by_unique(w[pair], pair_key)
                     + _sum_by_unique(w[pair], pair_key * len(slots) + slot[pair]))
     return w * (w.sum() - union)
+
+
+def solve_pairs_batch_by_where(ud_lo_gain, ud_hi_gain, p_max, noise_w, bandwidth_hz,
+                                rate_threshold_bps):
+    """The batched closed form as one fresh array per step, np.where for
+    every selection: (p_lo, p_hi, rate_lo, rate_hi, objective, feasible)."""
+    g1 = np.asarray(ud_lo_gain, dtype=float)
+    g2 = np.asarray(ud_hi_gain, dtype=float)
+    pair = ~np.isnan(g2)
+    first_is_lo = ~(g2 > g1)
+    g_s = np.where(first_is_lo, g1, g2)
+    g_w = np.where(pair, np.where(first_is_lo, g2, g1), 0.0)
+    try:
+        gamma_th = 2.0 ** (rate_threshold_bps / bandwidth_hz) - 1.0
+    except OverflowError:
+        gamma_th = math.inf
+    p_s = np.full_like(g1, p_max)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if gamma_th > 0.0:
+            p_w_cap = (p_max * g_s / gamma_th - noise_w) / np.where(g_w > 0, g_w, np.nan)
+            p_w = np.minimum(p_max, p_w_cap)
+        else:
+            p_w = np.full_like(g1, p_max)
+        p_w = np.where(np.isfinite(p_w), p_w, p_max if gamma_th == 0.0 else -1.0)
+    p_w = np.where(pair, p_w, 0.0)
+    feasible = p_w >= 0.0
+    p_w = np.where(feasible, p_w, 0.0)
+    sinr_s = p_s * g_s / (p_w * g_w + noise_w)
+    sinr_w = p_w * g_w / noise_w
+    rate_s = bandwidth_hz * np.log2(1.0 + sinr_s)
+    rate_w = np.where(pair, bandwidth_hz * np.log2(1.0 + sinr_w), np.inf)
+    floor = rate_threshold_bps * (1.0 - 1e-12)
+    feasible &= (rate_s >= floor) & (rate_w >= floor)
+    objective = np.where(feasible, np.log2(1.0 + sinr_s) + np.log2(1.0 + sinr_w), -np.inf)
+    p_lo = np.where(first_is_lo, p_s, p_w)
+    p_hi = np.where(pair, np.where(first_is_lo, p_w, p_s), np.nan)
+    r_lo = np.where(first_is_lo, rate_s, rate_w)
+    r_hi = np.where(first_is_lo, rate_w, rate_s)
+    return p_lo, p_hi, r_lo, r_hi, objective, feasible
+
+
+def _weights_by_copy(scenario, u1, u2, ap, r1, r2, f_loc):
+    sizes = np.array([d.task.size_bits for d in scenario.devices] + [0.0])
+    cycles = np.array([d.task.cycles for d in scenario.devices] + [0.0])
+    f = np.array([f_loc[m.id] for m in scenario.aps])
+    per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f)[ap]
+    return sizes[u1] / r1 + sizes[u2] / r2 + cycles[u1] * per_cycle + cycles[u2] * per_cycle
+
+
+def solve_cells_by_copy(scenario, cells, strict_cc2):
+    """The graph over the feasible clusters among cells, (u1, u2, ap, rrb)
+    columns: gains by three-way fancy indexing, solve_pairs_batch_by_where,
+    a filtered copy of every column and weights at the frequency caps."""
+    u1, u2, ap, rrb = (np.asarray(col, dtype=np.int64) for col in cells)
+    chan = scenario.channel
+    p1, p2, r1, r2, obj, feas = solve_pairs_batch_by_where(
+        chan.gain_ud_rrb[u1, ap, rrb], np.where(u2 >= 0, chan.gain_ud_rrb[u2, ap, rrb], np.nan),
+        scenario.devices[0].p_max_w, chan.noise_w, chan.rrb_bandwidth_hz,
+        scenario.weights.rate_threshold_bps)
+    keep = np.flatnonzero(feas & (r1 > 0) & (r2 > 0))
+    u1, u2, ap, rrb, p1, p2, r1, r2, obj = (
+        col[keep] for col in (u1, u2, ap, rrb, p1, p2, r1, r2, obj))
+    w = _weights_by_copy(scenario, u1, u2, ap, r1, r2,
+                         {m.id: m.f_loc_max_cps for m in scenario.aps})
+    return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, strict_cc2)
+
+
+def reweighed_by_copy(scenario, graph, keep, f_loc):
+    """A copy of every column of graph where keep is set, weighed at the
+    per-AP frequencies f_loc."""
+    u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
+        col[keep] for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
+                              graph._p2, graph._r1, graph._r2, graph._obj))
+    w = _weights_by_copy(scenario, u1, u2, ap, r1, r2, f_loc)
+    return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, graph.strict_cc2)
+
+
+def pairs_first_order(graph):
+    """all_offload's vertex order from one full sort: pairs before
+    singletons, then by weight, AP, RRB and the UD ids."""
+    singleton = (graph.u2 < 0).astype(np.int8)
+    return np.lexsort((graph.u2, graph.u1, graph.rrb_arr, graph.ap_arr, graph.weights,
+                       singleton))
 
 
 GridSolution = namedtuple("GridSolution", "powers rates objective feasible")

@@ -1,6 +1,7 @@
 """Command line interface: argument handling, exit codes, output."""
 
 import json
+import warnings
 
 import pytest
 
@@ -171,13 +172,17 @@ def test_max_iters_below_one_exits_1(capsys):
 
 
 def test_bad_sweep_values_exit_1(capsys):
+    # the last four are finite but give an infinite task, load or AP cost
     for sweep in ("n_uds=0", "ap_positions=1", "w_latency=nan", "noise_dbm_hz=inf",
                   "n_uds=4,,5", "rrbs_per_ap=2.0", "p_max_dbm_hz=4000",
-                  "noise_dbm_hz=-4000"):
-        code, out, err = run_cli(["--sweep", sweep, "--trials", "1"], capsys)
+                  "noise_dbm_hz=-4000", "density_cpb=1e308", "f_loc_max_cps=1e-310",
+                  "deadline_s=1e-320", "task_size_range_bits=1e300:1e305"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["--sweep", sweep, "--trials", "1", "--summary"], capsys)
         assert code == 1, sweep
         assert err.startswith("error:") and sweep.split("=")[0] in err
-        assert out == ""
+        assert out == "" and not caught
 
 
 def test_seed_sweep_rejected_by_name(capsys):

@@ -519,3 +519,73 @@ def test_a_second_channel_gets_its_own_graph():
         on_b = build(with_channel(scn, channel_b))
         assert_same_graph(on_b, build(with_channel(generate(config), channel_b)))
         assert not np.array_equal(on_a.weights, on_b.weights)
+
+
+def old_path_graphs(scn, strict):
+    """(built graph, its old-path reference) pairs on one scenario: the full
+    enumeration on every RRB and on [0], the pruned graph, and the full
+    graph reweighed at half the caps with an all-true mask, the singleton
+    mask and an every-other-vertex mask."""
+    half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
+    full = enumerate_full(scn, strict_cc2=strict)
+    full_ref = oracles.solve_cells_by_copy(scn, oracles.full_cells_by_ap(scn), strict)
+    yield full, full_ref
+    yield (enumerate_full(scn, strict_cc2=strict, rrbs=[0]),
+           oracles.solve_cells_by_copy(scn, oracles.full_cells_by_ap(scn, [0]), strict))
+    yield (build_pruned(scn, strict_cc2=strict),
+           oracles.solve_cells_by_copy(scn, oracles.pruned_cells_by_scan(scn), strict))
+    every_other = np.arange(len(full)) % 2 == 0
+    for keep in (np.ones(len(full), bool), full.u2 < 0, every_other):
+        yield (reweighed(scn, full, keep, half),
+               oracles.reweighed_by_copy(scn, full_ref, keep, half))
+
+
+def test_graph_columns_match_the_copying_path():
+    """Every column of the enumerated, pruned and reweighed graphs equals,
+    bit for bit and in dtype, what the path that gathers with three
+    indices, solves one array per step and copies every filtered column
+    gives; one topology has cells that miss the rate floor."""
+    graphs = 0
+    for topology in CACHE_TOPOLOGIES + (
+            lambda: generate(ScenarioConfig(n_uds=24, rate_threshold_bps=2e7, seed=8)),):
+        base = topology()
+        for trial in range(2):
+            scn = with_channel(base, realize_channels(base, trial))
+            for strict in (False, True):
+                for got, want in old_path_graphs(scn, strict):
+                    assert_same_graph(got, want)
+                    graphs += 1
+    assert graphs == (len(CACHE_TOPOLOGIES) + 1) * 2 * 2 * 6
+
+
+def test_reweighing_every_vertex_shares_read_only_columns():
+    scn = generate(ScenarioConfig(n_uds=12, seed=3))
+    full = enumerate_full(scn)
+    weights = full.weights.copy()
+    half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
+    shared = reweighed(scn, full, np.ones(len(full), bool), half)
+    for name in GRAPH_COLUMNS:
+        if name == "weights":
+            continue
+        column = getattr(shared, name)
+        assert column is getattr(full, name) and not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            column[0] = column[0]
+    assert full.weights.tobytes() == weights.tobytes() and full.weights.flags.writeable
+    assert shared.weights is not full.weights
+    assert shared.weights.tobytes() != weights.tobytes()
+    # a partial mask copies: its columns stay writeable
+    part = reweighed(scn, full, full.u2 < 0, half)
+    assert part.u1.flags.writeable and not np.shares_memory(part.u1, full.u1)
+
+
+def test_cells_outside_the_channel_gains_are_refused():
+    """The flat gain index would silently read another UD's row for an AP
+    or RRB past the gains' shape, so such cells raise, as indexing the
+    (N, M, Z) array itself does."""
+    scn = generate(ScenarioConfig(n_uds=6, n_aps=3, rrbs_per_ap=2, seed=1))
+    col = lambda *v: np.array(v, dtype=np.int64)
+    for ap, rrb in ((3, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            _solve_cells(scn, (col(0, 1), col(-1, 2), col(0, ap), col(0, rrb)), False)
+    assert len(_solve_cells(scn, (col(0, 1), col(-1, 2), col(0, 2), col(0, 1)), False)) <= 2

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from nomec import ChannelState, ClusterPowerSolution, PowerConstraints, solve_cluster_power
+from nomec import (ChannelState, ClusterPowerSolution, PowerConstraints, ScenarioConfig,
+                   generate, solve_cluster_power)
 from nomec.power import solve_pairs_batch, solve_singletons_batch
 from conftest import gain_arrays
-from oracles import grid_oracle, shannon_rate, sic_sinr
+from oracles import (full_cells_by_ap, grid_oracle, shannon_rate, sic_sinr,
+                     solve_pairs_batch_by_where)
 
 NOISE = 4e-14
 B0 = 1e7
@@ -220,3 +222,42 @@ def test_solution_is_frozen_record():
     sol = ClusterPowerSolution((0.5,), (1e6,), 0.1, True)
     with pytest.raises(Exception):
         sol.objective = 0.2
+
+
+def enumerated_gains(n_uds):
+    """The (lower-id, higher-id) member gains of every full-graph cell of
+    a default scenario with n_uds UDs, NaN for a singleton's absent one."""
+    scn = generate(ScenarioConfig(n_uds=n_uds))
+    u1, u2, ap, rrb = full_cells_by_ap(scn)
+    gains = scn.channel.gain_ud_rrb
+    return (scn.devices[0].p_max_w, scn.channel.noise_w, gains[u1, ap, rrb],
+            np.where(u2 >= 0, gains[u2, ap, rrb], np.nan))
+
+
+def edge_gains():
+    """Random pairs and singletons mixed with NaN, equal and zero gains."""
+    rng = np.random.default_rng(23)
+    g_lo = 10.0 ** rng.uniform(-15.0, -9.0, size=4000)
+    g_hi = 10.0 ** rng.uniform(-15.0, -9.0, size=4000)
+    g_hi[::5] = np.nan
+    g_hi[1::7] = g_lo[1::7]
+    g_lo[2::11], g_hi[3::13] = 0.0, 0.0
+    g_lo[4::17] = np.nan
+    g_lo[5::19] = g_hi[5::19] = 0.0
+    return 0.5, NOISE, g_lo, g_hi
+
+
+@pytest.mark.parametrize("case", ["edges", "n_uds=96", "n_uds=400"])
+def test_pairs_batch_keeps_the_bits_of_the_textbook_form(case):
+    """The buffered solve returns, bit for bit and dtype for dtype, what
+    the one-array-per-step form returns, on every output, up to a floor
+    2 ** (R / B) overflows."""
+    p_max, noise, g_lo, g_hi = edge_gains() if case == "edges" else enumerated_gains(
+        int(case.split("=")[1]))
+    for threshold in (0.0, 5e4, 5e6, 2e7, 2e10):
+        got = solve_pairs_batch(g_lo, g_hi, p_max, noise, B0, threshold)
+        want = solve_pairs_batch_by_where(g_lo, g_hi, p_max, noise, B0, threshold)
+        for name, a, b in zip(("p_lo", "p_hi", "r_lo", "r_hi", "objective", "feasible"),
+                              got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (threshold, name)
+        assert got[5].any() == (threshold < 2e10)

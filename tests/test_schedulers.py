@@ -12,7 +12,8 @@ from nomec import graph as graph_module
 from nomec.graph import reweighed
 from nomec import schedulers
 from nomec.model import InvalidAssignmentError
-from oracles import conflicts, modified_ranks_by_unique
+from oracles import (conflicts, graph_of, modified_ranks_by_unique, pairs_first_order,
+                     picks_in_order)
 
 BASE = dict(n_uds=10, n_aps=4, n_mecs=2, rrbs_per_ap=2)
 
@@ -119,6 +120,41 @@ def test_all_offload_structure():
         assert len(admitted) <= len(scn.mecs)
         assert plan.failed_aps == set(schedule.ap_groups) - admitted
         assert plan.fallback_aps == frozenset()
+
+
+def offload_graphs():
+    """Hand-built graphs of 3,000 vertices, two thirds of them pairs, under
+    both CC2 rules, with weights drawn from four values (many ties), with
+    a tenth of them NaN, and with distinct weights."""
+    rng = np.random.default_rng(29)
+    for strict in (False, True):
+        for kind in ("tied", "nan", "distinct"):
+            assocs = []
+            for i in range(3000):
+                uds = tuple(sorted(rng.choice(40, size=1 + (i % 3 > 0), replace=False).tolist()))
+                weight = (float(rng.integers(1, 5)) if kind == "tied" else
+                          float("nan") if kind == "nan" and i % 10 == 0 else float(rng.random()))
+                assocs.append(NomaAssociation(uds, int(rng.integers(3)), int(rng.integers(5)),
+                                              None, weight))
+            yield graph_of(assocs, strict_cc2=strict)
+
+
+def test_all_offload_order_is_the_pairs_first_sort():
+    """all_offload's chunked order is the one full sort by (is singleton,
+    weight, ap, rrb, uds), NaN weights last in each part, and its greedy
+    picks what walking that sort picks."""
+    for graph in offload_graphs():
+        want = pairs_first_order(graph)
+        assert np.concatenate(list(schedulers._pairs_first(graph))).tolist() == want.tolist()
+        picks = schedulers._greedy_by_order(graph, schedulers._pairs_first(graph)).indices
+        assert picks == picks_in_order(graph, order=want.tolist())
+    for seed in range(6):
+        for strict in (False, True):
+            scn = small_scenario(40 + seed)
+            _, plan = run_scheme(scn, "all_offload", strict_cc2=strict)
+            graph = plan.extras["final_graph"]
+            assert plan.extras["final_is_indices"] == picks_in_order(
+                graph, order=pairs_first_order(graph).tolist())
 
 
 def test_random_is_seeded():
