@@ -3,16 +3,15 @@ edge computing."""
 
 from .model import (AccessPoint, ChannelState, CostWeights,
                     InfeasibleUploadError, InvalidAssignmentError,
-                    InvalidTopologyError, MecServer, Metrics, RrbAssignment,
-                    Task, UserDevice, backhaul_rate, group_demand_cps,
-                    local_cost, mec_cost, sinr, system_metrics, uplink_rate)
+                    InvalidTopologyError, MecServer, Metrics, Task, UserDevice,
+                    backhaul_rate, group_demand_cps, local_cost, mec_cost,
+                    system_metrics)
 from .scenario import (ConfigError, Scenario, ScenarioConfig, generate,
                        load_config, realize_channels, with_channel)
-from .power import ClusterPowerSolution, PowerConstraints, solve_cluster_power
+from .power import ClusterPowerSolution
 from .graph import (ConflictGraph, NomaAssociation, build_full, build_pruned,
                     enumerate_full, modified_weight)
-from .mwis import (IndependentSet, exact_min_wis, greedy_min_wis,
-                   is_independent, is_maximal, modified_ranks,
+from .mwis import (IndependentSet, greedy_min_wis, modified_ranks,
                    random_maximal_is)
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
                       allocate_local, first_layer_weight, second_layer_weight)

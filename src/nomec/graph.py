@@ -12,7 +12,7 @@ schedulers use. Adjacency is explicit only as packed bitset rows, built
 lazily on first access to ``adj_bits`` with vectorized pairwise
 comparisons. build_full forces that build, so its cost scales with the
 square of the vertex count, as the enumeration the paper describes does;
-the exact search and the tests use the explicit rows.
+only the tests read the explicit rows.
 """
 
 import bisect
@@ -92,12 +92,12 @@ class ConflictGraph:
         if u2 < 0:
             uds = (int(self.u1[i]),)
             sol = ClusterPowerSolution((float(self._p1[i]),), (float(self._r1[i]),),
-                                       float(self._obj[i]), True)
+                                       float(self._obj[i]))
         else:
             uds = (int(self.u1[i]), u2)
             sol = ClusterPowerSolution((float(self._p1[i]), float(self._p2[i])),
                                        (float(self._r1[i]), float(self._r2[i])),
-                                       float(self._obj[i]), True)
+                                       float(self._obj[i]))
         return NomaAssociation(uds, int(self.rrb_arr[i]), int(self.ap_arr[i]),
                                sol, float(self.weights[i]))
 
@@ -152,11 +152,6 @@ class ConflictGraph:
         n = len(self.weights)
         return np.unpackbits(self.adj_bits[i], count=n).astype(bool)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean matrix; intended for small graphs and tests."""
-        n = len(self.weights)
-        return np.unpackbits(self.adj_bits, axis=1, count=n).astype(bool)
-
 
 def modified_weight(i: int, graph: ConflictGraph) -> float:
     """Weight times the total weight of non-adjacent other vertices."""
@@ -182,6 +177,17 @@ def _task_columns(scenario):
     0.0 that u2 = -1 reads."""
     return (np.array([d.task.size_bits for d in scenario.devices] + [0.0]),
             np.array([d.task.cycles for d in scenario.devices] + [0.0]))
+
+
+def _power_cap(scenario):
+    """The UDs' one transmit power cap, as a one-entry array. The closed
+    form solves every cluster at one cap, so caps that differ are refused."""
+    first = scenario.devices[0]
+    for d in scenario.devices:
+        if d.p_max_w != first.p_max_w:
+            raise ValueError(f"ud {d.id} has p_max_w {d.p_max_w!r} but ud {first.id} has "
+                             f"{first.p_max_w!r}; every UD must share one power cap")
+    return (np.array([first.p_max_w]),)
 
 
 def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
@@ -232,16 +238,18 @@ def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
     candidate cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton;
     the graph holds them as int64. Both members' gains are read through one
     flat index into the channel's (N, M, Z) gains, powers come from one
-    call of the batched closed form and weights from _weights at each AP's
-    frequency cap. Clusters that miss the rate floor or get a non-positive
-    rate are dropped; the rest keep the order of cells. When every cluster
-    passes, no filtered copy is made: the graph holds the int64 cell
-    columns and the solver's outputs as they are.
+    call of the batched closed form at the UDs' one power cap, and weights
+    from _weights at each AP's frequency cap. Clusters that miss the rate
+    floor or get a non-positive rate are dropped; the rest keep the order
+    of cells. When every cluster passes, no filtered copy is made: the
+    graph holds the int64 cell columns and the solver's outputs as they
+    are.
     """
     u1, u2, ap, rrb = (np.asarray(col, dtype=np.int64) for col in cells)
     chan = scenario.channel
+    p_max = float(_cached(scenario, "power_cap", _power_cap)[0][0])
     p1, p2, r1, r2, obj, feas = solve_pairs_batch(
-        *_member_gains(chan.gain_ud_rrb, u1, u2, ap, rrb), scenario.devices[0].p_max_w,
+        *_member_gains(chan.gain_ud_rrb, u1, u2, ap, rrb), p_max,
         chan.noise_w, chan.rrb_bandwidth_hz, scenario.weights.rate_threshold_bps)
     feas &= r1 > 0
     feas &= r2 > 0

@@ -19,11 +19,6 @@ from .scenario import ScenarioConfig, generate, realize_channels, with_channel
 from .mwis import ORDERINGS
 from .schedulers import SCHEMES, run_scheme
 
-CSV_COLUMNS = ("scheme", "sweep_var", "sweep_value", "trial", "latency_s",
-               "energy_j", "cost", "capacity", "scheduled", "wall_time_s",
-               "vertices")
-
-
 class HarnessError(RuntimeError):
     pass
 
@@ -80,6 +75,10 @@ class ResultRow:
     scheduled: int
     wall_time_s: float
     vertices: int
+
+
+# the CSV header and read_rows' conversions follow ResultRow's fields
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def _derive_seed(*path) -> int:
@@ -206,14 +205,7 @@ def emit(rows, path: str, fmt: str = "csv"):
 
 def read_rows(path: str):
     """Read back a CSV produced by emit into ResultRow objects."""
+    fields = dataclasses.fields(ResultRow)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(ResultRow(rec["scheme"], rec["sweep_var"],
-                                  float(rec["sweep_value"]), int(rec["trial"]),
-                                  float(rec["latency_s"]), float(rec["energy_j"]),
-                                  float(rec["cost"]), int(rec["capacity"]),
-                                  int(rec["scheduled"]), float(rec["wall_time_s"]),
-                                  int(rec["vertices"])))
-    return rows
+        return [ResultRow(*(f.type(rec[f.name]) for f in fields))
+                for rec in csv.DictReader(fh)]

@@ -1,4 +1,5 @@
-"""Core system model: entities, link rates, and per-group cost formulas.
+"""Core system model: entities, the backhaul rate, and per-group cost
+formulas. Uplink SIC rates come from the power solve in power.py.
 
 Units are SI throughout: bits, cycles, seconds, watts, Hz. Channel gains are
 linear power gains (dimensionless), noise is total watts over one RRB.
@@ -128,58 +129,12 @@ class Metrics:
     scheduled_uds: int
 
 
-@dataclass(frozen=True)
-class RrbAssignment:
-    """The co-scheduled members of one RRB at one AP.
-
-    members is a tuple of (ud_id, power_w) pairs; decoding follows
-    descending channel gain with ties broken by ascending ud id.
-    """
-    ap: int
-    rrb: int
-    members: tuple
-
-
 def _link_gain(gains: np.ndarray, key: tuple, what: str) -> float:
     """gains[key], checked against the array bounds: numpy would wrap a
     negative index onto another link."""
     if not all(0 <= i < n for i, n in zip(key, gains.shape)):
         raise InvalidTopologyError(f"no {what}")
     return gains[key]
-
-
-def sinr(slice_: RrbAssignment, ud_id: int, channel: ChannelState) -> float:
-    """SINR of ud_id inside one NOMA cluster under SIC.
-
-    A member is decoded before every member with a strictly smaller gain
-    (ties: the smaller id decodes first), so it sees only the later ones
-    as interference. The last-decoded member gets an interference-free SNR.
-    """
-    powers = dict(slice_.members)
-    if ud_id not in powers:
-        raise InvalidAssignmentError(f"ud {ud_id} not scheduled on rrb {slice_.rrb} of ap {slice_.ap}")
-
-    def gain_of(n):
-        return _link_gain(channel.gain_ud_rrb, (n, slice_.ap, slice_.rrb),
-                          f"uplink gain for ud {n} on ap {slice_.ap} rrb {slice_.rrb}")
-
-    g = gain_of(ud_id)
-    interference = 0.0
-    for n, p in slice_.members:
-        if n == ud_id:
-            continue
-        gn = gain_of(n)
-        # decoded after ud_id <=> weaker gain, or equal gain with larger id
-        if gn < g or (gn == g and n > ud_id):
-            interference += p * gn
-    return powers[ud_id] * g / (interference + channel.noise_w)
-
-
-def uplink_rate(sinr_value: float, channel: ChannelState) -> float:
-    """Shannon rate over one RRB, bits/s."""
-    if sinr_value < 0:
-        raise ValueError("sinr must be >= 0")
-    return channel.rrb_bandwidth_hz * math.log2(1.0 + sinr_value)
 
 
 def backhaul_rate(ap: AccessPoint, mec: MecServer, channel: ChannelState,

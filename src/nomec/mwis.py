@@ -6,9 +6,9 @@ Conflicts are shared UDs or shared slots, so the greedy and random passes
 work on UD/slot incidence: a vertex is taken when its UDs and its slot are
 all still unused, with no edge list. The pass reads its order in chunks and
 stops once every slot or every UD is used, and the greedy sorts only the
-prefix of its order that the pass reaches. An exact enumerator (for small
-graphs, on the explicit adjacency) and a seeded random maximal set provide
-the quality bounds.
+prefix of its order that the pass reaches. A seeded random maximal set
+provides the baseline; the exact search that bounds the greedy from below
+lives with the test oracles.
 """
 
 from dataclasses import dataclass
@@ -161,75 +161,7 @@ def random_maximal_is(graph: ConflictGraph, seed: int) -> IndependentSet:
     return _greedy_by_order(graph, _slices(rng.permutation(len(graph))))
 
 
-_EXACT_LIMIT = 25
-
-
-def exact_min_wis(graph: ConflictGraph) -> IndependentSet:
-    """Exhaustive minimum-weight maximal independent set, at most 25 vertices.
-
-    Maximal independent sets of the graph are the maximal cliques of its
-    complement, enumerated Bron-Kerbosch style over int bitmasks.
-    """
-    n = len(graph)
-    if n > _EXACT_LIMIT:
-        raise ValueError(f"exact search limited to {_EXACT_LIMIT} vertices, got {n}")
-    if n == 0:
-        return IndependentSet((), 0.0)
-    adj = graph.adjacency_matrix()
-    full = (1 << n) - 1
-    comp = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if j != i and not adj[i, j]:
-                mask |= 1 << j
-        comp.append(mask)
-    weights = graph.weights
-    best = None  # (total_weight, sorted index tuple)
-
-    def bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def bk(r_mask, p_mask, x_mask):
-        nonlocal best
-        if p_mask == 0 and x_mask == 0:
-            members = tuple(bits(r_mask))
-            cand = (float(sum(weights[i] for i in members)), members)
-            if best is None or cand < best:
-                best = cand
-            return
-        pivot = max(bits(p_mask | x_mask), key=lambda u: bin(p_mask & comp[u]).count("1"))
-        for v in bits(p_mask & ~comp[pivot]):
-            bk(r_mask | (1 << v), p_mask & comp[v], x_mask & comp[v])
-            p_mask &= ~(1 << v)
-            x_mask |= 1 << v
-
-    bk(0, full, 0)
-    return _collect(graph, best[1])
-
-
 def _used_uds(graph: ConflictGraph, idx) -> np.ndarray:
     """The UDs of the given vertices, one entry per use."""
     u2 = graph.u2[idx]
     return np.concatenate([graph.u1[idx], u2[u2 >= 0]])
-
-
-def is_independent(graph: ConflictGraph, indices) -> bool:
-    """No UD and no slot is used twice by the distinct given vertices."""
-    idx = np.unique(np.asarray(indices, dtype=np.int64))
-    uds = _used_uds(graph, idx)
-    return (np.unique(uds).size == uds.size
-            and np.unique(graph.slot[idx]).size == idx.size)
-
-
-def is_maximal(graph: ConflictGraph, indices) -> bool:
-    """No surviving vertex could still be added: every vertex uses a UD or
-    the slot of some given vertex."""
-    idx = np.asarray(indices, dtype=np.int64)
-    uds = _used_uds(graph, idx)
-    blocked = (np.isin(graph.u1, uds) | np.isin(graph.u2, uds)
-               | np.isin(graph.slot, graph.slot[idx]))
-    return bool(blocked.all())

@@ -76,15 +76,22 @@ def admission_control(g_by_ap: dict, affinity: dict, mec_ids) -> AdmissionPlan:
 
     Candidates are served in descending first-layer weight (ties by AP id);
     each admitted AP takes its highest-affinity surviving MEC (ties by MEC
-    id). The assignment is injective; everyone else stays unadmitted.
+    id). A MEC the AP's affinity for is not positive, such as one behind a
+    zero-rate backhaul link, is never its pick; an AP with no
+    positive-affinity MEC left stays unadmitted and the next candidate is
+    served. The assignment is injective; everyone else stays unadmitted.
     """
     order = sorted(g_by_ap, key=lambda ap: (-g_by_ap[ap], ap))
     remaining = list(mec_ids)
     y = {ap: False for ap in g_by_ap}
     assignment = {}
-    for ap in order[:len(remaining)]:
-        best = max(remaining, key=lambda k: (affinity[(ap, k)], -k))
-        remaining.remove(best)
-        y[ap] = True
-        assignment[ap] = best
+    for ap in order:
+        if not remaining:
+            break
+        usable = [k for k in remaining if affinity[(ap, k)] > 0]
+        if usable:
+            best = max(usable, key=lambda k: (affinity[(ap, k)], -k))
+            remaining.remove(best)
+            y[ap] = True
+            assignment[ap] = best
     return AdmissionPlan(y, assignment)

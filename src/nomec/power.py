@@ -5,7 +5,7 @@ subject to per-UD power caps and a per-UD rate floor. The uplink sum rate
 log2((p_s*g_s + p_w*g_w + noise)/noise) is increasing in both powers, so the
 optimum sits at p_strong = p_max with p_weak at p_max or on the rate-floor
 boundary of the strong UD. solve_pairs_batch is that closed form for many
-clusters at once; solve_cluster_power is a one-cluster call of it.
+clusters at once, and every rate a schedule reports comes from it.
 """
 
 import math
@@ -15,49 +15,12 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class PowerConstraints:
-    p_max_w: float
-    rate_threshold_bps: float = 0.0
-
-    def __post_init__(self):
-        if self.p_max_w <= 0:
-            raise ValueError("p_max_w must be positive")
-        if self.rate_threshold_bps < 0:
-            raise ValueError("rate_threshold_bps must be >= 0")
-
-
-@dataclass(frozen=True)
 class ClusterPowerSolution:
-    """powers/rates follow the candidate's member order. objective is the
-    sum of log2(1+sinr) terms (bandwidth-free); infeasible solutions carry
-    zero powers and -inf objective."""
+    """The solved powers and rates of a feasible cluster, in its member
+    order, and the sum of its log2(1+sinr) terms (bandwidth-free)."""
     powers: tuple
     rates: tuple
     objective: float
-    feasible: bool
-
-
-def solve_cluster_power(members, channel, constraints: PowerConstraints) -> ClusterPowerSolution:
-    """Sum-rate optimal powers for one cluster.
-
-    members: sequence of (ud_id, linear_gain), length 1 or 2. On equal
-    gains the lower UD id decodes first, whatever the member order.
-    """
-    if len(members) not in (1, 2):
-        raise ValueError("clusters hold 1 or 2 UDs")
-    # the batch form takes members by ascending id, which settles gain ties;
-    # a singleton's absent higher-id member has gain NaN
-    by_id = sorted(range(len(members)), key=lambda i: members[i][0])
-    gains = [[members[i][1]] for i in by_id] + [[math.nan]]
-    p_lo, p_hi, r_lo, r_hi, obj, feasible = solve_pairs_batch(
-        gains[0], gains[1], constraints.p_max_w, channel.noise_w,
-        channel.rrb_bandwidth_hz, constraints.rate_threshold_bps)
-    if not feasible[0]:
-        zeros = (0.0,) * len(members)
-        return ClusterPowerSolution(zeros, zeros, float("-inf"), False)
-    solved = [(float(p_lo[0]), float(r_lo[0])), (float(p_hi[0]), float(r_hi[0]))]
-    powers, rates = zip(*(solved[by_id.index(i)] for i in range(len(members))))
-    return ClusterPowerSolution(powers, rates, float(obj[0]), True)
 
 
 def solve_pairs_batch(ud_lo_gain, ud_hi_gain, p_max, noise_w, bandwidth_hz,

@@ -17,7 +17,7 @@ import numpy as np
 from .graph import build_pruned, enumerate_full, reweighed
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
-from .model import InvalidAssignmentError, Metrics, system_metrics
+from .model import InvalidAssignmentError, Metrics, backhaul_rate, system_metrics
 from .mwis import (ORDERINGS, _greedy_by_order, _sorted_chunks, greedy_min_wis,
                    random_maximal_is)
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
@@ -209,16 +209,26 @@ def _admit_weighted(scenario, schedule, candidates, seed):
 
 
 def _admit_random(scenario, schedule, candidates, seed):
-    """Seeded uniformly random admission onto distinct MECs."""
+    """Seeded uniformly random admission onto distinct MECs, in a random
+    candidate order. An AP draws among the MECs left whose backhaul rate
+    for it is positive; with none left it stays unadmitted and draws
+    nothing."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    remaining = [mec.id for mec in scenario.mecs]
-    n_admit = min(len(remaining), len(candidates))
+    ap_by_id = {a.id: a for a in scenario.aps}
+    remaining = list(scenario.mecs)
     y = {m: False for m in candidates}
     assignment = {}
-    for idx in rng.permutation(len(candidates))[:n_admit]:
+    for idx in rng.permutation(len(candidates)):
+        if not remaining:
+            break
         m = candidates[idx]
-        y[m] = True
-        assignment[m] = remaining.pop(int(rng.integers(len(remaining))))
+        usable = [k for k in remaining if backhaul_rate(
+            ap_by_id[m], k, scenario.channel, scenario.backhaul_bandwidth_scaling) > 0]
+        if usable:
+            mec = usable[int(rng.integers(len(usable)))]
+            remaining.remove(mec)
+            y[m] = True
+            assignment[m] = mec.id
     return AdmissionPlan(y, assignment)
 
 

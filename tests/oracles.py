@@ -3,8 +3,11 @@
 Everything here is written straight from the definitions in plain Python and
 deliberately shares no code with the package under test. The exceptions
 are graph_of, which only packs hand-written associations into the package's
-ConflictGraph so that tests can run the solvers on them; and the
-package's earlier routes, each kept as the bit-for-bit reference of the one
+ConflictGraph so that tests can run the solvers on them; the references
+that read a ConflictGraph's vertex arrays or packed rows directly:
+adjacency_matrix, is_independent, is_maximal and exact_min_wis, the
+exhaustive search that bounds the greedy from below; and the package's
+earlier routes, each kept as the bit-for-bit reference of the one
 that replaced it: modified_ranks_by_unique for its modified ranks;
 full_cells_by_ap and pruned_cells_by_scan, per-call candidate builders, for
 the candidate clusters it now builds once per topology; and
@@ -100,6 +103,86 @@ def graph_of(assocs, strict_cc2=False):
     cols = [np.array([row[k] for row in rows], dtype=np.int64 if k < 4 else float)
             for k in range(10)]
     return ConflictGraph(*cols, strict_cc2=strict_cc2)
+
+
+def adjacency_matrix(graph):
+    """The graph's packed adjacency rows as a dense boolean matrix."""
+    return np.unpackbits(graph.adj_bits, axis=1, count=len(graph)).astype(bool)
+
+
+def _used_uds(graph, idx):
+    u2 = graph.u2[idx]
+    return np.concatenate([graph.u1[idx], u2[u2 >= 0]])
+
+
+def is_independent(graph, indices):
+    """No UD and no slot is used twice by the distinct given vertices."""
+    idx = np.unique(np.asarray(indices, dtype=np.int64))
+    uds = _used_uds(graph, idx)
+    return (np.unique(uds).size == uds.size
+            and np.unique(graph.slot[idx]).size == idx.size)
+
+
+def is_maximal(graph, indices):
+    """No surviving vertex could still be added: every vertex uses a UD or
+    the slot of some given vertex."""
+    idx = np.asarray(indices, dtype=np.int64)
+    uds = _used_uds(graph, idx)
+    blocked = (np.isin(graph.u1, uds) | np.isin(graph.u2, uds)
+               | np.isin(graph.slot, graph.slot[idx]))
+    return bool(blocked.all())
+
+
+ExactSet = namedtuple("ExactSet", "indices total_weight")
+EXACT_LIMIT = 25
+
+
+def exact_min_wis(graph):
+    """Exhaustive minimum-weight maximal independent set, at most 25
+    vertices, as (sorted indices, total weight).
+
+    Maximal independent sets of the graph are the maximal cliques of its
+    complement, enumerated Bron-Kerbosch style over int bitmasks. Reaches
+    past the all-subsets search below, which tops out near 14 vertices.
+    """
+    n = len(graph)
+    if n > EXACT_LIMIT:
+        raise ValueError(f"exact search limited to {EXACT_LIMIT} vertices, got {n}")
+    if n == 0:
+        return ExactSet((), 0.0)
+    adj = adjacency_matrix(graph)
+    comp = []
+    for i in range(n):
+        mask = 0
+        for j in range(n):
+            if j != i and not adj[i, j]:
+                mask |= 1 << j
+        comp.append(mask)
+    weights = graph.weights
+    best = None  # (total_weight, sorted index tuple)
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def bk(r_mask, p_mask, x_mask):
+        nonlocal best
+        if p_mask == 0 and x_mask == 0:
+            members = tuple(bits(r_mask))
+            cand = (float(sum(weights[i] for i in members)), members)
+            if best is None or cand < best:
+                best = cand
+            return
+        pivot = max(bits(p_mask | x_mask), key=lambda u: bin(p_mask & comp[u]).count("1"))
+        for v in bits(p_mask & ~comp[pivot]):
+            bk(r_mask | (1 << v), p_mask & comp[v], x_mask & comp[v])
+            p_mask &= ~(1 << v)
+            x_mask |= 1 << v
+
+    bk(0, (1 << n) - 1, 0)
+    return ExactSet(best[1], float(sum(weights[i] for i in best[1])))
 
 
 def modified_weight(i, adj, weights):
@@ -220,13 +303,15 @@ def pairs_first_order(graph):
 
 
 GridSolution = namedtuple("GridSolution", "powers rates objective feasible")
+# the power cap and rate floor grid_oracle searches under
+PowerLimits = namedtuple("PowerLimits", "p_max_w rate_threshold_bps")
 
 
 def grid_oracle(members, channel, constraints, resolution=512):
     """Best sum-rate powers of one cluster over a uniform power grid.
 
     members is a list of 1 or 2 (ud_id, linear_gain); channel supplies
-    noise_w and rrb_bandwidth_hz, constraints p_max_w and
+    noise_w and rrb_bandwidth_hz, constraints (a PowerLimits) p_max_w and
     rate_threshold_bps. Each axis has resolution points from 0 to p_max
     (resolution=2 evaluates only the corners). Decoding runs in descending
     gain order (ties: ascending id), so the first decoded member sees the

@@ -6,6 +6,7 @@ suite output doubles as the release checklist.
 """
 
 import dataclasses
+import math
 import subprocess
 import sys
 import time
@@ -14,17 +15,14 @@ import numpy as np
 import pytest
 
 from conftest import gain_arrays, record_criterion
-from nomec import (SCHEMES, ExperimentSpec, PowerConstraints, ScenarioConfig,
-                   build_full, build_pruned, exact_min_wis,
-                   generate, greedy_min_wis, group_demand_cps,
-                   random_maximal_is, run_experiment, run_scheme,
-                   solve_cluster_power)
-from nomec.model import (AccessPoint, ChannelState, CostWeights, MecServer,
-                         RrbAssignment, Task, backhaul_rate, local_cost,
-                         mec_cost, sinr, uplink_rate)
-from nomec.mwis import is_independent, is_maximal
+from nomec import (SCHEMES, ExperimentSpec, ScenarioConfig, build_full, build_pruned,
+                   enumerate_full, generate, greedy_min_wis, group_demand_cps,
+                   random_maximal_is, run_experiment, run_scheme)
+from nomec.model import (AccessPoint, ChannelState, CostWeights, MecServer, Task,
+                         backhaul_rate, local_cost, mec_cost)
+from nomec.power import solve_pairs_batch
 import oracles
-from oracles import conflicts
+from oracles import conflicts, exact_min_wis, is_independent, is_maximal
 
 NOISE = 4e-14
 B0 = 1e7
@@ -49,20 +47,24 @@ def test_criterion_01_formula_oracle():
         worst = max(worst, rel_err(got, want))
         checked += 1
 
-    # uplink SIC SINR and Shannon rate over random clusters
-    for _ in range(150):
-        size = int(rng.integers(1, 4))
-        ids = list(rng.choice(50, size=size, replace=False).astype(int))
-        gains = {u: float(10.0 ** rng.uniform(-13, -8)) for u in ids}
-        powers = {u: float(rng.uniform(1e-3, 0.5)) for u in ids}
-        channel = ChannelState(*gain_arrays({(u, 0, 0): gains[u] for u in ids}),
-                               NOISE, B0)
-        slice_ = RrbAssignment(0, 0, tuple((u, powers[u]) for u in ids))
-        for u in ids:
-            got = sinr(slice_, u, channel)
-            want = oracles.sic_sinr(slice_.members, gains, u, NOISE)
-            track(got, want)
-            track(uplink_rate(got, channel), oracles.shannon_rate(want, B0))
+    # uplink SIC rates: every enumerated cluster of random small scenarios,
+    # its rates and objective at the powers the batched closed form solved
+    for _ in range(16):
+        cfg = ScenarioConfig(n_uds=int(rng.integers(4, 10)), n_aps=int(rng.integers(2, 4)),
+                             n_mecs=2, rrbs_per_ap=int(rng.integers(1, 3)),
+                             seed=int(rng.integers(100000)))
+        scn = generate(cfg)
+        chan = scn.channel
+        graph = enumerate_full(scn)
+        for i in range(len(graph)):
+            v = graph.vertex(i)
+            gains = {u: float(chan.gain_ud_rrb[u, v.ap, v.rrb]) for u in v.uds}
+            powered = list(zip(v.uds, v.power.powers))
+            sinrs = [oracles.sic_sinr(powered, gains, u, chan.noise_w) for u in v.uds]
+            for rate, sinr in zip(v.power.rates, sinrs):
+                track(rate, oracles.shannon_rate(sinr, chan.rrb_bandwidth_hz))
+            track(v.power.objective, sum(math.log2(1.0 + sinr) for sinr in sinrs))
+    sic_checks = checked
 
     # backhaul rates, scaled and bare
     for _ in range(150):
@@ -116,7 +118,7 @@ def test_criterion_01_formula_oracle():
             assert m.effective_capacity == cap
             assert m.scheduled_uds == sched
 
-    ok = checked >= 1000 and worst <= 1e-12
+    ok = checked >= 1000 and sic_checks >= 600 and worst <= 1e-12
     assert record_criterion(1, "formula oracle", ok,
                             f"{checked} checks, max rel err {worst:.2e}")
 
@@ -183,23 +185,24 @@ def test_criterion_04_power_solver_vs_grid():
     for i in range(200):
         members = [(0, float(10.0 ** rng.uniform(-13, -9))),
                    (1, float(10.0 ** rng.uniform(-13, -9)))]
-        cons = PowerConstraints(p_max_w=0.5,
-                                rate_threshold_bps=thresholds[i % 4])
-        exact = solve_cluster_power(members, channel, cons)
+        cons = oracles.PowerLimits(p_max_w=0.5, rate_threshold_bps=thresholds[i % 4])
+        *_, objective, feasible = solve_pairs_batch(
+            [members[0][1]], [members[1][1]], cons.p_max_w, NOISE, B0, cons.rate_threshold_bps)
+        objective = float(objective[0])
         grid = oracles.grid_oracle(members, channel, cons, resolution=512)
         if grid.feasible:
             feasible_cases += 1
-            if not exact.feasible:
+            if not feasible[0]:
                 ok = False
                 continue
             # the grid never exceeds the true optimum, so the solver must
             # reach at least the grid value
-            deficit = max(0.0, (grid.objective - exact.objective)
+            deficit = max(0.0, (grid.objective - objective)
                           / max(abs(grid.objective), 1e-300))
             worst_deficit = max(worst_deficit, deficit)
             if cons.rate_threshold_bps == 0.0:
                 # unconstrained optimum sits on the grid corner exactly
-                ok = ok and rel_err(exact.objective, grid.objective) <= 1e-9
+                ok = ok and rel_err(objective, grid.objective) <= 1e-9
     ok = ok and worst_deficit <= 1e-6 and feasible_cases >= 100
     assert record_criterion(4, "power solver vs grid", ok,
                             f"200 pairs, {feasible_cases} feasible, "

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nomec import (NomaAssociation, PowerConstraints, ScenarioConfig,
-                   build_full, build_pruned, enumerate_full, generate,
-                   group_demand_cps, modified_weight)
+from nomec import (NomaAssociation, ScenarioConfig, build_full, build_pruned,
+                   enumerate_full, generate, group_demand_cps, modified_weight, run_scheme)
 from nomec.graph import _solve_cells, reweighed
 from nomec.scenario import realize_channels, with_channel
 import oracles
@@ -65,7 +64,7 @@ def test_adjacency_matches_pairwise_conflicts():
         for _ in range(10):
             verts = random_assocs(rng, 40)
             graph = graph_of(verts, strict_cc2=strict)
-            mat = graph.adjacency_matrix()
+            mat = oracles.adjacency_matrix(graph)
             assert mat.shape == (40, 40)
             assert not mat.diagonal().any()
             for i in range(40):
@@ -77,7 +76,7 @@ def test_adjacency_matches_pairwise_conflicts():
 def test_neighbor_views_consistent():
     rng = np.random.default_rng(5)
     graph = graph_of(random_assocs(rng, 30))
-    mat = graph.adjacency_matrix()
+    mat = oracles.adjacency_matrix(graph)
     for i in range(len(graph)):
         assert (graph.neighbor_mask(i) == mat[i]).all()
     assert (mat == mat.T).all()
@@ -95,7 +94,7 @@ def test_graph_vertex_lookup():
 def test_empty_graph():
     graph = graph_of(())
     assert len(graph) == 0 and graph.vertices == ()
-    assert graph.adjacency_matrix().shape == (0, 0)
+    assert oracles.adjacency_matrix(graph).shape == (0, 0)
 
 
 def test_vertex_weight_formula():
@@ -121,7 +120,7 @@ def test_modified_weight_example():
     verts = [assoc((0,), 0, 0, 2.0), assoc((1,), 0, 1, 3.0), assoc((2,), 0, 2, 5.0)]
     graph = graph_of(verts)
     assert modified_weight(0, graph) == pytest.approx(16.0)
-    adj = graph.adjacency_matrix()
+    adj = oracles.adjacency_matrix(graph)
     for i in range(3):
         want = oracles.modified_weight(i, adj.tolist(), [2.0, 3.0, 5.0])
         assert modified_weight(i, graph) == pytest.approx(want)
@@ -140,8 +139,8 @@ def test_build_full_weights_match_oracles():
     cfg = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, rrbs_per_ap=2, seed=3)
     scn = generate(cfg)
     graph = build_full(scn)
-    cons = PowerConstraints(p_max_w=scn.devices[0].p_max_w,
-                            rate_threshold_bps=cfg.rate_threshold_bps)
+    cons = oracles.PowerLimits(p_max_w=scn.devices[0].p_max_w,
+                               rate_threshold_bps=cfg.rate_threshold_bps)
     chan = scn.channel
     assert len(graph) > 0 and any(len(v.uds) == 2 for v in graph.vertices)
     for i in range(len(graph)):
@@ -343,7 +342,7 @@ def test_pruned_adjacency_is_lazy():
     scn = generate(ScenarioConfig(n_uds=12, seed=14))
     pruned = build_pruned(scn)
     assert len(pruned) > 0 and pruned._adj_bits is None
-    mat = pruned.adjacency_matrix()
+    mat = oracles.adjacency_matrix(pruned)
     verts = pruned.vertices
     for i in range(len(verts)):
         for j in range(len(verts)):
@@ -472,7 +471,8 @@ def test_cached_candidates_match_a_fresh_scenario_on_every_trial():
                 assert_same_graph(got, want)
                 assert_same_graph(got, ref)
                 graphs += 1
-        assert set(scn._topology_cache) == {"ap_clusters", "pruned_cells", "task_columns"}
+        assert set(scn._topology_cache) == {"ap_clusters", "power_cap", "pruned_cells",
+                                            "task_columns"}
     assert graphs == len(CACHE_TOPOLOGIES) * 4 * 8
 
 
@@ -589,3 +589,24 @@ def test_cells_outside_the_channel_gains_are_refused():
         with pytest.raises(IndexError):
             _solve_cells(scn, (col(0, 1), col(-1, 2), col(0, ap), col(0, rrb)), False)
     assert len(_solve_cells(scn, (col(0, 1), col(-1, 2), col(0, 2), col(0, 1)), False)) <= 2
+
+
+def test_devices_with_different_power_caps_are_refused():
+    """The closed form solves every cluster at one power cap, so a scenario
+    whose UDs' caps differ is refused, naming both caps, instead of
+    scheduling UDs above their own cap."""
+    scn = generate(ScenarioConfig(seed=3))
+    p_max = scn.devices[0].p_max_w
+    devices = tuple(dataclasses.replace(d, p_max_w=p_max / 10) if d.id % 2 else d
+                    for d in scn.devices)
+    mixed = dataclasses.replace(scn, devices=devices)
+    for build in (enumerate_full, build_pruned):
+        with pytest.raises(ValueError, match=f"{p_max / 10!r}.*{p_max!r}"):
+            build(mixed)
+    for scheme in ("joint", "random"):
+        with pytest.raises(ValueError, match="power cap"):
+            run_scheme(mixed, scheme)
+    # one common cap, whatever its value, is solved at that cap
+    low = dataclasses.replace(scn, devices=tuple(dataclasses.replace(d, p_max_w=p_max / 10)
+                                                 for d in scn.devices))
+    assert np.all(enumerate_full(low)._p1 <= p_max / 10)

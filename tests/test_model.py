@@ -1,4 +1,5 @@
-"""Core model formulas: SINR under SIC, rates, delays, energies, metrics."""
+"""Core model formulas: SIC rates (from the batched power solve), backhaul
+rates, delays, energies, metrics."""
 
 import dataclasses
 import math
@@ -8,9 +9,10 @@ import pytest
 
 from nomec import (AccessPoint, ChannelState, CostWeights,
                    InfeasibleUploadError, InvalidAssignmentError,
-                   InvalidTopologyError, MecServer, RrbAssignment,
-                   ScenarioConfig, Task, backhaul_rate, generate, local_cost,
-                   mec_cost, run_scheme, sinr, system_metrics, uplink_rate)
+                   InvalidTopologyError, MecServer, ScenarioConfig, Task,
+                   backhaul_rate, generate, local_cost, mec_cost, run_scheme,
+                   system_metrics)
+from nomec.power import solve_pairs_batch
 from conftest import gain_arrays
 import oracles
 
@@ -49,59 +51,28 @@ def test_entity_validation():
 
 
 def test_sinr_two_ud_cluster():
-    # hand-evaluated: the stronger UD is decoded first and sees the weaker
-    # one as interference; the weaker UD ends interference-free
-    chan = make_channel({(1, 0, 0): 1e-9, (2, 0, 0): 1e-10}, noise_w=1e-12)
-    cluster = RrbAssignment(ap=0, rrb=0, members=((1, 0.1), (2, 0.1)))
-    s1 = sinr(cluster, 1, chan)
-    s2 = sinr(cluster, 2, chan)
-    assert s1 == pytest.approx(1e-10 / (1e-11 + 1e-12), rel=1e-12)
-    assert s2 == pytest.approx(10.0, rel=1e-12)
+    # hand-evaluated: with no rate floor both UDs send at p_max = 0.1; the
+    # stronger UD is decoded first and sees the weaker one as interference,
+    # the weaker UD ends interference-free
+    *_, r1, r2, _, feasible = solve_pairs_batch([1e-9], [1e-10], 0.1, 1e-12, 1e7, 0.0)
+    assert feasible[0]
+    assert r1[0] == pytest.approx(1e7 * math.log2(1.0 + 1e-10 / (1e-11 + 1e-12)), rel=1e-12)
+    assert r2[0] == pytest.approx(1e7 * math.log2(1.0 + 10.0), rel=1e-12)
 
 
 def test_sinr_gain_tie_breaks_by_id():
-    # equal gains: the smaller id decodes first, so only it sees interference
-    chan = make_channel({(3, 0, 1): 2e-10, (7, 0, 1): 2e-10}, noise_w=1e-12)
-    cluster = RrbAssignment(ap=0, rrb=1, members=((3, 0.2), (7, 0.4)))
-    s3 = sinr(cluster, 3, chan)
-    s7 = sinr(cluster, 7, chan)
-    assert s3 == pytest.approx(0.2 * 2e-10 / (0.4 * 2e-10 + 1e-12), rel=1e-12)
-    assert s7 == pytest.approx(0.4 * 2e-10 / 1e-12, rel=1e-12)
-
-
-def test_sinr_errors():
-    chan = make_channel({(0, 0, 0): 1e-10})
-    cluster = RrbAssignment(ap=0, rrb=0, members=((0, 0.1),))
-    with pytest.raises(InvalidAssignmentError):
-        sinr(cluster, 5, chan)
-    missing = RrbAssignment(ap=0, rrb=0, members=((0, 0.1), (9, 0.1)))
-    with pytest.raises(InvalidTopologyError):
-        sinr(missing, 0, chan)
-
-
-def test_sinr_against_oracle_seeded():
-    rng = np.random.default_rng(42)
-    chan_noise = 4e-14
-    for _ in range(200):
-        size = int(rng.integers(1, 4))
-        uds = sorted(rng.choice(20, size=size, replace=False).tolist())
-        gains = {u: float(10.0 ** rng.uniform(-14, -9)) for u in uds}
-        members = tuple((u, float(rng.uniform(0.01, 0.5))) for u in uds)
-        chan = make_channel({(u, 0, 0): gains[u] for u in uds}, noise_w=chan_noise)
-        cluster = RrbAssignment(ap=0, rrb=0, members=members)
-        for u in uds:
-            want = oracles.sic_sinr(list(members), gains, u, chan_noise)
-            got = sinr(cluster, u, chan)
-            assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_uplink_rate():
-    chan = make_channel(b0=1e7)
-    assert uplink_rate(0.0, chan) == 0.0
-    assert uplink_rate(1.0, chan) == pytest.approx(1e7, rel=1e-12)
-    assert uplink_rate(3.0, chan) == pytest.approx(2e7, rel=1e-12)
-    with pytest.raises(ValueError):
-        uplink_rate(-0.5, chan)
+    # equal gains: the smaller id decodes first, so only it sees
+    # interference; a rate floor holds the larger id below p_max
+    g, noise = 2e-10, 1e-12
+    p3, p7, r3, r7, _, feasible = solve_pairs_batch([g], [g], 0.4, noise, 1e7, 2e7)
+    assert feasible[0] and p3[0] == 0.4 and p7[0] < 0.4
+    assert r3[0] == pytest.approx(1e7 * math.log2(1.0 + 0.4 * g / (p7[0] * g + noise)),
+                                  rel=1e-12)
+    assert r7[0] == pytest.approx(1e7 * math.log2(1.0 + p7[0] * g / noise), rel=1e-12)
+    members, gains = [(3, p3[0]), (7, p7[0])], {3: g, 7: g}
+    for u, rate in ((3, r3[0]), (7, r7[0])):
+        want = oracles.shannon_rate(oracles.sic_sinr(members, gains, u, noise), 1e7)
+        assert rate == pytest.approx(want, rel=1e-12)
 
 
 def test_backhaul_rate_value_and_scaling():

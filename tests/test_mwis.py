@@ -1,15 +1,17 @@
-"""Minimum-weight maximal independent set search."""
+"""Minimum-weight maximal independent set search, against the exact
+search and the validity checks in tests/oracles.py."""
 
 import numpy as np
 import pytest
 
 from nomec import (ConflictGraph, NomaAssociation, ScenarioConfig, build_pruned,
-                   enumerate_full, exact_min_wis, generate, greedy_min_wis,
-                   modified_ranks, random_maximal_is)
+                   enumerate_full, generate, greedy_min_wis, modified_ranks,
+                   random_maximal_is)
 from nomec.graph import reweighed
-from nomec.mwis import _greedy_by_order, is_independent, is_maximal
+from nomec.mwis import _greedy_by_order
 import oracles
-from oracles import graph_of, picks_in_order
+from oracles import (adjacency_matrix, exact_min_wis, graph_of, is_independent, is_maximal,
+                     picks_in_order)
 
 
 def assoc(uds, rrb=0, ap=0, weight=1.0):
@@ -88,7 +90,7 @@ def test_exact_matches_subset_oracle():
         exact = exact_min_wis(graph)
         assert is_independent(graph, exact.indices)
         assert is_maximal(graph, exact.indices)
-        adj = graph.adjacency_matrix().tolist()
+        adj = adjacency_matrix(graph).tolist()
         weight, _ = oracles.min_weight_maximal_independent_set(
             adj, list(graph.weights))
         assert exact.total_weight == pytest.approx(weight, rel=1e-12)
@@ -208,7 +210,7 @@ def scenario_corpus():
 def test_incidence_picks_match_dense_route():
     checked = 0
     for n_uds, graph in scenario_corpus():
-        mat = graph.adjacency_matrix()
+        mat = adjacency_matrix(graph)
         w = graph.weights
         assert greedy_min_wis(graph, "original").indices == \
             dense_greedy(mat, dense_order(graph, w))
@@ -227,7 +229,7 @@ def test_incidence_picks_match_dense_route_on_custom_graphs():
     rng = np.random.default_rng(37)
     for _ in range(40):
         graph = random_graph(rng, int(rng.integers(1, 40)))
-        mat = graph.adjacency_matrix()
+        mat = adjacency_matrix(graph)
         assert greedy_min_wis(graph).indices == \
             dense_greedy(mat, dense_order(graph, graph.weights))
         assert greedy_min_wis(graph, "modified").indices == \
@@ -241,7 +243,7 @@ def test_modified_ranks_match_oracle():
     rng = np.random.default_rng(41)
     graphs += [random_graph(rng, int(rng.integers(1, 30))) for _ in range(20)]
     for graph in graphs:
-        adj = graph.adjacency_matrix().tolist()
+        adj = adjacency_matrix(graph).tolist()
         weights = list(graph.weights)
         want = [oracles.modified_weight(i, adj, weights) for i in range(len(graph))]
         assert modified_ranks(graph) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -326,7 +328,7 @@ def test_independence_and_maximality_match_dense_route():
     graphs += [g for n_uds, g in scenario_corpus() if n_uds == 8]
     outcomes = set()
     for graph in graphs:
-        mat = graph.adjacency_matrix()
+        mat = adjacency_matrix(graph)
         n = len(graph)
         picks = list(greedy_min_wis(graph).indices)
         subsets = [picks, picks[:-1], picks + [int(rng.integers(n))], []]

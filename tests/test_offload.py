@@ -111,7 +111,7 @@ def test_admission_tie_breaks():
 
 def test_admission_is_injective_under_contention():
     g = {0: 3.0, 1: 2.0, 2: 1.0}
-    affinity = {(a, k): 10.0 if k == 2 else float(k) for a in g for k in range(3)}
+    affinity = {(a, k): 10.0 if k == 2 else float(k + 1) for a in g for k in range(3)}
     plan = admission_control(g, affinity, [0, 1, 2])
     assert sorted(plan.assignment.values()) == [0, 1, 2]
     assert plan.assignment[0] == 2
@@ -126,3 +126,18 @@ def test_admission_capacity_and_empty():
     assert plan.y[2] is True
     empty = admission_control({}, {}, [0, 1])
     assert empty.y == {} and empty.assignment == {}
+
+
+def test_admission_skips_mecs_without_positive_affinity():
+    # AP 1 is served first but has no positive affinity, so it stays out
+    # and both MECs go on down the order; AP 2 then takes the MEC left
+    g = {0: 2.0, 1: 3.0, 2: 1.0}
+    affinity = {(0, 0): 5.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0,
+                (2, 0): 1.0, (2, 1): 2.0}
+    plan = admission_control(g, affinity, [0, 1])
+    assert plan.y == {0: True, 1: False, 2: True}
+    assert plan.assignment == {0: 0, 2: 1}
+    # the only MEC left to AP 1 is one it has no affinity for
+    affinity = {(0, 0): 5.0, (0, 1): 1.0, (1, 0): 3.0, (1, 1): 0.0}
+    plan = admission_control({0: 2.0, 1: 1.0}, affinity, [0, 1])
+    assert plan.y == {0: True, 1: False} and plan.assignment == {0: 0}

@@ -1,16 +1,15 @@
-"""Per-cluster power allocation: the batched closed form, its one-cluster
-entry point, and the SIC and grid oracles."""
+"""Per-cluster power allocation: the batched closed form, run on one-row
+arrays for single clusters, against the SIC and grid oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nomec import (ChannelState, ClusterPowerSolution, PowerConstraints, ScenarioConfig,
-                   generate, solve_cluster_power)
+from nomec import ChannelState, ClusterPowerSolution, ScenarioConfig, generate
 from nomec.power import solve_pairs_batch, solve_singletons_batch
 from conftest import gain_arrays
-from oracles import (full_cells_by_ap, grid_oracle, shannon_rate, sic_sinr,
+from oracles import (PowerLimits, full_cells_by_ap, grid_oracle, shannon_rate, sic_sinr,
                      solve_pairs_batch_by_where)
 
 NOISE = 4e-14
@@ -21,68 +20,61 @@ def chan():
     return ChannelState(*gain_arrays(), noise_w=NOISE, rrb_bandwidth_hz=B0)
 
 
-def test_constraints_validation():
-    with pytest.raises(ValueError):
-        PowerConstraints(p_max_w=0.0)
-    with pytest.raises(ValueError):
-        PowerConstraints(p_max_w=0.5, rate_threshold_bps=-1.0)
+def solve(gains, r_th, p_max=0.5):
+    """solve_pairs_batch on one cluster, given the gain of its lower-id
+    member and, for a pair, of its higher-id one: (p_lo, p_hi, rate_lo,
+    rate_hi, objective, feasible) as scalars."""
+    g_hi = gains[1] if len(gains) == 2 else math.nan
+    return tuple(a[0] for a in solve_pairs_batch([gains[0]], [g_hi], p_max, NOISE, B0, r_th))
 
 
 def test_singleton_full_power():
-    cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=0.0)
-    sol = solve_cluster_power([(0, 1e-12)], chan(), cons)
-    assert sol.feasible
-    assert sol.powers == (0.5,)
+    p, _, rate, _, objective, feasible = solve([1e-12], 0.0)
+    assert feasible
+    assert p == 0.5
     snr = 0.5 * 1e-12 / NOISE
-    assert sol.rates[0] == pytest.approx(B0 * math.log2(1.0 + snr), rel=1e-12)
-    assert sol.objective == pytest.approx(math.log2(1.0 + snr), rel=1e-12)
+    assert rate == pytest.approx(B0 * math.log2(1.0 + snr), rel=1e-12)
+    assert objective == pytest.approx(math.log2(1.0 + snr), rel=1e-12)
 
 
 def test_singleton_infeasible_below_threshold():
-    cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=1e9)
-    sol = solve_cluster_power([(0, 1e-13)], chan(), cons)
-    assert not sol.feasible
-    assert sol.powers == (0.0,)
-    assert sol.objective == float("-inf")
+    *_, objective, feasible = solve([1e-13], 1e9)
+    assert not feasible
+    assert objective == float("-inf")
 
 
 def test_pair_unconstrained_uses_full_power():
-    cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=0.0)
-    sol = solve_cluster_power([(0, 1e-11), (1, 1e-12)], chan(), cons)
-    assert sol.feasible
-    assert sol.powers == (0.5, 0.5)
+    p_lo, p_hi, _, _, objective, feasible = solve([1e-11, 1e-12], 0.0)
+    assert feasible
+    assert (p_lo, p_hi) == (0.5, 0.5)
     # the sum rate at full power matches the analytic total
     total = math.log2((0.5 * 1e-11 + 0.5 * 1e-12 + NOISE) / NOISE)
-    assert sol.objective == pytest.approx(total, rel=1e-12)
+    assert objective == pytest.approx(total, rel=1e-12)
 
 
 def test_pair_rate_floor_binds_weak_power():
     # threshold high enough that the strong UD's floor caps the weak power
     g_s, g_w = 5e-12, 4e-12
-    cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=3e7)
-    sol = solve_cluster_power([(0, g_s), (1, g_w)], chan(), cons)
-    assert sol.feasible
-    assert sol.powers[0] == 0.5
-    assert sol.powers[1] < 0.5
+    p_s, p_w, r_s, r_w, _, feasible = solve([g_s, g_w], 3e7)
+    assert feasible
+    assert p_s == 0.5
+    assert p_w < 0.5
     # the strong UD sits exactly on the floor
-    assert sol.rates[0] == pytest.approx(3e7, rel=1e-9)
-    assert sol.rates[1] >= 3e7 * (1.0 - 1e-12)
+    assert r_s == pytest.approx(3e7, rel=1e-9)
+    assert r_w >= 3e7 * (1.0 - 1e-12)
 
 
 def test_pair_gain_tie_strong_is_lower_id():
-    cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=2.5e7)
     g = 3e-12
-    sol = solve_cluster_power([(4, g), (9, g)], chan(), cons)
-    assert sol.feasible
-    # member order is (4, 9); the lower id decodes first (strong role)
-    assert sol.powers[0] == 0.5
-    assert sol.powers[1] <= 0.5
+    p_lo, p_hi, _, _, _, feasible = solve([g, g], 2.5e7)
+    assert feasible
+    # the lower id decodes first (strong role)
+    assert p_lo == 0.5
+    assert p_hi <= 0.5
 
 
 def test_pair_infeasible_threshold():
-    cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=5e8)
-    sol = solve_cluster_power([(0, 1e-13), (1, 1e-14)], chan(), cons)
-    assert not sol.feasible
+    assert not solve([1e-13, 1e-14], 5e8)[5]
 
 
 def test_rate_floor_beyond_float_range_is_infeasible():
@@ -92,20 +84,18 @@ def test_rate_floor_beyond_float_range_is_infeasible():
     for threshold in (1025.0 * B0, 2e10, 1e300):
         *_, objective, feasible = solve_pairs_batch(g1, g2, 0.5, NOISE, B0, threshold)
         assert not feasible.any() and (objective == -np.inf).all()
-        cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=threshold)
-        assert not solve_cluster_power([(0, 1e-10), (1, 1e-11)], chan(), cons).feasible
 
 
 def test_solver_argument_validation():
-    cons = PowerConstraints(p_max_w=0.5)
+    cons = PowerLimits(p_max_w=0.5, rate_threshold_bps=0.0)
     with pytest.raises(ValueError):
-        solve_cluster_power([(0, 1e-12), (1, 1e-12), (2, 1e-12)], chan(), cons)
+        grid_oracle([(0, 1e-12), (1, 1e-12), (2, 1e-12)], chan(), cons)
     with pytest.raises(ValueError):
         grid_oracle([(0, 1e-12)], chan(), cons, resolution=1)
 
 
 def test_grid_oracle_corners_resolution_two():
-    cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=0.0)
+    cons = PowerLimits(p_max_w=0.5, rate_threshold_bps=0.0)
     sol = grid_oracle([(0, 1e-12), (1, 1e-12)], chan(), cons, resolution=2)
     assert sol.feasible
     assert sol.powers == (0.5, 0.5)
@@ -129,14 +119,14 @@ def test_solver_never_below_grid_seeded():
         g1 = float(10.0 ** rng.uniform(-13.5, -10.5))
         g2 = float(10.0 ** rng.uniform(-13.5, -10.5))
         r_th = float(rng.choice([0.0, 1e5, 1e6, 3e7]))
-        cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=r_th)
+        cons = PowerLimits(p_max_w=0.5, rate_threshold_bps=r_th)
         members = [(0, g1), (1, g2)]
-        exact = solve_cluster_power(members, chan(), cons)
+        p_lo, p_hi, *_, feasible = solve([g1, g2], r_th)
         grid = grid_oracle(members, chan(), cons, resolution=256)
         if grid.feasible:
-            assert exact.feasible
-        if exact.feasible:
-            rates, objective = sic_objective(members, exact.powers)
+            assert feasible
+        if feasible:
+            rates, objective = sic_objective(members, (p_lo, p_hi))
             assert min(rates) >= r_th * (1.0 - 1e-9)
             assert objective >= grid.objective * (1.0 - 1e-6) - 1e-12
 
@@ -152,7 +142,7 @@ def test_pairs_batch_matches_sic_oracle():
     for r_th in (0.0, 5e4, 5e6, 4e7):
         p_lo, p_hi, r_lo, r_hi, obj, feas = solve_pairs_batch(
             g_lo, g_hi, 0.5, NOISE, B0, r_th)
-        cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=r_th)
+        cons = PowerLimits(p_max_w=0.5, rate_threshold_bps=r_th)
         assert feas.any()
         for i in range(n):
             members = [(0, float(g_lo[i])), (1, float(g_hi[i]))]
@@ -198,28 +188,31 @@ def test_nan_gain_singletons_keep_exact_bits():
 
 
 def test_member_order_does_not_change_the_solution():
-    """Either member order gives the same solution, mapped back to the
-    order given; on equal gains the lower id decodes first."""
+    """Swapping which member holds the lower id mirrors the solution: the
+    lower-id outputs of one call are the higher-id outputs of the other.
+    Only equal gains break by id: the lower id decodes first and sends at
+    p_max, and the SIC oracle, whose ties break the same way, gives its
+    rates."""
     rng = np.random.default_rng(19)
-    cases = [(float(10.0 ** rng.uniform(-13, -10)), float(10.0 ** rng.uniform(-13, -10)))
-             for _ in range(40)] + [(3e-12, 3e-12), (1e-11, 1e-11)]
-    for g4, g9 in cases:
-        for r_th in (0.0, 5e4, 5e6, 2.5e7):
-            cons = PowerConstraints(p_max_w=0.5, rate_threshold_bps=r_th)
-            fwd = solve_cluster_power([(4, g4), (9, g9)], chan(), cons)
-            rev = solve_cluster_power([(9, g9), (4, g4)], chan(), cons)
-            assert rev.feasible == fwd.feasible
-            assert rev.powers == fwd.powers[::-1] and rev.rates == fwd.rates[::-1]
-            assert rev.objective == fwd.objective
-            if g4 == g9 and fwd.feasible:
-                assert fwd.powers[0] == 0.5
-    tied = solve_cluster_power([(9, 3e-12), (4, 3e-12)], chan(),
-                               PowerConstraints(p_max_w=0.5, rate_threshold_bps=2.5e7))
-    assert tied.feasible and tied.powers[1] == 0.5 and tied.powers[0] < 0.5
+    g_a = 10.0 ** rng.uniform(-13, -10, size=40)
+    g_b = 10.0 ** rng.uniform(-13, -10, size=40)
+    for r_th in (0.0, 5e4, 5e6, 2.5e7):
+        fwd = solve_pairs_batch(g_a, g_b, 0.5, NOISE, B0, r_th)
+        rev = solve_pairs_batch(g_b, g_a, 0.5, NOISE, B0, r_th)
+        for i, j in ((0, 1), (1, 0), (2, 3), (3, 2), (4, 4), (5, 5)):
+            assert np.array_equal(fwd[i], rev[j]), (r_th, i)
+        for g in (3e-12, 1e-11):
+            p_lo, p_hi, r_lo, r_hi, _, feasible = solve([g, g], r_th)
+            if feasible:
+                assert p_lo == 0.5
+                rates, _ = sic_objective([(4, g), (9, g)], (p_lo, p_hi))
+                assert [r_lo, r_hi] == pytest.approx(rates, rel=1e-12)
+    p_lo, p_hi, *_, feasible = solve([3e-12, 3e-12], 2.5e7)
+    assert feasible and p_lo == 0.5 and p_hi < 0.5
 
 
 def test_solution_is_frozen_record():
-    sol = ClusterPowerSolution((0.5,), (1e6,), 0.1, True)
+    sol = ClusterPowerSolution((0.5,), (1e6,), 0.1)
     with pytest.raises(Exception):
         sol.objective = 0.2
 

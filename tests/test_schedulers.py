@@ -1,6 +1,8 @@
 """End-to-end scheme runners and schedule invariants."""
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
 from nomec import graph as graph_module
 from nomec.graph import reweighed
 from nomec import schedulers
-from nomec.model import InvalidAssignmentError
+from nomec.model import InvalidAssignmentError, backhaul_rate
+from nomec.scenario import with_channel
 from oracles import (conflicts, graph_of, modified_ranks_by_unique, pairs_first_order,
-                     picks_in_order)
+                     picks_in_order, recompute_metrics)
 
 BASE = dict(n_uds=10, n_aps=4, n_mecs=2, rrbs_per_ap=2)
 
@@ -23,7 +26,7 @@ def small_scenario(seed):
 
 
 def sol(powers, rates):
-    return ClusterPowerSolution(tuple(powers), tuple(rates), 1.0, True)
+    return ClusterPowerSolution(tuple(powers), tuple(rates), 1.0)
 
 
 def test_schedule_views():
@@ -412,3 +415,45 @@ def test_rate_floor_beyond_float_range_schedules_nothing():
         schedule, plan = run_scheme(scn, scheme)
         assert schedule.associations == () and plan.extras["vertices"] == 0, scheme
         assert plan.metrics.cost == 0.0 and plan.metrics.effective_capacity == 0, scheme
+
+
+def test_tracer_layers_resolve():
+    """Every (module, attribute) the benchmark's tracer patches still
+    exists, so a traced run can install all of its spans."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    assert len(tracer.LAYERS) == 10
+    for module, attr, _, _ in tracer.LAYERS:
+        assert callable(getattr(module, attr)), (module.__name__, attr)
+
+
+def test_zero_rate_backhaul_links_are_never_assigned():
+    """No scheme admits an AP to a MEC over a zero-rate backhaul link, with
+    every link dead or every other one. A candidate stays unadmitted only
+    when no MEC left free has a live link to it, and the run is evaluated."""
+    scn = generate(ScenarioConfig(n_uds=48, task_size_range_bits=(100.0, 2000.0),
+                                  density_cpb=500.0, seed=1))
+    gains = scn.channel.gain_ap_mec
+    every_other = np.where(np.add.outer(*map(np.arange, gains.shape)) % 2 == 0, 0.0, gains)
+    admitted = 0
+    for dead in (np.zeros_like(gains), every_other):
+        trial = with_channel(scn, dataclasses.replace(scn.channel, gain_ap_mec=dead))
+        live = {(ap.id, mec.id): backhaul_rate(ap, mec, trial.channel) > 0
+                for ap in trial.aps for mec in trial.mecs}
+        for scheme in SCHEMES:
+            for fallback in (True, False):
+                schedule, plan = run_scheme(trial, scheme, seed=1, fallback_local=fallback)
+                assignment = plan.admission.assignment
+                assert all(live[link] for link in assignment.items()), scheme
+                free = {mec.id for mec in trial.mecs} - set(assignment.values())
+                for m, admitted_here in plan.admission.y.items():
+                    if not admitted_here:
+                        assert not any(live[(m, k)] for k in free), (scheme, m)
+                want = recompute_metrics(schedule, plan, trial)
+                assert (plan.metrics.cost, plan.metrics.effective_capacity) == \
+                    pytest.approx((want[2], want[3]), rel=1e-12), scheme
+                admitted += len(assignment)
+    assert admitted > 0
