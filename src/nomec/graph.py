@@ -73,7 +73,7 @@ class ConflictGraph:
             max_rrb = int(rrb.max()) if len(rrb) else 0
             self.slot = ap * (max_rrb + 1)
             self.slot += rrb
-        self._adj_bits = None
+        self._adj_bits = self._rank_keys = None
 
     @property
     def adj_bits(self) -> np.ndarray:
@@ -268,9 +268,9 @@ def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     are reused, not solved again.
 
     When keep is set everywhere, the new graph shares graph's vertex
-    columns and slots instead of copying them, and only its weights are
-    new. The shared arrays are made read-only, in graph as well, so that
-    neither graph can change the other's vertices.
+    columns, slots and modified-rank keys instead of copying them, and only
+    its weights are new. The shared arrays are made read-only, in graph as
+    well, so that neither graph can change the other's vertices.
     """
     keep = np.asarray(keep, dtype=bool)
     if keep.all():

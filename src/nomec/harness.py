@@ -55,11 +55,16 @@ class ExperimentSpec:
                 raise HarnessError(f"{name} must be an int >= {low}, got {value!r}")
         if self.mwis_ordering not in ORDERINGS:
             raise HarnessError(f"unknown mwis_ordering {self.mwis_ordering!r}")
+        reported = {}     # per sweep_value, the first sweep value reported as it
         for index, value in enumerate(self.sweep_values):
             try:
                 _value_config(self, index, value)
             except (TypeError, ValueError) as exc:
                 raise HarnessError(f"bad sweep value {self.sweep_var}={value!r}: {exc}") from exc
+            first = reported.setdefault(_scalar_value(value), value)
+            if first != value:
+                raise HarnessError(f"sweep values {self.sweep_var}={first!r} and {value!r} "
+                                   f"both report sweep_value {_scalar_value(value)!r}")
 
 
 @dataclass(frozen=True)

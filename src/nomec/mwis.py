@@ -4,11 +4,11 @@ The schedule quality target is the maximal independent set whose total
 weight is smallest, so the greedy heuristic takes vertices lightest first.
 Conflicts are shared UDs or shared slots, so the greedy and random passes
 work on UD/slot incidence: a vertex is taken when its UDs and its slot are
-all still unused, with no edge list. The pass reads its order in chunks and
-stops once every slot or every UD is used, and the greedy sorts only the
-prefix of its order that the pass reaches. A seeded random maximal set
-provides the baseline; the exact search that bounds the greedy from below
-lives with the test oracles.
+all still unused, with no edge list. The pass reads its order in chunks,
+each cut to the vertices still free, until every slot or every UD is used,
+and the greedy sorts only the prefix of its order that the pass reaches.
+A seeded random maximal set provides the baseline; the exact search that
+bounds the greedy from below lives with the test oracles.
 """
 
 from dataclasses import dataclass
@@ -34,30 +34,43 @@ _FIRST_CHUNK = 512
 _GROWTH = 4
 
 
-def _slices(order):
-    """order in consecutive chunks of growing size."""
+def _slices(graph: ConflictGraph, order, used):
+    """order in consecutive chunks of growing size, each cut by _live."""
     start, size = 0, _FIRST_CHUNK
     while start < len(order):
-        yield order[start:start + size]
+        yield _live(graph, order[start:start + size], used)
         start += size
         size *= _GROWTH
 
 
-def _sorted_chunks(graph: ConflictGraph, rank, subset=None):
+def _live(graph: ConflictGraph, idx, used):
+    """The non-empty idx without the vertices that conflict with the picks
+    whose (UDs, slots) sets used holds; used None blocks nothing."""
+    if not used or not used[1]:
+        return idx
+    u1, u2, slot = graph.u1[idx], graph.u2[idx], graph.slot[idx]
+    # the last UD entry stays unset, so a singleton's u2 = -1 never blocks it
+    taken_ud = np.bincount(list(used[0]), minlength=max(int(u1.max()), int(u2.max()), *used[0]) + 2) > 0
+    taken_slot = np.bincount(list(used[1]), minlength=int(slot.max()) + 1) > 0
+    return idx[~(taken_ud[u1] | taken_ud[u2] | taken_slot[slot])]
+
+
+def _sorted_chunks(graph: ConflictGraph, rank, subset=None, used=None):
     """The vertex order by (rank, ap, rrb, uds), in chunks of growing size.
 
-    rank holds one entry per vertex. subset, an index array, restricts the
-    order to those vertices; by default it covers them all. A chunk of size
-    k takes every remaining vertex whose rank is at most the k-th smallest
-    remaining rank, so equal ranks never straddle two chunks, and is sorted
-    only when the scan asks for it: by rank alone when its ranks are
-    distinct, else by lexsort, whose keys run minor-first and which puts
-    NaN ranks last.
+    rank holds one entry per vertex. subset, an ascending index array,
+    restricts the order to those vertices; by default it covers them all.
+    A chunk of size k takes every remaining live vertex (see _live) whose
+    rank is at most the k-th smallest such rank, so equal ranks never
+    straddle two chunks, and is sorted only when the scan asks for it: by
+    rank alone when its ranks are distinct, else by lexsort, whose keys run
+    minor-first and which puts NaN ranks last.
     """
     rank = np.asarray(rank, dtype=float)
     rest = np.arange(len(rank)) if subset is None else subset
     size = _FIRST_CHUNK
     while rest.size:
+        rest = _live(graph, rest, used)
         chunk = rest
         if rest.size > size:
             r = rank[rest]
@@ -79,15 +92,17 @@ def _collect(graph: ConflictGraph, picked) -> IndependentSet:
     return IndependentSet(picked, float(sum(graph.weights[i] for i in picked)))
 
 
-def _greedy_by_order(graph: ConflictGraph, chunks) -> IndependentSet:
+def _greedy_by_order(graph: ConflictGraph, chunks, subset=None, used=None) -> IndependentSet:
     """Maximal independent set taking vertices in the order the index
     chunks give: a vertex is taken when its UDs and its slot are all still
-    unused. The scan stops once every slot or every UD of the graph is
-    used, since no later vertex could then be taken."""
-    n_slots = int(np.count_nonzero(np.bincount(graph.slot)))
-    n_uds = int(np.count_nonzero(np.bincount(_used_uds(graph, slice(None)))))
-    used_uds = set()
-    used_slots = set()
+    unused, and recorded in the (UDs, slots) sets used the chunks may read.
+    The scan stops once every slot or every UD of the vertices in subset
+    (by default all) is used, since no later vertex could then be taken."""
+    idx = slice(None) if subset is None else subset
+    u2 = graph.u2[idx]
+    n_slots = int(np.count_nonzero(np.bincount(graph.slot[idx])))
+    n_uds = int(np.count_nonzero(np.bincount(np.concatenate([graph.u1[idx], u2[u2 >= 0]]))))
+    used_uds, used_slots = used = (set(), set()) if used is None else used
     picked = []
     for chunk in chunks:
         for i, a, b, s in zip(chunk.tolist(), graph.u1[chunk].tolist(),
@@ -110,7 +125,7 @@ def _sum_by(weights, keys):
     return np.bincount(keys, weights=weights)[keys]
 
 
-def modified_ranks(graph: ConflictGraph) -> np.ndarray:
+def modified_ranks(graph: ConflictGraph, subset=None) -> np.ndarray:
     """Every vertex's weight times its total non-neighbour weight.
 
     Vertex i and its neighbours are the union of the cliques of its UDs and
@@ -121,47 +136,57 @@ def modified_ranks(graph: ConflictGraph) -> np.ndarray:
     largest UD id and slot. Under the default CC2 rule a slot is one RRB of
     one AP, where a cluster is enumerated once, so a (pair, slot) sum is
     the pair's own weight. Vectorized equivalent of graph.modified_weight.
+
+    The keys are kept on the graph, and its column-sharing reweighed copies
+    share them. With subset, an ascending index array, the ranks there are
+    the subset's graph's bit for bit: other vertices add 0.0 to each sum.
     """
-    w = graph.weights
-    n = len(w)
+    n = len(graph)
     if n == 0:      # bincount of no keys is an int array
         return np.zeros(0)
-    pair = np.flatnonzero(graph.u2 >= 0)
+    if graph._rank_keys is None:
+        pair = np.flatnonzero(graph.u2 >= 0)
+        # one membership entry per (vertex, UD): u1 of every vertex, then u2 of the pairs
+        ud = np.concatenate([graph.u1, graph.u2[pair]])
+        slot = np.concatenate([graph.slot, graph.slot[pair]])
+        n_slots = slot.max() + 1
+        pair_key = ud[pair] * (ud.max() + 1) + ud[n:]
+        graph._rank_keys = (pair, ud, ud * n_slots + slot, pair_key,
+                            pair_key * n_slots + slot[n:] if graph.strict_cc2 else None)
+    pair, ud, ud_slot, pair_key, pair_slot = graph._rank_keys
+    w = graph.weights
+    if subset is not None:
+        w = np.zeros(n)
+        w[subset] = graph.weights[subset]
     w_pair = w[pair]
-    # one membership entry per (vertex, UD): u1 of every vertex, then u2 of the pairs
-    ud = np.concatenate([graph.u1, graph.u2[pair]])
-    slot = np.concatenate([graph.slot, graph.slot[pair]])
     member_w = np.concatenate([w, w_pair])
-    n_ids, n_slots = ud.max() + 1, slot.max() + 1
     by_ud = _sum_by(member_w, ud)
-    by_ud_slot = _sum_by(member_w, ud * n_slots + slot)
+    by_ud_slot = _sum_by(member_w, ud_slot)
     union = by_ud[:n] + _sum_by(w, graph.slot) - by_ud_slot[:n]
-    pair_key = ud[pair] * n_ids + ud[n:]
-    by_pair_slot = _sum_by(w_pair, pair_key * n_slots + slot[n:]) if graph.strict_cc2 else w_pair
+    by_pair_slot = _sum_by(w_pair, pair_slot) if graph.strict_cc2 else w_pair
     union[pair] += by_ud[n:] - by_ud_slot[n:] - _sum_by(w_pair, pair_key) + by_pair_slot
-    return w * (w.sum() - union)
+    return w * ((w if subset is None else w[subset]).sum() - union)
 
 
-def greedy_min_wis(graph: ConflictGraph, ordering: str = "original") -> IndependentSet:
+def greedy_min_wis(graph: ConflictGraph, ordering: str = "original",
+                   subset=None) -> IndependentSet:
     """Greedy lightest-first maximal independent set.
 
     ordering "original" ranks by the vertex weight, "modified" by the
     weight scaled by the total non-neighbor weight; ties break on
     (ap, rrb, lowest ud id). total_weight always sums the plain weights.
+    subset, an ascending index array, searches those vertices' graph alone.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    rank = modified_ranks(graph) if ordering == "modified" else graph.weights
-    return _greedy_by_order(graph, _sorted_chunks(graph, rank))
+    rank = modified_ranks(graph, subset) if ordering == "modified" else graph.weights
+    used = (set(), set())
+    return _greedy_by_order(graph, _sorted_chunks(graph, rank, subset, used), subset, used)
 
 
 def random_maximal_is(graph: ConflictGraph, seed: int) -> IndependentSet:
     """Maximal independent set grown in a seeded random vertex order."""
     rng = np.random.default_rng(seed)
-    return _greedy_by_order(graph, _slices(rng.permutation(len(graph))))
+    used = (set(), set())
+    return _greedy_by_order(graph, _slices(graph, rng.permutation(len(graph)), used), used=used)
 
-
-def _used_uds(graph: ConflictGraph, idx) -> np.ndarray:
-    """The UDs of the given vertices, one entry per use."""
-    u2 = graph.u2[idx]
-    return np.concatenate([graph.u1[idx], u2[u2 >= 0]])

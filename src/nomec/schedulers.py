@@ -87,16 +87,18 @@ def _stage1(scenario, opt: _Options):
     Groups flagged for offloading are frozen and their UDs and AP leave the
     next iteration's pool, and under strict CC2 their RRB indices, which a
     frozen cluster holds on every AP. Candidate clusters are enumerated and
-    their powers solved once; each later iteration keeps those still in the
-    pool and weighs them again at the new frequencies. The associations
-    are the frozen ones plus the last iteration's picks at uncommitted APs;
-    the graph and the picks are the last iteration's.
+    their powers solved once; each later iteration weighs the whole pool
+    again at the new frequencies, sharing its columns, and searches the
+    vertices still in it as the greedy's subset. An iteration whose input
+    repeats an earlier one's reuses its picks and allocation; cycle_period
+    is how far back the first repeat lies, or 0. The associations are the
+    frozen ones plus the last iteration's picks at uncommitted APs; the
+    graph is a copy of the last iteration's pool, and the picks index it.
 
     Under the original ordering the pool holds the singletons only: a pair
     is strictly heavier than both of its member singletons on its slot and
     conflicts with each, so the lightest-first greedy never takes it. The
-    last iteration's full graph is then weighed once, after the loop, and
-    the picks are mapped into it. The modified ordering ranks by sums over
+    final graph keeps the pairs. The modified ordering ranks by sums over
     pair weights, so its pool keeps the pairs.
     """
     caps = _caps(scenario)
@@ -116,27 +118,34 @@ def _stage1(scenario, opt: _Options):
     solved = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
     pool = graph = (solved if opt.ordering == "modified"
                     else reweighed(scenario, solved, solved.u2 < 0, caps))
-    converged = False
-    iterations = 0
+    rows = np.arange(len(solved)) if pool is solved else np.flatnonzero(solved.u2 < 0)
+    seen = {}       # per input, its iteration, picks, their APs and allocation
+    converged, iterations, cycle_period = False, 0, 0
     for it in range(opt.max_iters):
         iterations = it + 1
-        if it > 0:
-            masks, weighed_at = [a.copy() for a in active], dict(f_loc)
-            graph = reweighed(scenario, pool, in_pool(pool, *masks), f_loc)
-        picks = greedy_min_wis(graph, opt.ordering).indices
-        idx = np.array(picks, dtype=np.int64)
-        pick_aps = graph.ap_arr[idx].tolist()
-        # each AP's tasks in pick order, which fixes the demand sums' last bits
-        groups = {}
-        for m, u1, u2 in zip(pick_aps, graph.u1[idx].tolist(), graph.u2[idx].tolist()):
-            groups.setdefault(m, []).extend(tasks[u] for u in (u1, u2) if u >= 0)
-        alloc = allocate_local(groups, caps)
+        masks, weighed_at = active, dict(f_loc)
+        key = (len(committed), *f_loc.values())     # only commits shrink the pool
+        if key not in seen:
+            if it > 0:
+                graph = reweighed(scenario, pool, np.ones(len(pool), dtype=bool), f_loc)
+            subset = in_pool(pool, *masks).nonzero()[0] if committed else None
+            idx = np.array(greedy_min_wis(graph, opt.ordering, subset).indices, dtype=np.int64)
+            pick_aps = pool.ap_arr[idx].tolist()
+            # each AP's tasks in pick order, which fixes the demand sums' last bits
+            groups = {}
+            for m, u1, u2 in zip(pick_aps, pool.u1[idx].tolist(), pool.u2[idx].tolist()):
+                groups.setdefault(m, []).extend(tasks[u] for u in (u1, u2) if u >= 0)
+            seen[key] = (it, idx, pick_aps, allocate_local(groups, caps))
+        first, idx, pick_aps, alloc = seen[key]
+        cycle_period = cycle_period or it - first
         new_flags = {m for m, flagged in alloc.x.items() if flagged}
         f_new = {m: alloc.f_loc[m] for m in alloc.f_loc if not alloc.x[m]}
         if not new_flags and all(f_loc[m] == f_new[m] for m in f_new):
             converged = True
             break
-        for i, m in zip(picks, pick_aps):
+        if new_flags:   # a repeated input never flags: flagging shrinks the pool
+            masks = [a.copy() for a in active]
+        for i, m in zip(idx.tolist(), pick_aps):
             if m in new_flags:
                 committed.append(graph.vertex(i))
                 active_ud[list(committed[-1].uds)] = False
@@ -145,15 +154,14 @@ def _stage1(scenario, opt: _Options):
         active_ap[list(new_flags)] = False
         f_loc.update(f_new)
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
+    keep = in_pool(solved, *masks)
+    graph = solved if iterations == 1 else reweighed(scenario, solved, keep, weighed_at)
+    picks = tuple(keep.nonzero()[0].searchsorted(rows[idx]).tolist())
     assocs = committed + [graph.vertex(i) for i, m in zip(picks, pick_aps)
                           if m not in committed_aps]
-    if pool is not solved:
-        graph = solved if iterations == 1 else reweighed(
-            scenario, solved, in_pool(solved, *masks), weighed_at)
-        picks = tuple(np.flatnonzero(graph.u2 < 0)[idx].tolist())
     extras = {"vertices": len(solved), "iterations": iterations,
-              "converged": converged, "stage1_f_loc": dict(f_loc),
-              "committed_aps": committed_aps}
+              "converged": converged, "cycle_period": cycle_period,
+              "stage1_f_loc": dict(f_loc), "committed_aps": committed_aps}
     return assocs, graph, picks, extras
 
 
@@ -171,19 +179,20 @@ def _pruned_greedy(scenario, opt: _Options):
     return _picked(graph, greedy_min_wis(graph, opt.ordering))
 
 
-def _pairs_first(graph):
+def _pairs_first(graph, used=None):
     """The vertex order by (is singleton, weight, ap, rrb, uds), as the
-    pairs' sorted chunks and then the singletons'."""
+    pairs' sorted chunks and then the singletons', each cut by used."""
     single = graph.u2 < 0
     for subset in (np.flatnonzero(~single), np.flatnonzero(single)):
-        yield from _sorted_chunks(graph, graph.weights, subset)
+        yield from _sorted_chunks(graph, graph.weights, subset, used)
 
 
 def _one_cluster_per_ap(scenario, opt: _Options):
     # one RRB per AP caps each collected group at a single cluster;
     # pairs order before singletons so clusters fill up
     graph = enumerate_full(scenario, strict_cc2=opt.strict_cc2, rrbs=[0])
-    return _picked(graph, _greedy_by_order(graph, _pairs_first(graph)))
+    used = (set(), set())
+    return _picked(graph, _greedy_by_order(graph, _pairs_first(graph, used), used=used))
 
 
 def _random_maximal(scenario, opt: _Options):

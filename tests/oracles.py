@@ -13,7 +13,13 @@ full_cells_by_ap and pruned_cells_by_scan, per-call candidate builders, for
 the candidate clusters it now builds once per topology; and
 solve_pairs_batch_by_where, solve_cells_by_copy, reweighed_by_copy and
 pairs_first_order, which allocate an array per step and sort in full, for
-its buffered power solve, graph assembly and chunked all_offload order.
+its buffered power solve, graph assembly and chunked all_offload order;
+and greedy_by_order_full_read and stage1_by_copy, the greedy pass that
+reads every chunk whole and the stage-1 loop that copies its pool every
+iteration, for the live-vertex pass and the one-pool stage 1.
+stage1_by_copy runs the package's enumeration, reweighing and local
+allocation, which other tests pin, around its own greedy. rows_of packs
+rows of a graph into a fresh one, as graph_of packs associations.
 """
 
 import math
@@ -21,7 +27,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from nomec import ConflictGraph
+from nomec import ConflictGraph, allocate_local, enumerate_full
+from nomec.graph import reweighed
 
 
 def sic_sinr(members, gains, ud_id, noise_w):
@@ -292,6 +299,106 @@ def reweighed_by_copy(scenario, graph, keep, f_loc):
                               graph._p2, graph._r1, graph._r2, graph._obj))
     w = _weights_by_copy(scenario, u1, u2, ap, r1, r2, f_loc)
     return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, graph.strict_cc2)
+
+
+def greedy_by_order_full_read(graph, chunks):
+    """The package's greedy pass as it was before it cut its chunks to the
+    vertices the picks so far leave free: each chunk of the order is read
+    whole, and the pass stops only once every slot or every UD of the graph
+    is used. Returns the picks in order."""
+    n_slots = int(np.count_nonzero(np.bincount(graph.slot)))
+    u2 = graph.u2
+    n_uds = int(np.count_nonzero(np.bincount(np.concatenate([graph.u1, u2[u2 >= 0]]))))
+    used_uds, used_slots, picked = set(), set(), []
+    for chunk in chunks:
+        for i, a, b, s in zip(chunk.tolist(), graph.u1[chunk].tolist(),
+                              graph.u2[chunk].tolist(), graph.slot[chunk].tolist()):
+            if a in used_uds or b in used_uds or s in used_slots:
+                continue
+            picked.append(i)
+            used_uds.add(a)
+            if b >= 0:
+                used_uds.add(b)
+            used_slots.add(s)
+            if len(used_slots) == n_slots or len(used_uds) == n_uds:
+                return tuple(picked)
+    return tuple(picked)
+
+
+def greedy_full_read(graph, ordering):
+    """greedy_min_wis's picks from one full sort by (rank, ap, rrb, uds),
+    NaN ranks last, read by greedy_by_order_full_read."""
+    rank = modified_ranks_by_unique(graph) if ordering == "modified" else graph.weights
+    order = np.lexsort((graph.u2, graph.u1, graph.rrb_arr, graph.ap_arr, rank))
+    return greedy_by_order_full_read(graph, [order])
+
+
+def stage1_by_copy(scenario, strict_cc2, ordering, max_iters):
+    """The package's stage-1 alternation as it was before it weighed one
+    pool in place: every iteration after the first searches a masked copy
+    of the pool with greedy_full_read, and no iteration is reused. Returns
+    (associations, final graph, final picks, extras) as the package's
+    stage 1 does, without cycle_period."""
+    caps = {ap.id: ap.f_loc_max_cps for ap in scenario.aps}
+    f_loc = dict(caps)
+    committed = []
+    active = (np.ones(len(scenario.devices) + 1, dtype=bool),
+              np.ones(len(scenario.aps), dtype=bool),
+              np.ones(max(ap.num_rrbs for ap in scenario.aps), dtype=bool))
+    active_ud, active_ap, active_rrb = active
+
+    def in_pool(g, ud, ap, rrb):
+        return ud[g.u1] & ud[g.u2] & ap[g.ap_arr] & rrb[g.rrb_arr]
+
+    tasks = [d.task for d in scenario.devices]
+    solved = enumerate_full(scenario, strict_cc2=strict_cc2)
+    pool = graph = (solved if ordering == "modified"
+                    else reweighed(scenario, solved, solved.u2 < 0, caps))
+    converged = False
+    iterations = 0
+    for it in range(max_iters):
+        iterations = it + 1
+        if it > 0:
+            masks, weighed_at = [a.copy() for a in active], dict(f_loc)
+            graph = reweighed(scenario, pool, in_pool(pool, *masks), f_loc)
+        picks = greedy_full_read(graph, ordering)
+        idx = np.array(picks, dtype=np.int64)
+        pick_aps = graph.ap_arr[idx].tolist()
+        groups = {}
+        for m, u1, u2 in zip(pick_aps, graph.u1[idx].tolist(), graph.u2[idx].tolist()):
+            groups.setdefault(m, []).extend(tasks[u] for u in (u1, u2) if u >= 0)
+        alloc = allocate_local(groups, caps)
+        new_flags = {m for m, flagged in alloc.x.items() if flagged}
+        f_new = {m: alloc.f_loc[m] for m in alloc.f_loc if not alloc.x[m]}
+        if not new_flags and all(f_loc[m] == f_new[m] for m in f_new):
+            converged = True
+            break
+        for i, m in zip(picks, pick_aps):
+            if m in new_flags:
+                committed.append(graph.vertex(i))
+                active_ud[list(committed[-1].uds)] = False
+                if strict_cc2:
+                    active_rrb[committed[-1].rrb] = False
+        active_ap[list(new_flags)] = False
+        f_loc.update(f_new)
+    committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
+    assocs = committed + [graph.vertex(i) for i, m in zip(picks, pick_aps)
+                          if m not in committed_aps]
+    if pool is not solved:
+        graph = solved if iterations == 1 else reweighed(
+            scenario, solved, in_pool(solved, *masks), weighed_at)
+        picks = tuple(np.flatnonzero(graph.u2 < 0)[idx].tolist())
+    extras = {"vertices": len(solved), "iterations": iterations,
+              "converged": converged, "stage1_f_loc": dict(f_loc),
+              "committed_aps": committed_aps}
+    return assocs, graph, picks, extras
+
+
+def rows_of(graph, rows):
+    """A fresh ConflictGraph of the given rows of graph, weights included."""
+    columns = (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph.weights,
+               graph._p1, graph._p2, graph._r1, graph._r2, graph._obj)
+    return ConflictGraph(*(col[rows] for col in columns), strict_cc2=graph.strict_cc2)
 
 
 def pairs_first_order(graph):

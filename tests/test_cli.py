@@ -172,11 +172,13 @@ def test_max_iters_below_one_exits_1(capsys):
 
 
 def test_bad_sweep_values_exit_1(capsys):
-    # the last four are finite but give an infinite task, load or AP cost
+    # the four before the last are finite but give an infinite task, load
+    # or AP cost; the last two ranges share the mean their rows report
     for sweep in ("n_uds=0", "ap_positions=1", "w_latency=nan", "noise_dbm_hz=inf",
                   "n_uds=4,,5", "rrbs_per_ap=2.0", "p_max_dbm_hz=4000",
                   "noise_dbm_hz=-4000", "density_cpb=1e308", "f_loc_max_cps=1e-310",
-                  "deadline_s=1e-320", "task_size_range_bits=1e300:1e305"):
+                  "deadline_s=1e-320", "task_size_range_bits=1e300:1e305",
+                  "task_size_range_bits=400:600,300:700"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(["--sweep", sweep, "--trials", "1", "--summary"], capsys)

@@ -56,6 +56,18 @@ def test_spec_rejects_unknown_ordering_and_bad_sweep_values():
             tiny_spec(sweep_var=var, sweep_values=values)
 
 
+def test_spec_rejects_sweep_values_that_report_one_sweep_value():
+    """Rows carry a range value as its mean, and summaries group by it, so
+    two ranges with one mean would merge into one summary."""
+    with pytest.raises(HarnessError, match=r"\(400\.0, 600\.0\) and \(300\.0, 700\.0\)"):
+        tiny_spec(sweep_var="task_size_range_bits",
+                  sweep_values=((400.0, 600.0), (300.0, 700.0)))
+    # a repeated value is the same point, and distinct means stay apart
+    assert tiny_spec(sweep_var="task_size_range_bits",
+                     sweep_values=((400.0, 600.0), (400.0, 600.0), (300.0, 600.0)))
+    assert tiny_spec(sweep_var="n_uds", sweep_values=(6, 6, 8))
+
+
 def test_import_leaves_the_process_pool_unloaded():
     """The pool's modules load only when run_experiment starts workers."""
     code = ("import sys, nomec; "

@@ -8,7 +8,7 @@ from nomec import (ConflictGraph, NomaAssociation, ScenarioConfig, build_pruned,
                    enumerate_full, generate, greedy_min_wis, modified_ranks,
                    random_maximal_is)
 from nomec.graph import reweighed
-from nomec.mwis import _greedy_by_order
+from nomec.mwis import _greedy_by_order, _slices, _sorted_chunks
 import oracles
 from oracles import (adjacency_matrix, exact_min_wis, graph_of, is_independent, is_maximal,
                      picks_in_order)
@@ -410,3 +410,33 @@ def test_scan_stops_when_uds_or_slots_are_used_up():
         last = order.index(want[-1]) + 1
         assert _greedy_by_order(graph, scan_up_to(order, last)).indices == want
         assert greedy_min_wis(graph).indices == want
+
+
+# Live-vertex pass: every chunk after the first is cut to the vertices the
+# picks so far leave free before it is sorted and scanned. The reference
+# reads every chunk whole.
+
+def test_live_pass_picks_what_the_full_read_pass_picks():
+    rng = np.random.default_rng(79)
+    for k in range(40):
+        n = int(rng.integers(520, 2500))
+        graph = random_graph(rng, n, n_uds=int(rng.integers(10, 120)), n_aps=int(rng.integers(1, 8)),
+                             n_rrbs=int(rng.integers(1, 40)), strict=k % 2 == 1)
+        rank = rng.integers(1, 4, size=n) * 0.5                 # three tied ranks
+        rank[rng.random(n) < rng.uniform(0.0, 0.9)] = np.nan
+        subset = np.flatnonzero(rng.random(n) < rng.uniform(0.2, 1.0))
+        alone = oracles.rows_of(graph, subset)
+        order = np.lexsort((alone.u2, alone.u1, alone.rrb_arr, alone.ap_arr, rank[subset]))
+        want = subset[list(oracles.greedy_by_order_full_read(alone, [order]))].tolist()
+        used = (set(), set())
+        got = _greedy_by_order(graph, _sorted_chunks(graph, rank, subset, used), subset, used)
+        assert list(got.indices) == want
+        # a random order of the subset, read in growing slices
+        perm = rng.permutation(subset.size)
+        used = (set(), set())
+        got = _greedy_by_order(graph, _slices(graph, subset[perm], used), subset, used)
+        assert list(got.indices) == subset[list(
+            oracles.greedy_by_order_full_read(alone, [perm]))].tolist()
+        for ordering in ("original", "modified"):
+            assert list(greedy_min_wis(graph, ordering, subset).indices) == \
+                subset[list(oracles.greedy_full_read(alone, ordering))].tolist()

@@ -9,14 +9,15 @@ import pytest
 
 from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
                    NomaAssociation, Schedule, ScenarioConfig, allocate_local,
-                   enumerate_full, generate, modified_ranks, run_scheme)
+                   enumerate_full, generate, greedy_min_wis, modified_ranks, run_scheme)
 from nomec import graph as graph_module
 from nomec.graph import reweighed
 from nomec import schedulers
 from nomec.model import InvalidAssignmentError, backhaul_rate
 from nomec.scenario import with_channel
+import oracles
 from oracles import (conflicts, graph_of, modified_ranks_by_unique, pairs_first_order,
-                     picks_in_order, recompute_metrics)
+                     picks_in_order, recompute_metrics, rows_of)
 
 BASE = dict(n_uds=10, n_aps=4, n_mecs=2, rrbs_per_ap=2)
 
@@ -246,49 +247,98 @@ SOLVED = ("u1", "u2", "rrb_arr", "ap_arr", "weights", "slot",
           "_p1", "_p2", "_r1", "_r2", "_obj")
 
 
-def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
-    """Each stage-1 iteration schedules on the graph a fresh enumeration of
-    the still-active UDs and APs at that iteration's frequencies gives, and
-    ranks it bit for bit as the np.unique route does."""
+def record_greedy(monkeypatch):
+    """Record every (graph, subset, result) of schedulers.greedy_min_wis."""
     calls = []
     real = schedulers.greedy_min_wis
 
-    def record(graph, ordering="original"):
-        wis = real(graph, ordering)
-        calls.append((graph, wis))
+    def record(graph, ordering="original", subset=None):
+        wis = real(graph, ordering, subset)
+        calls.append((graph, subset, wis))
         return wis
 
     monkeypatch.setattr(schedulers, "greedy_min_wis", record)
-    for strict, cfg in STAGE1_CASES:
-        scn = generate(cfg)
-        calls.clear()
-        _, plan = run_scheme(scn, "joint", strict_cc2=strict, mwis_ordering="modified")
-        assert plan.extras["committed_aps"] and len(calls) == plan.extras["iterations"] > 2
-        coverage = dict(scn.coverage)
-        f_loc = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
-        rrbs = list(range(cfg.rrbs_per_ap))
-        for graph, wis in calls:
-            # the pool as coverage: committed APs cover no one, committed UDs
-            # are covered by no AP; strict CC2 also drops committed RRBs
-            fresh = enumerate_full(dataclasses.replace(scn, coverage=coverage),
-                                   strict_cc2=strict, rrbs=rrbs)
-            fresh = reweighed(scn, fresh, np.ones(len(fresh), bool), f_loc)
-            for name in SOLVED:
-                assert np.array_equal(getattr(graph, name), getattr(fresh, name),
-                                      equal_nan=True), name
-            assert np.array_equal(modified_ranks(graph), modified_ranks_by_unique(graph))
-            picked = [graph.vertex(i) for i in wis.indices]
-            groups = {}
-            for a in picked:
-                groups.setdefault(a.ap, []).extend(scn.devices[u].task for u in a.uds)
-            alloc = allocate_local(groups, {ap.id: ap.f_loc_max_cps for ap in scn.aps})
-            flagged = {m for m, x in alloc.x.items() if x}
-            moved = {u for a in picked if a.ap in flagged for u in a.uds}
-            if strict:
-                rrbs = [z for z in rrbs if z not in {a.rrb for a in picked if a.ap in flagged}]
-            coverage = {m: frozenset() if m in flagged else uds - moved
-                        for m, uds in coverage.items()}
-            f_loc.update({m: f for m, f in alloc.f_loc.items() if not alloc.x[m]})
+    return calls
+
+
+def stage1_replay(scn, cfg, strict, ordering, calls, iterations):
+    """Replay stage 1's iterations from the greedy calls it recorded.
+
+    An iteration's input is the pool as coverage (committed APs cover no
+    one, committed UDs are covered by no AP; strict CC2 also drops
+    committed RRBs) and the per-AP frequencies. A new input takes the next
+    call: its subset of the pool, packed into a fresh graph, must be
+    searched as that graph alone, with the same modified ranks bit for bit
+    and the same picks. An input seen before takes no call and reuses its
+    picks. Returns per iteration (searched graph, picks into it, fresh
+    enumeration of the input at its frequencies, whether it made a call),
+    and the distance back to the input the first repeat repeats, or 0.
+    """
+    coverage = dict(scn.coverage)
+    f_loc = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
+    rrbs = list(range(cfg.rrbs_per_ap))
+    pending = iter(calls)
+    seen, replay, period = {}, [], 0
+    for it in range(iterations):
+        fresh = enumerate_full(dataclasses.replace(scn, coverage=coverage),
+                               strict_cc2=strict, rrbs=rrbs)
+        fresh = reweighed(scn, fresh, np.ones(len(fresh), bool), f_loc)
+        key = (tuple(sorted(coverage.items())), tuple(rrbs), tuple(f_loc.values()))
+        if key in seen:
+            first, graph, picks = seen[key]
+            period = period or it - first
+        else:
+            pool, subset, wis = next(pending)
+            rows = np.arange(len(pool)) if subset is None else subset
+            graph = rows_of(pool, rows)
+            assert np.array_equal(modified_ranks(pool, subset)[rows],
+                                  modified_ranks_by_unique(graph))
+            picks = greedy_min_wis(graph, ordering).indices
+            assert rows[list(picks)].tolist() == list(wis.indices)
+            seen[key] = (it, graph, picks)
+        replay.append((graph, picks, fresh, seen[key][0] == it))
+        picked = [graph.vertex(i) for i in picks]
+        groups = {}
+        for a in picked:
+            groups.setdefault(a.ap, []).extend(scn.devices[u].task for u in a.uds)
+        alloc = allocate_local(groups, {ap.id: ap.f_loc_max_cps for ap in scn.aps})
+        flagged = {m for m, x in alloc.x.items() if x}
+        moved = {u for a in picked if a.ap in flagged for u in a.uds}
+        if strict:
+            rrbs = [z for z in rrbs if z not in {a.rrb for a in picked if a.ap in flagged}]
+        coverage = {m: frozenset() if m in flagged else uds - moved
+                    for m, uds in coverage.items()}
+        f_loc.update({m: f for m, f in alloc.f_loc.items() if not alloc.x[m]})
+    assert next(pending, None) is None
+    return replay, period
+
+
+def test_stage1_graphs_equal_a_fresh_enumeration(monkeypatch):
+    """Each stage-1 iteration schedules on the graph a fresh enumeration of
+    the still-active UDs and APs at that iteration's frequencies gives, and
+    ranks it bit for bit as the np.unique route does. An iteration whose
+    input repeats makes no greedy call; at max_iters=8 the first case's
+    input repeats with period 2."""
+    calls = record_greedy(monkeypatch)
+    repeats = 0
+    for max_iters in (5, 8):
+        for strict, cfg in STAGE1_CASES:
+            scn = generate(cfg)
+            calls.clear()
+            _, plan = run_scheme(scn, "joint", strict_cc2=strict, mwis_ordering="modified",
+                                 max_iters=max_iters)
+            iterations = plan.extras["iterations"]
+            assert plan.extras["committed_aps"] and iterations > 2
+            replay, period = stage1_replay(scn, cfg, strict, "modified", calls, iterations)
+            reused = sum(not made for *_, made in replay)
+            assert len(calls) == iterations - reused
+            assert plan.extras["cycle_period"] == period
+            repeats += reused > 0
+            for graph, _, fresh, _ in replay:
+                for name in SOLVED:
+                    assert np.array_equal(getattr(graph, name), getattr(fresh, name),
+                                          equal_nan=True), name
+    assert repeats == 1
 
 
 # STAGE1_CASES' strict config commits only under the modified ordering;
@@ -303,51 +353,91 @@ def test_stage1_searches_the_singletons_of_a_fresh_enumeration(monkeypatch, sche
     pair-free graph: bit for bit the singleton rows of the graph a fresh
     enumeration of the still-active UDs, APs and RRBs at that iteration's
     frequencies gives. The final graph is the last such fresh graph whole,
-    pairs included, and the final picks index it."""
-    calls = []
-    real = schedulers.greedy_min_wis
-
-    def record(graph, ordering="original"):
-        wis = real(graph, ordering)
-        calls.append((graph, wis))
-        return wis
-
-    monkeypatch.setattr(schedulers, "greedy_min_wis", record)
-    for strict, cfg in ORIGINAL_CASES:
+    pairs included, and the final picks index it. The first case's input
+    repeats with period 2 and makes no greedy call then."""
+    calls = record_greedy(monkeypatch)
+    for case, (strict, cfg) in enumerate(ORIGINAL_CASES):
         scn = generate(cfg)
         calls.clear()
         _, plan = run_scheme(scn, scheme, strict_cc2=strict)
-        assert plan.extras["committed_aps"] and len(calls) == plan.extras["iterations"] > 2
-        coverage = dict(scn.coverage)
-        f_loc = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
-        rrbs = list(range(cfg.rrbs_per_ap))
-        for graph, wis in calls:
-            fresh = enumerate_full(dataclasses.replace(scn, coverage=coverage),
-                                   strict_cc2=strict, rrbs=rrbs)
-            fresh = reweighed(scn, fresh, np.ones(len(fresh), bool), f_loc)
+        iterations = plan.extras["iterations"]
+        assert plan.extras["committed_aps"] and iterations > 2
+        replay, period = stage1_replay(scn, cfg, strict, "original", calls, iterations)
+        reused = sum(not made for *_, made in replay)
+        assert len(calls) == iterations - reused
+        assert plan.extras["cycle_period"] == period == (2 if case == 0 else 0)
+        for graph, _, fresh, _ in replay:
             singles = fresh.u2 < 0
             assert np.all(graph.u2 < 0) and not np.all(singles)
             for name in SOLVED:
                 assert np.array_equal(getattr(graph, name), getattr(fresh, name)[singles],
                                       equal_nan=True), name
-            picked = [graph.vertex(i) for i in wis.indices]
-            groups = {}
-            for a in picked:
-                groups.setdefault(a.ap, []).extend(scn.devices[u].task for u in a.uds)
-            alloc = allocate_local(groups, {ap.id: ap.f_loc_max_cps for ap in scn.aps})
-            flagged = {m for m, x in alloc.x.items() if x}
-            moved = {u for a in picked if a.ap in flagged for u in a.uds}
-            if strict:
-                rrbs = [z for z in rrbs if z not in {a.rrb for a in picked if a.ap in flagged}]
-            coverage = {m: frozenset() if m in flagged else uds - moved
-                        for m, uds in coverage.items()}
-            f_loc.update({m: f for m, f in alloc.f_loc.items() if not alloc.x[m]})
+        graph, picks, fresh, _ = replay[-1]
         final = plan.extras["final_graph"]
         for name in SOLVED:
             assert np.array_equal(getattr(final, name), getattr(fresh, name), equal_nan=True), name
         assert list(plan.extras["final_is_indices"]) == \
-            np.flatnonzero(fresh.u2 < 0)[list(wis.indices)].tolist()
+            np.flatnonzero(fresh.u2 < 0)[list(picks)].tolist()
         assert plan.extras["vertices"] == len(enumerate_full(scn, strict_cc2=strict))
+
+
+def test_stage1_reports_its_cycle_period():
+    """cycle_period is how far back the first repeated stage-1 input lies,
+    or 0. The first case cycles with period 2 from its 3rd iteration on
+    under the original ordering, and needs 8 iterations to repeat under
+    the modified one; the strict case converges."""
+    (_, mixed), (strict, dense) = STAGE1_CASES
+    want = (("original", 5, mixed, False, 2), ("modified", 5, mixed, False, 0),
+            ("modified", 8, mixed, False, 2), ("modified", 8, dense, strict, 0))
+    for ordering, max_iters, cfg, strict_cc2, period in want:
+        for scheme in ("joint", "local"):
+            _, plan = run_scheme(generate(cfg), scheme, strict_cc2=strict_cc2,
+                                 mwis_ordering=ordering, max_iters=max_iters)
+            if scheme == "joint" or ordering == "original":
+                assert plan.extras["cycle_period"] == period, (ordering, max_iters, scheme)
+            assert plan.extras["converged"] == (plan.extras["iterations"] < max_iters)
+            assert plan.extras["cycle_period"] == 0 or not plan.extras["converged"]
+    for scheme in ("pruning", "all_offload", "random"):
+        assert "cycle_period" not in run_scheme(generate(mixed), scheme)[1].extras
+
+
+def stage1_corpus(rng, count):
+    """Random stage-1 scenarios: 8-60 UDs, the default light tasks or heavy
+    ones that make APs commit, both CC2 rules and both orderings, and
+    max_iters 1-8."""
+    for _ in range(count):
+        light = ScenarioConfig()
+        heavy = rng.random() < 0.5
+        cfg = ScenarioConfig(
+            n_uds=int(rng.integers(8, 61)), n_aps=int(rng.integers(2, 10)),
+            rrbs_per_ap=int(rng.integers(1, 4)), n_mecs=int(rng.integers(1, 5)),
+            task_size_range_bits=(100.0, 2000.0) if heavy else light.task_size_range_bits,
+            density_cpb=float(rng.choice([500.0, 2000.0])) if heavy else light.density_cpb,
+            seed=int(rng.integers(1 << 30)))
+        yield (cfg, bool(rng.integers(2)), str(rng.choice(["original", "modified"])),
+               int(rng.integers(1, 9)))
+
+
+def test_stage1_equals_the_copying_loop():
+    """Stage 1 gives what the loop that copies its pool every iteration and
+    reuses nothing gives: associations, extras but cycle_period, the final
+    graph's columns with their dtypes, and the final picks."""
+    rng = np.random.default_rng(71)
+    committed = cycled = 0
+    for cfg, strict, ordering, max_iters in stage1_corpus(rng, 150):
+        scn = generate(cfg)
+        got = schedulers._stage1(scn, schedulers._Options(0, max_iters, strict, ordering))
+        want = oracles.stage1_by_copy(scn, strict, ordering, max_iters)
+        assocs, graph, picks, extras = got
+        assert assocs == want[0] and picks == want[2]
+        assert type(picks) is tuple and all(type(i) is int for i in picks)
+        cycled += extras.pop("cycle_period") > 0
+        assert extras == want[3]
+        for name in SOLVED:
+            a, b = getattr(graph, name), getattr(want[1], name)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+        committed += bool(extras["committed_aps"])
+    assert committed >= 30 and cycled >= 10
 
 
 def test_joint_solves_powers_once(monkeypatch):
