@@ -113,6 +113,9 @@ def main(argv=None) -> int:
         if args.summary:
             for line in summarize(rows):
                 print(line, file=sys.stderr)
+    except ConfigError as exc:     # a scenario the config cannot generate
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except HarnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

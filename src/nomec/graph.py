@@ -16,7 +16,6 @@ only the tests read the explicit rows.
 """
 
 import bisect
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,26 +261,17 @@ def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
     return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, strict_cc2)
 
 
-def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
-    """The vertices of a solved graph where the boolean mask keep is set,
-    weighed at the per-AP frequencies in the dict f_loc; powers and rates
-    are reused, not solved again.
+def weigh(scenario, graph: ConflictGraph, f_loc) -> np.ndarray:
+    """The weights of graph's vertices at the per-AP frequencies in the
+    dict f_loc, from their solved rates."""
+    return _weights(scenario, graph.u1, graph.u2, graph.ap_arr, graph._r1, graph._r2, f_loc)
 
-    When keep is set everywhere, the new graph shares graph's vertex
-    columns, slots and modified-rank keys instead of copying them, and only
-    its weights are new. The shared arrays are made read-only, in graph as
-    well, so that neither graph can change the other's vertices.
-    """
+
+def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
+    """A copy of the vertices of a solved graph where the boolean mask keep
+    is set, weighed at the per-AP frequencies in the dict f_loc; powers and
+    rates are reused, not solved again."""
     keep = np.asarray(keep, dtype=bool)
-    if keep.all():
-        shared = copy.copy(graph)
-        for name in ("u1", "u2", "rrb_arr", "ap_arr", "slot", "_p1", "_p2", "_r1", "_r2",
-                     "_obj"):
-            getattr(graph, name).flags.writeable = False
-        shared._adj_bits = None
-        shared.weights = _weights(scenario, graph.u1, graph.u2, graph.ap_arr, graph._r1,
-                                  graph._r2, f_loc)
-        return shared
     u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
         col[keep] for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
                               graph._p2, graph._r1, graph._r2, graph._obj))
@@ -310,8 +300,8 @@ def _ap_clusters(scenario):
 def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
     """Enumerate every coverage- and rate-feasible association, no edges.
 
-    Vertex weights use each AP's frequency cap; reweighed gives them at
-    other frequencies. rrbs restricts the enumeration to those RRB
+    Vertex weights use each AP's frequency cap; weigh gives them at other
+    frequencies. rrbs restricts the enumeration to those RRB
     indices. Vertices run AP by AP, RRB by RRB, singletons before pairs;
     powers and weights are solved in one batch, and the returned graph
     builds its adjacency only if something reads ``adj_bits``. Each AP's

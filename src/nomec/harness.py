@@ -49,6 +49,9 @@ class ExperimentSpec:
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise HarnessError(f"unknown schemes: {', '.join(unknown)}")
+        repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            raise HarnessError(f"schemes listed more than once: {', '.join(repeated)}")
         for name, low in (("trials", 1), ("max_iters", 1), ("master_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:

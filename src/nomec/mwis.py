@@ -34,19 +34,10 @@ _FIRST_CHUNK = 512
 _GROWTH = 4
 
 
-def _slices(graph: ConflictGraph, order, used):
-    """order in consecutive chunks of growing size, each cut by _live."""
-    start, size = 0, _FIRST_CHUNK
-    while start < len(order):
-        yield _live(graph, order[start:start + size], used)
-        start += size
-        size *= _GROWTH
-
-
 def _live(graph: ConflictGraph, idx, used):
     """The non-empty idx without the vertices that conflict with the picks
-    whose (UDs, slots) sets used holds; used None blocks nothing."""
-    if not used or not used[1]:
+    whose (UDs, slots) sets used holds."""
+    if not used[1]:
         return idx
     u1, u2, slot = graph.u1[idx], graph.u2[idx], graph.slot[idx]
     # the last UD entry stays unset, so a singleton's u2 = -1 never blocks it
@@ -55,68 +46,59 @@ def _live(graph: ConflictGraph, idx, used):
     return idx[~(taken_ud[u1] | taken_ud[u2] | taken_slot[slot])]
 
 
-def _sorted_chunks(graph: ConflictGraph, rank, subset=None, used=None):
-    """The vertex order by (rank, ap, rrb, uds), in chunks of growing size.
+def _scan(graph: ConflictGraph, parts, rank=None) -> IndependentSet:
+    """Maximal independent set taking the vertices of each index array in
+    parts in turn: a vertex is taken when its UDs and its slot are all
+    still unused.
 
-    rank holds one entry per vertex. subset, an ascending index array,
-    restricts the order to those vertices; by default it covers them all.
-    A chunk of size k takes every remaining live vertex (see _live) whose
-    rank is at most the k-th smallest such rank, so equal ranks never
-    straddle two chunks, and is sorted only when the scan asks for it: by
-    rank alone when its ranks are distinct, else by lexsort, whose keys run
-    minor-first and which puts NaN ranks last.
+    Each part is read in chunks of growing size, each cut by _live to the
+    vertices the picks so far leave free. Without rank a part is read in
+    its given order. With rank, one entry per vertex, it is read by (rank,
+    ap, rrb, uds): a chunk of size k takes every remaining live vertex
+    whose rank is at most the k-th smallest such rank, so equal ranks never
+    straddle two chunks, and is sorted by rank alone when its ranks are
+    distinct, else by lexsort, whose keys run minor-first and which puts
+    NaN ranks last. The parts are disjoint; the scan stops once every slot
+    or every UD of their vertices is used, since no later vertex could then
+    be taken.
     """
-    rank = np.asarray(rank, dtype=float)
-    rest = np.arange(len(rank)) if subset is None else subset
-    size = _FIRST_CHUNK
-    while rest.size:
-        rest = _live(graph, rest, used)
-        chunk = rest
-        if rest.size > size:
-            r = rank[rest]
-            head = r <= np.partition(r, size - 1)[size - 1]
-            chunk, rest = rest[head], rest[~head]
-        else:
-            rest = rest[:0]
-        r = rank[chunk]
-        order = np.argsort(r)
-        if not np.all(np.diff(r[order]) > 0):     # equal or NaN ranks
-            order = np.lexsort((graph.u2[chunk], graph.u1[chunk], graph.rrb_arr[chunk],
-                                graph.ap_arr[chunk], r))
-        yield chunk[order]
-        size *= _GROWTH
-
-
-def _collect(graph: ConflictGraph, picked) -> IndependentSet:
-    picked = tuple(int(i) for i in picked)
-    return IndependentSet(picked, float(sum(graph.weights[i] for i in picked)))
-
-
-def _greedy_by_order(graph: ConflictGraph, chunks, subset=None, used=None) -> IndependentSet:
-    """Maximal independent set taking vertices in the order the index
-    chunks give: a vertex is taken when its UDs and its slot are all still
-    unused, and recorded in the (UDs, slots) sets used the chunks may read.
-    The scan stops once every slot or every UD of the vertices in subset
-    (by default all) is used, since no later vertex could then be taken."""
-    idx = slice(None) if subset is None else subset
+    idx = slice(None) if sum(p.size for p in parts) == len(graph) else np.concatenate(parts)
     u2 = graph.u2[idx]
     n_slots = int(np.count_nonzero(np.bincount(graph.slot[idx])))
     n_uds = int(np.count_nonzero(np.bincount(np.concatenate([graph.u1[idx], u2[u2 >= 0]]))))
-    used_uds, used_slots = used = (set(), set()) if used is None else used
+    used_uds, used_slots = used = (set(), set())
     picked = []
-    for chunk in chunks:
-        for i, a, b, s in zip(chunk.tolist(), graph.u1[chunk].tolist(),
-                              graph.u2[chunk].tolist(), graph.slot[chunk].tolist()):
-            if a in used_uds or b in used_uds or s in used_slots:
-                continue
-            picked.append(i)
-            used_uds.add(a)
-            if b >= 0:
-                used_uds.add(b)
-            used_slots.add(s)
-            if len(used_slots) == n_slots or len(used_uds) == n_uds:
-                return _collect(graph, picked)
-    return _collect(graph, picked)
+    for rest in parts:
+        size = _FIRST_CHUNK
+        while rest.size and len(used_slots) < n_slots and len(used_uds) < n_uds:
+            if rank is None:
+                chunk, rest = _live(graph, rest[:size], used), rest[size:]
+            else:
+                chunk = _live(graph, rest, used)
+                rest = chunk[:0]
+                if chunk.size > size:
+                    r = rank[chunk]
+                    head = r <= np.partition(r, size - 1)[size - 1]
+                    chunk, rest = chunk[head], chunk[~head]
+                r = rank[chunk]
+                order = np.argsort(r)
+                if not np.all(np.diff(r[order]) > 0):     # equal or NaN ranks
+                    order = np.lexsort((graph.u2[chunk], graph.u1[chunk],
+                                        graph.rrb_arr[chunk], graph.ap_arr[chunk], r))
+                chunk = chunk[order]
+            size *= _GROWTH
+            for i, a, b, s in zip(chunk.tolist(), graph.u1[chunk].tolist(),
+                                  graph.u2[chunk].tolist(), graph.slot[chunk].tolist()):
+                if a in used_uds or b in used_uds or s in used_slots:
+                    continue
+                picked.append(i)
+                used_uds.add(a)
+                if b >= 0:
+                    used_uds.add(b)
+                used_slots.add(s)
+                if len(used_slots) == n_slots or len(used_uds) == n_uds:
+                    break
+    return IndependentSet(tuple(picked), float(sum(graph.weights[i] for i in picked)))
 
 
 def _sum_by(weights, keys):
@@ -137,9 +119,9 @@ def modified_ranks(graph: ConflictGraph, subset=None) -> np.ndarray:
     one AP, where a cluster is enumerated once, so a (pair, slot) sum is
     the pair's own weight. Vectorized equivalent of graph.modified_weight.
 
-    The keys are kept on the graph, and its column-sharing reweighed copies
-    share them. With subset, an ascending index array, the ranks there are
-    the subset's graph's bit for bit: other vertices add 0.0 to each sum.
+    The keys are kept on the graph, so weights set on it again reuse them.
+    With subset, an ascending index array, the ranks there are the
+    subset's graph's bit for bit: other vertices add 0.0 to each sum.
     """
     n = len(graph)
     if n == 0:      # bincount of no keys is an int array
@@ -180,13 +162,10 @@ def greedy_min_wis(graph: ConflictGraph, ordering: str = "original",
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     rank = modified_ranks(graph, subset) if ordering == "modified" else graph.weights
-    used = (set(), set())
-    return _greedy_by_order(graph, _sorted_chunks(graph, rank, subset, used), subset, used)
+    return _scan(graph, (np.arange(len(graph)) if subset is None else subset,), rank)
 
 
 def random_maximal_is(graph: ConflictGraph, seed: int) -> IndependentSet:
     """Maximal independent set grown in a seeded random vertex order."""
-    rng = np.random.default_rng(seed)
-    used = (set(), set())
-    return _greedy_by_order(graph, _slices(graph, rng.permutation(len(graph)), used), used=used)
+    return _scan(graph, (np.random.default_rng(seed).permutation(len(graph)),))
 

@@ -265,19 +265,26 @@ def generate(config: ScenarioConfig) -> Scenario:
                          if math.dist(d.position, ap.position) <= ap.coverage_radius_m)
         for ap in aps}
 
-    # mean link gains: path loss times shadowing, fixed for the scenario
+    # mean link gains: path loss times shadowing, fixed for the scenario;
+    # path loss is positive at d >= 1 m, so only a shadowing draw overflows
     mean_up = np.empty((config.n_uds, config.n_aps))
-    for d in devices:
-        for ap in aps:
-            pl = pathloss_uplink_db(math.dist(d.position, ap.position))
-            shadow = shadow_rng.normal(0.0, config.shadowing_std_db)
-            mean_up[d.id, ap.id] = 10.0 ** ((-pl + shadow) / 10.0)
     mean_bh = np.empty((config.n_aps, config.n_mecs))
-    for ap in aps:
-        for mec in mecs:
-            pl = pathloss_backhaul_db(math.dist(ap.position, mec.position))
-            shadow = shadow_rng.normal(0.0, config.shadowing_std_db)
-            mean_bh[ap.id, mec.id] = 10.0 ** ((-pl + shadow) / 10.0)
+    try:
+        for d in devices:
+            for ap in aps:
+                pl = pathloss_uplink_db(math.dist(d.position, ap.position))
+                shadow = shadow_rng.normal(0.0, config.shadowing_std_db)
+                mean_up[d.id, ap.id] = 10.0 ** ((-pl + shadow) / 10.0)
+        for ap in aps:
+            for mec in mecs:
+                pl = pathloss_backhaul_db(math.dist(ap.position, mec.position))
+                shadow = shadow_rng.normal(0.0, config.shadowing_std_db)
+                mean_bh[ap.id, mec.id] = 10.0 ** ((-pl + shadow) / 10.0)
+        if not (np.isfinite(mean_up).all() and np.isfinite(mean_bh).all()):
+            raise OverflowError
+    except OverflowError as exc:
+        raise ConfigError(f"shadowing_std_db {config.shadowing_std_db!r} drew a shadowing "
+                          "whose link gain overflows a float") from exc
 
     channel = _faded_channel(config, config.seed, 0, mean_up, mean_bh, noise_w,
                              config.rrb_bandwidth_hz)

@@ -14,12 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import build_pruned, enumerate_full, reweighed
+from .graph import build_pruned, enumerate_full, reweighed, weigh
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
 from .model import InvalidAssignmentError, Metrics, backhaul_rate, system_metrics
-from .mwis import (ORDERINGS, _greedy_by_order, _sorted_chunks, greedy_min_wis,
-                   random_maximal_is)
+from .mwis import ORDERINGS, _scan, greedy_min_wis, random_maximal_is
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
                       allocate_local, first_layer_weight, second_layer_weight)
 
@@ -87,13 +86,15 @@ def _stage1(scenario, opt: _Options):
     Groups flagged for offloading are frozen and their UDs and AP leave the
     next iteration's pool, and under strict CC2 their RRB indices, which a
     frozen cluster holds on every AP. Candidate clusters are enumerated and
-    their powers solved once; each later iteration weighs the whole pool
-    again at the new frequencies, sharing its columns, and searches the
-    vertices still in it as the greedy's subset. An iteration whose input
-    repeats an earlier one's reuses its picks and allocation; cycle_period
-    is how far back the first repeat lies, or 0. The associations are the
-    frozen ones plus the last iteration's picks at uncommitted APs; the
-    graph is a copy of the last iteration's pool, and the picks index it.
+    their powers solved once into a pool private to the call; each later
+    new input weighs the whole pool again in place at the new frequencies,
+    and the greedy searches the vertices still in it as its subset. An
+    iteration whose input repeats an earlier one's reuses its picks and
+    allocation; cycle_period is how far back the first repeat lies, or 0.
+    The associations are the frozen ones plus the last iteration's picks at
+    uncommitted APs. The graph is the solved graph weighed at the last
+    iteration's frequencies, in place when no vertex left the pool, else a
+    copy of the vertices still in it; the picks index it.
 
     Under the original ordering the pool holds the singletons only: a pair
     is strictly heavier than both of its member singletons on its slot and
@@ -116,8 +117,8 @@ def _stage1(scenario, opt: _Options):
 
     tasks = [d.task for d in scenario.devices]
     solved = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
-    pool = graph = (solved if opt.ordering == "modified"
-                    else reweighed(scenario, solved, solved.u2 < 0, caps))
+    pool = (solved if opt.ordering == "modified"
+            else reweighed(scenario, solved, solved.u2 < 0, caps))
     rows = np.arange(len(solved)) if pool is solved else np.flatnonzero(solved.u2 < 0)
     seen = {}       # per input, its iteration, picks, their APs and allocation
     converged, iterations, cycle_period = False, 0, 0
@@ -127,9 +128,9 @@ def _stage1(scenario, opt: _Options):
         key = (len(committed), *f_loc.values())     # only commits shrink the pool
         if key not in seen:
             if it > 0:
-                graph = reweighed(scenario, pool, np.ones(len(pool), dtype=bool), f_loc)
+                pool.weights = weigh(scenario, pool, f_loc)
             subset = in_pool(pool, *masks).nonzero()[0] if committed else None
-            idx = np.array(greedy_min_wis(graph, opt.ordering, subset).indices, dtype=np.int64)
+            idx = np.array(greedy_min_wis(pool, opt.ordering, subset).indices, dtype=np.int64)
             pick_aps = pool.ap_arr[idx].tolist()
             # each AP's tasks in pick order, which fixes the demand sums' last bits
             groups = {}
@@ -147,7 +148,7 @@ def _stage1(scenario, opt: _Options):
             masks = [a.copy() for a in active]
         for i, m in zip(idx.tolist(), pick_aps):
             if m in new_flags:
-                committed.append(graph.vertex(i))
+                committed.append(pool.vertex(i))
                 active_ud[list(committed[-1].uds)] = False
                 if opt.strict_cc2:
                     active_rrb[committed[-1].rrb] = False
@@ -155,7 +156,9 @@ def _stage1(scenario, opt: _Options):
         f_loc.update(f_new)
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
     keep = in_pool(solved, *masks)
-    graph = solved if iterations == 1 else reweighed(scenario, solved, keep, weighed_at)
+    graph = solved if keep.all() else reweighed(scenario, solved, keep, weighed_at)
+    if graph is solved:     # no vertex left the pool: weigh it in place
+        solved.weights = weigh(scenario, solved, weighed_at)
     picks = tuple(keep.nonzero()[0].searchsorted(rows[idx]).tolist())
     assocs = committed + [graph.vertex(i) for i, m in zip(picks, pick_aps)
                           if m not in committed_aps]
@@ -179,20 +182,13 @@ def _pruned_greedy(scenario, opt: _Options):
     return _picked(graph, greedy_min_wis(graph, opt.ordering))
 
 
-def _pairs_first(graph, used=None):
-    """The vertex order by (is singleton, weight, ap, rrb, uds), as the
-    pairs' sorted chunks and then the singletons', each cut by used."""
-    single = graph.u2 < 0
-    for subset in (np.flatnonzero(~single), np.flatnonzero(single)):
-        yield from _sorted_chunks(graph, graph.weights, subset, used)
-
-
 def _one_cluster_per_ap(scenario, opt: _Options):
     # one RRB per AP caps each collected group at a single cluster;
     # pairs order before singletons so clusters fill up
     graph = enumerate_full(scenario, strict_cc2=opt.strict_cc2, rrbs=[0])
-    used = (set(), set())
-    return _picked(graph, _greedy_by_order(graph, _pairs_first(graph, used), used=used))
+    single = graph.u2 < 0
+    return _picked(graph, _scan(graph, (np.flatnonzero(~single), np.flatnonzero(single)),
+                                graph.weights))
 
 
 def _random_maximal(scenario, opt: _Options):

@@ -103,6 +103,7 @@ def test_bad_inputs_exit_1(tmp_path, config_file, capsys):
     # the message names the bad field, not the sweep
     for args, field in ((["--schemes", ""], "schemes is empty"),
                         (["--schemes", ","], "schemes is empty"),
+                        (["--schemes", "joint,joint,pruning"], "more than once: joint"),
                         (["--seed", "-1"], "master_seed")):
         code, out, err = run_cli(["--config", config_file, *args], capsys)
         assert code == 1
@@ -119,6 +120,18 @@ def test_dbm_config_outside_float_range_exits_1(tmp_path, capsys, field, value):
     assert code == 1
     assert err.startswith("error:") and field in err and "unexpected" not in err
     assert out == ""
+
+
+def test_shadowing_spread_that_overflows_a_gain_exits_1(capsys):
+    """generate refuses the spread while the experiment runs, so the run
+    exits 1 before it writes a row, with workers too."""
+    for workers in ("1", "2"):
+        code, out, err = run_cli(["--trials", "1", "--sweep", "shadowing_std_db=4,1500",
+                                  "--schemes", "pruning", "--workers", workers], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "shadowing_std_db" in err
+        assert "unexpected" not in err and "Traceback" not in err
+        assert out == ""
 
 
 def test_rate_floor_beyond_float_range_runs_clean(capsys):

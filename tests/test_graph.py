@@ -8,7 +8,7 @@ import pytest
 
 from nomec import (NomaAssociation, ScenarioConfig, build_full, build_pruned,
                    enumerate_full, generate, group_demand_cps, modified_weight, run_scheme)
-from nomec.graph import _solve_cells, reweighed
+from nomec.graph import _solve_cells, reweighed, weigh
 from nomec.scenario import realize_channels, with_channel
 import oracles
 from oracles import conflicts, graph_of
@@ -188,8 +188,9 @@ def test_build_full_filters():
 
 
 def test_build_full_f_loc_forms():
-    """build_full weighs at the caps; reweighed is the route to any other
-    per-AP frequency and gives the caps' weights back bit for bit."""
+    """build_full weighs at the caps; weigh and reweighed weigh at any
+    other per-AP frequency, alike, and give the caps' weights back bit for
+    bit."""
     cfg = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, seed=6)
     scn = generate(cfg)
     g_default = build_full(scn)
@@ -197,10 +198,12 @@ def test_build_full_f_loc_forms():
     caps = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
     g_caps = reweighed(scn, g_default, keep, caps)
     assert list(g_default.weights) == list(g_caps.weights)
+    assert weigh(scn, g_default, caps).tobytes() == g_default.weights.tobytes()
     half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
     g_dict = reweighed(scn, g_default, keep, half)
     assert len(g_dict) == len(g_default)
     assert list(g_dict.weights) != list(g_default.weights)
+    assert weigh(scn, g_default, half).tobytes() == g_dict.weights.tobytes()
 
 
 def test_load_helpers():
@@ -558,25 +561,22 @@ def test_graph_columns_match_the_copying_path():
     assert graphs == (len(CACHE_TOPOLOGIES) + 1) * 2 * 2 * 6
 
 
-def test_reweighing_every_vertex_shares_read_only_columns():
+def test_reweighing_copies_and_leaves_the_source_alone():
+    """reweighed copies under every mask, the all-true one too: the source's
+    columns stay writeable and share no memory with the copy's, and the
+    source keeps its weights."""
     scn = generate(ScenarioConfig(n_uds=12, seed=3))
     full = enumerate_full(scn)
     weights = full.weights.copy()
     half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
-    shared = reweighed(scn, full, np.ones(len(full), bool), half)
-    for name in GRAPH_COLUMNS:
-        if name == "weights":
-            continue
-        column = getattr(shared, name)
-        assert column is getattr(full, name) and not column.flags.writeable, name
-        with pytest.raises(ValueError):
-            column[0] = column[0]
-    assert full.weights.tobytes() == weights.tobytes() and full.weights.flags.writeable
-    assert shared.weights is not full.weights
-    assert shared.weights.tobytes() != weights.tobytes()
-    # a partial mask copies: its columns stay writeable
-    part = reweighed(scn, full, full.u2 < 0, half)
-    assert part.u1.flags.writeable and not np.shares_memory(part.u1, full.u1)
+    for keep in (np.ones(len(full), bool), full.u2 < 0):
+        copy = reweighed(scn, full, keep, half)
+        for name in GRAPH_COLUMNS:
+            column = getattr(full, name)
+            assert column.flags.writeable, name
+            assert not np.shares_memory(getattr(copy, name), column), name
+        assert full.weights.tobytes() == weights.tobytes()
+        assert copy.weights.tobytes() != weights[keep].tobytes()
 
 
 def test_cells_outside_the_channel_gains_are_refused():

@@ -41,6 +41,9 @@ def test_spec_validation():
                 tiny_spec(**{name: value})
     with pytest.raises(HarnessError, match="schemes"):
         tiny_spec(schemes=())
+    # a repeated scheme would write every one of its rows twice
+    with pytest.raises(HarnessError, match="more than once: joint$"):
+        tiny_spec(schemes=("joint", "joint", "pruning"))
     for value in (-1, 2.5, True, False, "2", None):
         with pytest.raises(HarnessError, match="master_seed"):
             tiny_spec(master_seed=value)

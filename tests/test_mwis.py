@@ -8,7 +8,8 @@ from nomec import (ConflictGraph, NomaAssociation, ScenarioConfig, build_pruned,
                    enumerate_full, generate, greedy_min_wis, modified_ranks,
                    random_maximal_is)
 from nomec.graph import reweighed
-from nomec.mwis import _greedy_by_order, _slices, _sorted_chunks
+from nomec import mwis
+from nomec.mwis import _scan
 import oracles
 from oracles import (adjacency_matrix, exact_min_wis, graph_of, is_independent, is_maximal,
                      picks_in_order)
@@ -389,27 +390,42 @@ def test_equal_ranks_across_the_first_chunk_boundary():
         assert {0.5, 1.0, 2.0} <= {float(graph.weights[i]) for i in picked}
 
 
-def scan_up_to(order, stop):
-    """The chunks of order up to position stop, then a chunk that fails."""
-    yield np.asarray(order[:stop], dtype=np.int64)
-    raise AssertionError("the scan read past its last possible pick")
+def first_call_only(live):
+    """live, failing on any call after the first."""
+    calls = []
+
+    def once(graph, idx, used):
+        if calls:
+            raise AssertionError("the scan read past its last possible pick")
+        calls.append(idx)
+        return live(graph, idx, used)
+    return once
 
 
-def test_scan_stops_when_uds_or_slots_are_used_up():
+def test_scan_stops_when_uds_or_slots_are_used_up(monkeypatch):
     # two UDs over 300 RRBs: both UDs go long before the slots do
     verts = [assoc((u,), rrb=z, ap=0, weight=1.0 + z + u / 2) for z in range(300) for u in (0, 1)]
     by_uds = graph_of(verts)
     # 600 UDs on one RRB index under strict CC2: one slot in all
     by_slots = graph_of([assoc((u,), rrb=0, ap=u % 5, weight=2.0 - u / 1000)
                               for u in range(600)], strict_cc2=True)
+    live = mwis._live
     for graph, picks in ((by_uds, 2), (by_slots, 1)):
         want = picks_in_order(graph, rank=graph.weights)
         assert len(want) == picks
+        assert greedy_min_wis(graph).indices == want
         order = oracles.greedy_order(graph.weights.tolist(), graph.ap_arr.tolist(),
                                      graph.rrb_arr.tolist(), [(u,) for u in graph.u1.tolist()])
         last = order.index(want[-1]) + 1
-        assert _greedy_by_order(graph, scan_up_to(order, last)).indices == want
-        assert greedy_min_wis(graph).indices == want
+        # the first chunk ends at the last pick, and every later chunk is
+        # cut by _live before it is read, so a second _live call is a read
+        # past the last possible pick
+        for parts, rank in (((np.array(order),), None),
+                            ((np.arange(len(graph)),), graph.weights)):
+            with monkeypatch.context() as m:
+                m.setattr(mwis, "_FIRST_CHUNK", last)
+                m.setattr(mwis, "_live", first_call_only(live))
+                assert _scan(graph, parts, rank).indices == want
 
 
 # Live-vertex pass: every chunk after the first is cut to the vertices the
@@ -428,13 +444,11 @@ def test_live_pass_picks_what_the_full_read_pass_picks():
         alone = oracles.rows_of(graph, subset)
         order = np.lexsort((alone.u2, alone.u1, alone.rrb_arr, alone.ap_arr, rank[subset]))
         want = subset[list(oracles.greedy_by_order_full_read(alone, [order]))].tolist()
-        used = (set(), set())
-        got = _greedy_by_order(graph, _sorted_chunks(graph, rank, subset, used), subset, used)
+        got = _scan(graph, (subset,), rank)
         assert list(got.indices) == want
         # a random order of the subset, read in growing slices
         perm = rng.permutation(subset.size)
-        used = (set(), set())
-        got = _greedy_by_order(graph, _slices(graph, subset[perm], used), subset, used)
+        got = _scan(graph, (subset[perm],))
         assert list(got.indices) == subset[list(
             oracles.greedy_by_order_full_read(alone, [perm]))].tolist()
         for ordering in ("original", "modified"):

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from nomec import ConfigError, ScenarioConfig, generate, load_config
+from nomec import SCHEMES, ConfigError, ScenarioConfig, generate, load_config, run_scheme
 from nomec.scenario import (dbm_per_hz_to_watts, pathloss_backhaul_db,
                             pathloss_uplink_db, realize_channels, with_channel)
 
@@ -129,6 +130,29 @@ def test_backhaul_scaling_must_be_a_bool():
             ScenarioConfig(backhaul_bandwidth_scaling=value)
     with pytest.raises(ConfigError, match="backhaul_bandwidth_scaling"):
         load_config('{"backhaul_bandwidth_scaling": "false"}')
+
+
+def test_generate_refuses_a_shadowing_spread_that_overflows_a_gain():
+    """A finite spread can draw a shadowing whose 10 ** (dB / 10) overflows
+    a float, or an infinite one whose gain is inf: generate names the
+    spread in a ConfigError. A draw that underflows a gain to 0.0 leaves a
+    link that carries nothing, and every scheme runs on it without a
+    warning."""
+    for spread in (1500.0, 2000.0, 1e300):
+        with pytest.raises(ConfigError, match="shadowing_std_db"):
+            generate(ScenarioConfig(shadowing_std_db=spread))
+    # seed 1 draws an infinite shadowing on both of its two links, and
+    # 10.0 ** inf is inf, not an OverflowError
+    with pytest.raises(ConfigError, match="shadowing_std_db"):
+        generate(ScenarioConfig(n_uds=1, n_aps=1, n_mecs=1, shadowing_std_db=1.79e308, seed=1))
+    scn = generate(ScenarioConfig(shadowing_std_db=1000.0))
+    assert np.count_nonzero(scn.mean_gain_uplink == 0.0) == 1
+    assert np.all(np.isfinite(scn.mean_gain_uplink)) and np.all(np.isfinite(scn.mean_gain_backhaul))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in SCHEMES:
+            _, plan = run_scheme(scn, scheme)
+            assert math.isfinite(plan.metrics.cost) and plan.metrics.scheduled_uds > 0
 
 
 def test_dbm_per_hz_to_watts():

@@ -143,15 +143,35 @@ def offload_graphs():
             yield graph_of(assocs, strict_cc2=strict)
 
 
+def few_pairs_graphs():
+    """Hand-built graphs of 3,000 vertices on six RRB indices under both CC2
+    rules whose pairs hold only UDs 0-7, so at most four pairs fit and the
+    scan reaches the singletons; weights are drawn from four values with a
+    fifth of them NaN, in both parts."""
+    rng = np.random.default_rng(31)
+    for strict in (False, True):
+        assocs = []
+        for i in range(3000):
+            pool = 8 if i % 3 else 40
+            uds = tuple(sorted(rng.choice(pool, size=1 + (i % 3 > 0), replace=False).tolist()))
+            weight = float("nan") if i % 10 < 2 else float(rng.integers(1, 5))
+            assocs.append(NomaAssociation(uds, int(rng.integers(6)), int(rng.integers(5)),
+                                          None, weight))
+        yield graph_of(assocs, strict_cc2=strict)
+
+
 def test_all_offload_order_is_the_pairs_first_sort():
-    """all_offload's chunked order is the one full sort by (is singleton,
-    weight, ap, rrb, uds), NaN weights last in each part, and its greedy
-    picks what walking that sort picks."""
-    for graph in offload_graphs():
-        want = pairs_first_order(graph)
-        assert np.concatenate(list(schedulers._pairs_first(graph))).tolist() == want.tolist()
-        picks = schedulers._greedy_by_order(graph, schedulers._pairs_first(graph)).indices
-        assert picks == picks_in_order(graph, order=want.tolist())
+    """all_offload's two-part scan picks what walking the one full sort by
+    (is singleton, weight, ap, rrb, uds), NaN weights last in each part,
+    picks."""
+    both_parts = 0
+    for graph in (*offload_graphs(), *few_pairs_graphs()):
+        single = graph.u2 < 0
+        picks = schedulers._scan(graph, (np.flatnonzero(~single), np.flatnonzero(single)),
+                                 graph.weights).indices
+        assert picks == picks_in_order(graph, order=pairs_first_order(graph).tolist())
+        both_parts += len({bool(single[i]) for i in picks}) == 2
+    assert both_parts >= 2
     for seed in range(6):
         for strict in (False, True):
             scn = small_scenario(40 + seed)
@@ -248,13 +268,17 @@ SOLVED = ("u1", "u2", "rrb_arr", "ap_arr", "weights", "slot",
 
 
 def record_greedy(monkeypatch):
-    """Record every (graph, subset, result) of schedulers.greedy_min_wis."""
+    """Record every call of schedulers.greedy_min_wis as (the searched rows
+    packed into a fresh graph, the rows, the package's modified ranks on
+    them, the result). Stage 1 weighs its pool again in place, so the rows
+    and their ranks are taken at call time."""
     calls = []
     real = schedulers.greedy_min_wis
 
     def record(graph, ordering="original", subset=None):
         wis = real(graph, ordering, subset)
-        calls.append((graph, subset, wis))
+        rows = np.arange(len(graph)) if subset is None else subset
+        calls.append((rows_of(graph, rows), rows, modified_ranks(graph, subset)[rows], wis))
         return wis
 
     monkeypatch.setattr(schedulers, "greedy_min_wis", record)
@@ -288,11 +312,8 @@ def stage1_replay(scn, cfg, strict, ordering, calls, iterations):
             first, graph, picks = seen[key]
             period = period or it - first
         else:
-            pool, subset, wis = next(pending)
-            rows = np.arange(len(pool)) if subset is None else subset
-            graph = rows_of(pool, rows)
-            assert np.array_equal(modified_ranks(pool, subset)[rows],
-                                  modified_ranks_by_unique(graph))
+            graph, rows, ranks, wis = next(pending)
+            assert np.array_equal(ranks, modified_ranks_by_unique(graph))
             picks = greedy_min_wis(graph, ordering).indices
             assert rows[list(picks)].tolist() == list(wis.indices)
             seen[key] = (it, graph, picks)
