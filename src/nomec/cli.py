@@ -8,12 +8,9 @@ import sys
 
 from .harness import (ExperimentSpec, HarnessError, emit, run_experiment,
                       summarize)
-from .scenario import ConfigError, ScenarioConfig, load_config
+from .scenario import CONFIG_FIELDS, ConfigError, ScenarioConfig, load_config
 from .mwis import ORDERINGS
 from .schedulers import SCHEMES
-
-_RANGE_VARS = {"task_size_range_bits"}
-_INT_VARS = {"n_uds", "n_aps", "n_mecs", "rrbs_per_ap"}
 
 
 def _lo_hi(item: str):
@@ -24,7 +21,8 @@ def _lo_hi(item: str):
 
 
 def _parse_sweep(text: str):
-    """Parse "var=v1,v2,..."; range-valued variables take lo:hi items."""
+    """Parse "var=v1,v2,..." by the config field's type: integers for an
+    int field, lo:hi items for a tuple field, numbers otherwise."""
     if "=" not in text:
         raise ValueError("expected var=value[,value...]")
     var, _, values = text.partition("=")
@@ -34,8 +32,8 @@ def _parse_sweep(text: str):
     items = [v.strip() for v in values.split(",")]
     if not all(items):
         raise ValueError(f"{var} sweep has an empty value in {values!r}")
-    convert, kind = ((_lo_hi, "lo:hi pairs") if var in _RANGE_VARS
-                     else (int, "integers") if var in _INT_VARS else (float, "numbers"))
+    convert, kind = {int: (int, "integers"), tuple: (_lo_hi, "lo:hi pairs")}.get(
+        CONFIG_FIELDS.get(var), (float, "numbers"))
     parsed = []
     for item in items:
         try:

@@ -189,6 +189,11 @@ def _power_cap(scenario):
     return (np.array([first.p_max_w]),)
 
 
+def _caps(scenario):
+    """Per AP id, its local frequency cap."""
+    return {ap.id: ap.f_loc_max_cps for ap in scenario.aps}
+
+
 def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
     """Per vertex, the summed per-UD utility: upload delay plus compute
     delay plus compute energy at the frequency of the vertex's AP in the
@@ -239,10 +244,10 @@ def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
     flat index into the channel's (N, M, Z) gains, powers come from one
     call of the batched closed form at the UDs' one power cap, and weights
     from _weights at each AP's frequency cap. Clusters that miss the rate
-    floor or get a non-positive rate are dropped; the rest keep the order
-    of cells. When every cluster passes, no filtered copy is made: the
-    graph holds the int64 cell columns and the solver's outputs as they
-    are.
+    floor or get a non-positive rate are dropped by reweighed; the rest
+    keep the order of cells. When every cluster passes, no filtered copy is
+    made: the graph holds the int64 cell columns and the solver's outputs
+    as they are, weighed in place.
     """
     u1, u2, ap, rrb = (np.asarray(col, dtype=np.int64) for col in cells)
     chan = scenario.channel
@@ -252,13 +257,11 @@ def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
         chan.noise_w, chan.rrb_bandwidth_hz, scenario.weights.rate_threshold_bps)
     feas &= r1 > 0
     feas &= r2 > 0
-    columns = (u1, u2, ap, rrb, p1, p2, r1, r2, obj)
+    graph = ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, strict_cc2)
     if not feas.all():
-        keep = np.flatnonzero(feas)
-        columns = tuple(col[keep] for col in columns)
-    u1, u2, ap, rrb, p1, p2, r1, r2, obj = columns
-    w = _weights(scenario, u1, u2, ap, r1, r2, {m.id: m.f_loc_max_cps for m in scenario.aps})
-    return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, strict_cc2)
+        return reweighed(scenario, graph, feas, _caps(scenario))
+    graph.weights = weigh(scenario, graph, _caps(scenario))
+    return graph
 
 
 def weigh(scenario, graph: ConflictGraph, f_loc) -> np.ndarray:
@@ -284,7 +287,7 @@ def _ap_clusters(scenario):
     the covered UDs as singletons, then their pairs in triu order. Returns
     (c1, c2) as int64, the dtype the graph holds, with c2 = -1 for a
     singleton and each AP's clusters in one block; the block offsets, A + 1
-    of them; the AP ids and RRB counts."""
+    of them; the RRB counts. An AP's id is its position."""
     c1, c2, offsets = [], [], [0]
     for ap in scenario.aps:
         ids = np.array(sorted(scenario.coverage[ap.id]), dtype=np.int64)
@@ -293,7 +296,6 @@ def _ap_clusters(scenario):
         c2 += [np.full(ids.size, -1, dtype=np.int64), ids[hi]]
         offsets.append(offsets[-1] + ids.size + lo.size)
     return (np.concatenate(c1), np.concatenate(c2), np.array(offsets),
-            np.array([ap.id for ap in scenario.aps], dtype=np.int64),
             np.array([ap.num_rrbs for ap in scenario.aps], dtype=np.int64))
 
 
@@ -309,19 +311,19 @@ def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGra
     per scenario; here each (AP, RRB) slot copies its AP's block, so the
     cells take no index array.
     """
-    c1, c2, offsets, ap_ids, num_rrbs = _cached(scenario, "ap_clusters", _ap_clusters)
+    c1, c2, offsets, num_rrbs = _cached(scenario, "ap_clusters", _ap_clusters)
     if rrbs is None:
-        slot_ap = np.repeat(np.arange(ap_ids.size), num_rrbs)
+        slot_ap = np.repeat(np.arange(num_rrbs.size), num_rrbs)
         slot_rrb = np.arange(slot_ap.size) - np.repeat(np.cumsum(num_rrbs) - num_rrbs, num_rrbs)
     else:
         rrbs = np.asarray(rrbs, dtype=np.int64)
-        slot_ap = np.repeat(np.arange(ap_ids.size), rrbs.size)
-        slot_rrb = np.tile(rrbs, ap_ids.size)
+        slot_ap = np.repeat(np.arange(num_rrbs.size), rrbs.size)
+        slot_rrb = np.tile(rrbs, num_rrbs.size)
     blocks = [slice(offsets[a], offsets[a + 1]) for a in slot_ap.tolist()]
     size = np.diff(offsets)[slot_ap]
     cells = (np.concatenate([c1[:0]] + [c1[b] for b in blocks]),
              np.concatenate([c2[:0]] + [c2[b] for b in blocks]),
-             np.repeat(ap_ids[slot_ap], size), np.repeat(slot_rrb, size))
+             np.repeat(slot_ap, size), np.repeat(slot_rrb, size))
     return _solve_cells(scenario, cells, strict_cc2)
 
 
@@ -374,10 +376,9 @@ def _pruned_cells(scenario):
     take[np.arange(seeds.size), seeds + 1] = False
     row, col = np.nonzero(take)
     seed, partner = seeds[row], col - 1
-    ap_ids = np.array([ap.id for ap in scenario.aps], dtype=np.int64)
     return (np.where(partner < 0, seed, np.minimum(seed, partner)),
             np.where(partner < 0, -1, np.maximum(seed, partner)),
-            ap_ids[slot_ap][row], slot_rrb[row])
+            slot_ap[row], slot_rrb[row])
 
 
 def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:

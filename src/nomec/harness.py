@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ScenarioConfig, generate, realize_channels, with_channel
+from .scenario import CONFIG_FIELDS, ScenarioConfig, generate, realize_channels, with_channel
 from .mwis import ORDERINGS
 from .schedulers import SCHEMES, run_scheme
 
@@ -40,7 +40,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.sweep_var == "seed":
             raise HarnessError("seed cannot be swept; the master seed is --seed")
-        if self.sweep_var not in {f.name for f in dataclasses.fields(ScenarioConfig)}:
+        if self.sweep_var not in CONFIG_FIELDS:
             raise HarnessError(f"unknown sweep variable {self.sweep_var!r}")
         if not self.sweep_values:
             raise HarnessError("sweep_values is empty")
@@ -106,10 +106,9 @@ def _scalar_value(value):
 
 
 def _run_value(args):
-    """All trials and schemes for one sweep value. Top-level for pickling."""
-    spec, index, value = args
-    config = _value_config(spec, index, value)
-    scenario = generate(config)
+    """All trials and schemes for one sweep value, on the scenario
+    generated for it. Top-level for pickling."""
+    spec, index, value, scenario = args
     rows = []
     for trial in range(spec.trials):
         trial_scn = with_channel(scenario, realize_channels(scenario, trial))
@@ -138,9 +137,14 @@ def _run_value(args):
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1):
-    """Run the sweep and return rows ordered by (value, trial, scheme)."""
-    units = [(spec, i, v) for i, v in enumerate(spec.sweep_values)]
-    if workers <= 1 or len(units) == 1:
+    """Run the sweep and return rows ordered by (value, trial, scheme).
+    Every value's scenario is generated first, so a value that generate
+    refuses stops the sweep before any trial. The pool gets at most one
+    worker per value: a fork-started pool forks all of them at once."""
+    units = [(spec, i, v, generate(_value_config(spec, i, v)))
+             for i, v in enumerate(spec.sweep_values)]
+    workers = min(workers, len(units))
+    if workers <= 1:
         chunks = [_run_value(u) for u in units]
     else:
         # imported here: the pool's modules take tens of ms to load
@@ -153,17 +157,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
 def summarize(rows):
     """Aggregate trials: mean and population standard deviation per
     (scheme, sweep_value), ordered as first encountered."""
-    order = []
-    buckets = {}
+    groups = {}     # insertion order is the order of first appearance
     for row in rows:
-        key = (row.scheme, row.sweep_value)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(row)
+        groups.setdefault((row.scheme, row.sweep_value), []).append(row)
     out = []
-    for scheme, value in order:
-        group = buckets[(scheme, value)]
+    for (scheme, value), group in groups.items():
         summary = {"scheme": scheme, "sweep_var": group[0].sweep_var,
                    "sweep_value": value, "trials": len(group)}
         for metric in ("latency_s", "energy_j", "cost", "capacity", "scheduled"):

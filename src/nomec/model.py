@@ -230,7 +230,7 @@ def system_metrics(schedule, plan, scenario) -> Metrics:
     energy = 0.0
     capacity = 0
     scheduled = 0
-    bh_scaled = scenario.backhaul_bandwidth_scaling
+    bh_scaled = scenario.config.backhaul_bandwidth_scaling
     mec_by_id = {m.id: m for m in scenario.mecs}
     ap_by_id = {a.id: a for a in scenario.aps}
     for ap_id, entries in schedule.ap_groups.items():

@@ -114,7 +114,8 @@ def _finite_pair(name, pair):
     return tuple(_finite(name, v) for v in pair)
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
+# each config field's declared type, by name; a sweep parses values by it
+CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _tuples(value):
@@ -133,7 +134,7 @@ def load_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_FIELDS)
+    unknown = sorted(raw.keys() - CONFIG_FIELDS.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
@@ -168,7 +169,6 @@ class Scenario:
     coverage: dict          # ap_id -> frozenset of ud ids
     weights: CostWeights
     config: ScenarioConfig
-    seed: int
     unservable: frozenset   # ud ids no AP covers
     mean_gain_uplink: np.ndarray    # [ud, ap] -> path loss * shadowing
     mean_gain_backhaul: np.ndarray  # [ap, mec] -> path loss * shadowing
@@ -176,10 +176,6 @@ class Scenario:
     # graph.py; with_channel shares it, every other copy starts empty
     _topology_cache: dict = field(default_factory=dict, init=False, repr=False,
                                   compare=False)
-
-    @property
-    def backhaul_bandwidth_scaling(self) -> bool:
-        return self.config.backhaul_bandwidth_scaling
 
 
 def _in_hexagon(x: float, y: float, radius: float) -> bool:
@@ -205,14 +201,14 @@ def _ring_positions(count: int, radius: float):
     return tuple(pts)
 
 
-def _faded_channel(config, scn_seed: int, trial_seed: int, mean_up, mean_bh,
+def _faded_channel(config, trial_seed: int, mean_up, mean_bh,
                    noise_w: float, bandwidth_hz: float) -> ChannelState:
     """The mean link gains times unit-mean Rayleigh power fading,
-    deterministic per (scenario seed, trial seed). Fading is drawn for the
+    deterministic per (config.seed, trial seed). Fading is drawn for the
     (N, M, Z) uplink, then the (M, K) backhaul, each in row-major order."""
     up_shape = mean_up.shape + (config.rrbs_per_ap,)
     n_up = math.prod(up_shape)
-    rng = np.random.default_rng(np.random.SeedSequence([scn_seed, trial_seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial_seed]))
     re_im = rng.standard_normal((n_up + mean_bh.size, 2))
     power = (re_im[:, 0] ** 2 + re_im[:, 1] ** 2) / 2.0
     return ChannelState(gain_ud_rrb=mean_up[:, :, None] * power[:n_up].reshape(up_shape),
@@ -286,24 +282,24 @@ def generate(config: ScenarioConfig) -> Scenario:
         raise ConfigError(f"shadowing_std_db {config.shadowing_std_db!r} drew a shadowing "
                           "whose link gain overflows a float") from exc
 
-    channel = _faded_channel(config, config.seed, 0, mean_up, mean_bh, noise_w,
+    channel = _faded_channel(config, 0, mean_up, mean_bh, noise_w,
                              config.rrb_bandwidth_hz)
     weights = CostWeights(w_latency=config.w_latency, w_energy=config.w_energy,
                           alpha_cpu=config.alpha_cpu,
                           rate_threshold_bps=config.rate_threshold_bps)
     return Scenario(devices=devices, aps=aps, mecs=mecs, channel=channel,
                     coverage=coverage, weights=weights, config=config,
-                    seed=config.seed, unservable=frozenset(unservable),
+                    unservable=frozenset(unservable),
                     mean_gain_uplink=mean_up, mean_gain_backhaul=mean_bh)
 
 
 def realize_channels(scenario: Scenario, trial_seed: int) -> ChannelState:
     """Redraw fading on every link, keeping path loss and shadowing fixed.
 
-    Deterministic per (scenario seed, trial_seed); trial_seed 0 reproduces
+    Deterministic per (config seed, trial_seed); trial_seed 0 reproduces
     the realization embedded by generate().
     """
-    return _faded_channel(scenario.config, scenario.seed, trial_seed,
+    return _faded_channel(scenario.config, trial_seed,
                           scenario.mean_gain_uplink, scenario.mean_gain_backhaul,
                           scenario.channel.noise_w, scenario.channel.rrb_bandwidth_hz)
 

@@ -14,15 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import build_pruned, enumerate_full, reweighed, weigh
+from .graph import _caps, build_pruned, enumerate_full, reweighed, weigh
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
 from .model import InvalidAssignmentError, Metrics, backhaul_rate, system_metrics
 from .mwis import ORDERINGS, _scan, greedy_min_wis, random_maximal_is
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
                       allocate_local, first_layer_weight, second_layer_weight)
-
-SCHEMES = ("joint", "pruning", "local", "all_offload", "random")
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,6 @@ class Schedule:
         groups = {m: tuple(sorted(entries)) for m, entries in groups.items()}
         return cls(tuple(assocs), ud_map, groups)
 
-    @property
-    def scheduled_uds(self):
-        return len(self.ud_assignment)
-
 
 @dataclass(frozen=True)
 class OffloadPlan:
@@ -67,11 +61,6 @@ class _Options(NamedTuple):
     max_iters: int
     strict_cc2: bool
     ordering: str
-
-
-def _caps(scenario):
-    """Per AP id, its local frequency cap."""
-    return {ap.id: ap.f_loc_max_cps for ap in scenario.aps}
 
 
 def _offload_all(groups, caps):
@@ -198,17 +187,16 @@ def _random_maximal(scenario, opt: _Options):
 
 def _admit_weighted(scenario, schedule, candidates, seed):
     """First/second-layer weighted admission for the candidate AP ids."""
-    ap_by_id = {a.id: a for a in scenario.aps}
-    bh = scenario.backhaul_bandwidth_scaling
+    bh = scenario.config.backhaul_bandwidth_scaling
     g = {}
     affinity = {}
     for m in candidates:
         entries = schedule.ap_groups[m]
         group = [(task, rate) for _, task, rate in entries]
         tasks = [task for _, task, _ in entries]
-        g[m] = first_layer_weight(group, ap_by_id[m].f_loc_max_cps, scenario.weights)
+        g[m] = first_layer_weight(group, scenario.aps[m].f_loc_max_cps, scenario.weights)
         for mec in scenario.mecs:
-            affinity[(m, mec.id)] = second_layer_weight(tasks, ap_by_id[m], mec,
+            affinity[(m, mec.id)] = second_layer_weight(tasks, scenario.aps[m], mec,
                                                         scenario.channel, bh)
     return admission_control(g, affinity, [mec.id for mec in scenario.mecs])
 
@@ -219,7 +207,6 @@ def _admit_random(scenario, schedule, candidates, seed):
     for it is positive; with none left it stays unadmitted and draws
     nothing."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    ap_by_id = {a.id: a for a in scenario.aps}
     remaining = list(scenario.mecs)
     y = {m: False for m in candidates}
     assignment = {}
@@ -228,7 +215,7 @@ def _admit_random(scenario, schedule, candidates, seed):
             break
         m = candidates[idx]
         usable = [k for k in remaining if backhaul_rate(
-            ap_by_id[m], k, scenario.channel, scenario.backhaul_bandwidth_scaling) > 0]
+            scenario.aps[m], k, scenario.channel, scenario.config.backhaul_bandwidth_scaling) > 0]
         if usable:
             mec = usable[int(rng.integers(len(usable)))]
             remaining.remove(mec)
@@ -257,6 +244,7 @@ _PIPELINES = {
     "all_offload": (_one_cluster_per_ap, _admit_weighted, False,    True),
     "random":      (_random_maximal,     _admit_random,   True,     False),
 }
+SCHEMES = tuple(_PIPELINES)
 
 
 def run_scheme(scenario, scheme: str, seed: int = 0, max_iters: int = 5,

@@ -1,12 +1,13 @@
 """Monte Carlo harness: sweeps, determinism, summaries, and I/O."""
 
+import concurrent.futures
 import json
 import subprocess
 import sys
 
 import pytest
 
-from nomec import (CSV_COLUMNS, ExperimentSpec, HarnessError, ResultRow,
+from nomec import (CSV_COLUMNS, ConfigError, ExperimentSpec, HarnessError, ResultRow,
                    ScenarioConfig, run_experiment)
 from nomec.harness import emit, read_rows, rows_to_csv, rows_to_json, summarize
 
@@ -99,6 +100,47 @@ def test_runs_are_reproducible():
 def test_worker_count_does_not_change_rows():
     spec = tiny_spec(sweep_values=(6, 8))
     assert run_experiment(spec, workers=1) == run_experiment(spec, workers=2)
+
+
+def test_pool_holds_at_most_one_worker_per_sweep_value(monkeypatch):
+    """A fork-started pool forks every worker at its first submit, however
+    few values it gets, so the pool is capped at the number of values. A
+    serial fake pool stands in, so no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            return map(fn, units)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    spec = tiny_spec(sweep_values=(6, 8))
+    assert run_experiment(spec, workers=64) == run_experiment(spec)
+    assert sizes == [2]
+    run_experiment(tiny_spec(trials=1), workers=64)     # one value runs serially
+    assert sizes == [2]
+
+
+def test_a_value_generate_refuses_stops_the_sweep_before_any_trial(monkeypatch):
+    """Every value's scenario is generated before the first trial, so the
+    spread that overflows a gain at the second value is refused before the
+    first value runs, serially and pooled."""
+    calls = []
+    monkeypatch.setattr("nomec.harness.run_scheme", lambda *args, **kwargs: calls.append(args))
+    spec = tiny_spec(config=ScenarioConfig(), sweep_var="shadowing_std_db",
+                     sweep_values=(4.0, 1500.0))
+    for workers in (1, 2):
+        with pytest.raises(ConfigError, match="shadowing_std_db 1500.0"):
+            run_experiment(spec, workers=workers)
+    assert calls == []
 
 
 def test_tuple_sweep_value_becomes_mean():

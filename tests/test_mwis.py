@@ -454,3 +454,36 @@ def test_live_pass_picks_what_the_full_read_pass_picks():
         for ordering in ("original", "modified"):
             assert list(greedy_min_wis(graph, ordering, subset).indices) == \
                 subset[list(oracles.greedy_full_read(alone, ordering))].tolist()
+
+
+def test_the_pick_loop_reads_only_live_vertices(monkeypatch):
+    """Every chunk after the first is cut by _live before the Python loop
+    reads it, on the unranked and the ranked path: no vertex the loop is
+    handed conflicts with a pick of an earlier chunk. The chunks are
+    recorded where the loop zips them with their columns."""
+    handed = []
+
+    def recording_zip(chunk, *columns):
+        handed.append(chunk)
+        return zip(chunk, *columns)
+
+    monkeypatch.setattr(mwis, "_FIRST_CHUNK", 8)
+    monkeypatch.setattr(mwis, "zip", recording_zip, raising=False)
+    rng = np.random.default_rng(83)
+    for k in range(12):
+        n = int(rng.integers(300, 900))
+        graph = random_graph(rng, n, n_uds=int(rng.integers(40, 120)), n_aps=int(rng.integers(2, 6)),
+                             n_rrbs=int(rng.integers(10, 40)), strict=k % 2 == 1)
+        u1, u2, slot = graph.u1.tolist(), graph.u2.tolist(), graph.slot.tolist()
+        for parts, rank in (((rng.permutation(n),), None), ((np.arange(n),), graph.weights)):
+            handed.clear()
+            picked = set(_scan(graph, parts, rank).indices)
+            assert len(handed) > 1
+            used_uds, used_slots = set(), set()
+            for chunk in handed:
+                for i in chunk:
+                    assert u1[i] not in used_uds and u2[i] not in used_uds, (k, rank is None)
+                    assert slot[i] not in used_slots, (k, rank is None)
+                for i in picked.intersection(chunk):
+                    used_uds.update(u for u in (u1[i], u2[i]) if u >= 0)
+                    used_slots.add(slot[i])

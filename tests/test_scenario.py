@@ -239,6 +239,6 @@ def test_with_channel_swaps_only_channel():
     assert swapped.channel is other
     assert swapped.devices == scn.devices
     assert swapped.coverage == scn.coverage
-    assert swapped.seed == scn.seed
+    assert swapped.config == scn.config
     assert swapped._topology_cache is scn._topology_cache
 

@@ -37,7 +37,7 @@ def test_schedule_views():
         NomaAssociation((2,), 1, 1, sol((0.3,), (3e6,)), 2.0),
     ]
     sched = Schedule.build(assocs, scn)
-    assert sched.scheduled_uds == 3
+    assert len(sched.ud_assignment) == 3
     assert sched.ud_assignment[0] == (0, 0, 0.2, 2e6)
     assert sched.ud_assignment[2] == (1, 1, 0.3, 3e6)
     assert [u for u, _, _ in sched.ap_groups[0]] == [0, 1]
