@@ -6,7 +6,7 @@ Exit codes: 0 on success, 1 on bad arguments or config, 2 on runtime failure.
 import argparse
 import sys
 
-from .harness import (ExperimentSpec, HarnessError, emit, run_experiment,
+from .harness import (ExperimentSpec, HarnessError, check_sweep_var, emit, run_experiment,
                       summarize)
 from .scenario import CONFIG_FIELDS, ConfigError, ScenarioConfig, load_config
 from .mwis import ORDERINGS
@@ -22,11 +22,14 @@ def _lo_hi(item: str):
 
 def _parse_sweep(text: str):
     """Parse "var=v1,v2,..." by the config field's type: integers for an
-    int field, lo:hi items for a tuple field, numbers otherwise."""
+    int field, lo:hi items for a tuple field, numbers otherwise. A
+    variable that cannot be swept is refused by name before its values
+    are read."""
     if "=" not in text:
         raise ValueError("expected var=value[,value...]")
     var, _, values = text.partition("=")
     var = var.strip()
+    check_sweep_var(var)
     if not values.strip():
         raise ValueError("sweep has no values")
     items = [v.strip() for v in values.split(",")]

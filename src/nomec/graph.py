@@ -8,8 +8,13 @@ is a union of cliques, one per UD and one per slot, and every scheduling
 decision can be made from the per-vertex u1/u2/slot keys alone.
 
 enumerate_full builds the vertex arrays without edges; that is what the
-schedulers use. Adjacency is explicit only as packed bitset rows, built
-lazily on first access to ``adj_bits`` with vectorized pairwise
+schedulers use. Its candidate cells, like build_pruned's, depend on the
+topology alone, so each set is built once per scenario: the int64 cell
+columns, the default-CC2 slot and both members' flat indices into the
+channel's gains are kept read-only in the scenario's topology cache, and
+the graph holds them as they are. A call gathers the gains, solves the
+powers and weighs the vertices. Adjacency is explicit only as packed bitset
+rows, built lazily on first access to ``adj_bits`` with vectorized pairwise
 comparisons. build_full forces that build, so its cost scales with the
 square of the vertex count, as the enumeration the paper describes does;
 only the tests read the explicit rows.
@@ -56,18 +61,22 @@ class ConflictGraph:
     Vertex i is the cluster u1[i] (and u2[i], -1 for a singleton) on RRB
     rrb[i] of AP ap[i], with scheduling weight weights[i] and solved powers
     p1/p2, rates r1/r2 and objective obj; strict_cc2 records which conflict
-    rule produces the edges. ``slot`` names the conflicting resource block.
-    NomaAssociation objects are materialized on demand, so building large
-    graphs stays an array operation; ``adj_bits`` is built on first access.
+    rule produces the edges. ``slot`` names the conflicting resource block;
+    under the default rule it is ap * (largest rrb + 1) + rrb, which a
+    caller that already holds it passes as slot. NomaAssociation objects
+    are materialized on demand, so building large graphs stays an array
+    operation; ``adj_bits`` is built on first access.
     """
 
     def __init__(self, u1, u2, rrb, ap, weights, p1, p2, r1, r2, obj,
-                 strict_cc2: bool = False):
+                 strict_cc2: bool = False, slot=None):
         self.strict_cc2 = strict_cc2
         self.u1, self.u2, self.rrb_arr, self.ap_arr, self.weights = u1, u2, rrb, ap, weights
         self._p1, self._p2, self._r1, self._r2, self._obj = p1, p2, r1, r2, obj
         if strict_cc2:
             self.slot = rrb
+        elif slot is not None:
+            self.slot = slot
         else:
             max_rrb = int(rrb.max()) if len(rrb) else 0
             self.slot = ap * (max_rrb + 1)
@@ -214,50 +223,66 @@ def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
     return w
 
 
-def _member_gains(gains, u1, u2, ap, rrb):
-    """Each cell's gains of u1 and of u2 on its (AP, RRB), read from the
-    (N, M, Z) gains through one flat index, (u*M + ap)*Z + rrb, built in
-    one reused buffer. u2 = -1 gets NaN, the gain of a singleton's absent
-    member."""
-    _, n_aps, n_rrbs = gains.shape
-    if u1.size and not (0 <= ap.min() and ap.max() < n_aps
+def _gain_shape(scenario):
+    """The (N, M, Z) shape of every uplink gain array of the scenario."""
+    return len(scenario.devices), len(scenario.aps), scenario.config.rrbs_per_ap
+
+
+def _cell_columns(scenario, u1, u2, ap, rrb):
+    """Candidate cells as the seven columns _solve_cells reads.
+
+    The cells (u1, u2, ap, rrb) are parallel integer arrays, one entry per
+    candidate cluster on one RRB, with u1 < u2 and u2 = -1 for a
+    singleton. Returned are those four as int64, the int64 default-CC2
+    slot (ap itself when every rrb is 0), and each member's index
+    (u*M + ap)*Z + rrb into the scenario's (N, M, Z) uplink gains raveled
+    with one NaN appended; u2 = -1 indexes that NaN, the gain of a
+    singleton's absent member. The indices are int32 when the gains allow,
+    which halves what a cached index column holds. A cell that names a UD,
+    AP or RRB outside the gains is refused, as indexing the gains
+    themselves would refuse it: its flat index would read another link's
+    gain.
+    """
+    u1, u2, ap, rrb = (np.asarray(col, dtype=np.int64) for col in (u1, u2, ap, rrb))
+    n, n_aps, n_rrbs = shape = _gain_shape(scenario)
+    if u1.size and not (0 <= u1.min() and -1 <= u2.min() and max(u1.max(), u2.max()) < n
+                        and 0 <= ap.min() and ap.max() < n_aps
                         and 0 <= rrb.min() and rrb.max() < n_rrbs):
-        raise IndexError(f"cells name an (AP, RRB) outside the {gains.shape} gains")
-    out = []
-    at = np.empty_like(u1)
-    for u in (u1, u2):
-        np.multiply(u, n_aps, out=at)
-        at += ap
-        at *= n_rrbs
-        at += rrb
-        out.append(gains.take(at))      # u2 = -1 reads a gain from the end
-    np.copyto(out[1], np.nan, where=u2 < 0)
-    return out
+        raise IndexError(f"cells name a (UD, AP, RRB) outside the {shape} gains")
+    slot = ap * (int(rrb.max()) + 1) + rrb if rrb.any() else ap
+    i1, i2 = ((u * n_aps + ap) * n_rrbs + rrb for u in (u1, u2))
+    i2[u2 < 0] = n * n_aps * n_rrbs
+    if n * n_aps * n_rrbs < np.iinfo(np.int32).max:
+        i1, i2 = i1.astype(np.int32), i2.astype(np.int32)
+    return u1, u2, ap, rrb, slot, i1, i2
 
 
 def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
-    """The graph over the feasible candidate clusters among cells.
+    """The graph over the feasible candidate clusters among cells, the
+    seven columns _cell_columns gives.
 
-    cells holds parallel integer arrays (u1, u2, ap, rrb), one entry per
-    candidate cluster on one RRB, with u1 < u2 and u2 = -1 for a singleton;
-    the graph holds them as int64. Both members' gains are read through one
-    flat index into the channel's (N, M, Z) gains, powers come from one
-    call of the batched closed form at the UDs' one power cap, and weights
-    from _weights at each AP's frequency cap. Clusters that miss the rate
-    floor or get a non-positive rate are dropped by reweighed; the rest
-    keep the order of cells. When every cluster passes, no filtered copy is
-    made: the graph holds the int64 cell columns and the solver's outputs
-    as they are, weighed in place.
+    Both members' gains are gathered through the cells' flat indices,
+    powers come from one call of the batched closed form at the UDs' one
+    power cap, and weights from _weights at each AP's frequency cap.
+    Clusters that miss the rate floor or get a non-positive rate are
+    dropped by reweighed; the rest keep the order of cells. When every
+    cluster passes, no filtered copy is made: the graph holds the cell
+    columns and the solver's outputs as they are, weighed in place.
     """
-    u1, u2, ap, rrb = (np.asarray(col, dtype=np.int64) for col in cells)
+    u1, u2, ap, rrb, slot, i1, i2 = cells
     chan = scenario.channel
+    gains = chan.gain_ud_rrb
+    if gains.shape != _gain_shape(scenario):
+        raise ValueError(f"uplink gains of shape {gains.shape} do not fit the "
+                         f"scenario's {_gain_shape(scenario)} UDs, APs and RRBs")
+    gains = np.append(gains.ravel(), np.nan)
     p_max = float(_cached(scenario, "power_cap", _power_cap)[0][0])
     p1, p2, r1, r2, obj, feas = solve_pairs_batch(
-        *_member_gains(chan.gain_ud_rrb, u1, u2, ap, rrb), p_max,
+        gains.take(i1), gains.take(i2), p_max,
         chan.noise_w, chan.rrb_bandwidth_hz, scenario.weights.rate_threshold_bps)
     feas &= r1 > 0
     feas &= r2 > 0
-    graph = ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, strict_cc2)
+    graph = ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, strict_cc2, slot)
     if not feas.all():
         return reweighed(scenario, graph, feas, _caps(scenario))
     graph.weights = weigh(scenario, graph, _caps(scenario))
@@ -282,21 +307,21 @@ def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, graph.strict_cc2)
 
 
-def _ap_clusters(scenario):
-    """Per AP, in scenario.aps order, its candidate clusters on one RRB:
-    the covered UDs as singletons, then their pairs in triu order. Returns
-    (c1, c2) as int64, the dtype the graph holds, with c2 = -1 for a
-    singleton and each AP's clusters in one block; the block offsets, A + 1
-    of them; the RRB counts. An AP's id is its position."""
-    c1, c2, offsets = [], [], [0]
+def _full_cells(scenario, rrbs=None):
+    """enumerate_full's candidate cells as _cell_columns' seven columns,
+    AP by AP and RRB by RRB (every RRB of the AP, or those in rrbs): the
+    covered UDs as singletons, then their pairs in triu order. An AP's id
+    is its position."""
+    cells = [[np.empty(0, dtype=np.int64)] * 4]
     for ap in scenario.aps:
         ids = np.array(sorted(scenario.coverage[ap.id]), dtype=np.int64)
         lo, hi = np.triu_indices(ids.size, 1)
-        c1 += [ids, ids[lo]]
-        c2 += [np.full(ids.size, -1, dtype=np.int64), ids[hi]]
-        offsets.append(offsets[-1] + ids.size + lo.size)
-    return (np.concatenate(c1), np.concatenate(c2), np.array(offsets),
-            np.array([ap.num_rrbs for ap in scenario.aps], dtype=np.int64))
+        c1 = np.concatenate([ids, ids[lo]])
+        c2 = np.concatenate([np.full(ids.size, -1, dtype=np.int64), ids[hi]])
+        z = np.arange(ap.num_rrbs) if rrbs is None else np.asarray(rrbs, dtype=np.int64)
+        cells.append((np.tile(c1, z.size), np.tile(c2, z.size),
+                      np.full(c1.size * z.size, ap.id), np.repeat(z, c1.size)))
+    return _cell_columns(scenario, *(np.concatenate(col) for col in zip(*cells)))
 
 
 def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
@@ -306,24 +331,17 @@ def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGra
     frequencies. rrbs restricts the enumeration to those RRB
     indices. Vertices run AP by AP, RRB by RRB, singletons before pairs;
     powers and weights are solved in one batch, and the returned graph
-    builds its adjacency only if something reads ``adj_bits``. Each AP's
-    one-RRB cluster list depends on the topology alone, so it is built once
-    per scenario; here each (AP, RRB) slot copies its AP's block, so the
-    cells take no index array.
+    builds its adjacency only if something reads ``adj_bits``. The cells
+    depend on the topology alone, so those of every RRB and those of RRB 0
+    alone are built once per scenario, and the graph holds their read-only
+    columns; other RRB lists are built on each call.
     """
-    c1, c2, offsets, num_rrbs = _cached(scenario, "ap_clusters", _ap_clusters)
     if rrbs is None:
-        slot_ap = np.repeat(np.arange(num_rrbs.size), num_rrbs)
-        slot_rrb = np.arange(slot_ap.size) - np.repeat(np.cumsum(num_rrbs) - num_rrbs, num_rrbs)
+        cells = _cached(scenario, "full_cells", _full_cells)
+    elif np.array_equal(rrbs, [0]):
+        cells = _cached(scenario, "rrb0_cells", lambda scn: _full_cells(scn, [0]))
     else:
-        rrbs = np.asarray(rrbs, dtype=np.int64)
-        slot_ap = np.repeat(np.arange(num_rrbs.size), rrbs.size)
-        slot_rrb = np.tile(rrbs, num_rrbs.size)
-    blocks = [slice(offsets[a], offsets[a + 1]) for a in slot_ap.tolist()]
-    size = np.diff(offsets)[slot_ap]
-    cells = (np.concatenate([c1[:0]] + [c1[b] for b in blocks]),
-             np.concatenate([c2[:0]] + [c2[b] for b in blocks]),
-             np.repeat(slot_ap, size), np.repeat(slot_rrb, size))
+        cells = _full_cells(scenario, rrbs)
     return _solve_cells(scenario, cells, strict_cc2)
 
 
@@ -336,8 +354,8 @@ def build_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
 
 
 def _pruned_cells(scenario):
-    """build_pruned's candidate clusters as (u1, u2, ap, rrb) int64
-    columns. They read the tasks, the coverage and the AP budgets, not the
+    """build_pruned's candidate clusters as _cell_columns' seven columns.
+    They read the tasks, the coverage and the AP budgets, not the
     channel."""
     n = len(scenario.devices)
     cycles = _cached(scenario, "task_columns", _task_columns)[1][:n]
@@ -376,9 +394,9 @@ def _pruned_cells(scenario):
     take[np.arange(seeds.size), seeds + 1] = False
     row, col = np.nonzero(take)
     seed, partner = seeds[row], col - 1
-    return (np.where(partner < 0, seed, np.minimum(seed, partner)),
-            np.where(partner < 0, -1, np.maximum(seed, partner)),
-            slot_ap[row], slot_rrb[row])
+    return _cell_columns(scenario, np.where(partner < 0, seed, np.minimum(seed, partner)),
+                         np.where(partner < 0, -1, np.maximum(seed, partner)),
+                         slot_ap[row], slot_rrb[row])
 
 
 def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:

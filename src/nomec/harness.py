@@ -23,6 +23,24 @@ class HarnessError(RuntimeError):
     pass
 
 
+# the config fields a sweep cannot set, and why
+_UNSWEPT = {
+    "seed": "the master seed is --seed",
+    **{name: f"it holds one (x, y) pair per {what}, but a sweep value is one number or one "
+             "lo:hi pair; set it in the config file"
+       for name, what in (("ap_positions", "AP"), ("mec_positions", "MEC"))},
+}
+
+
+def check_sweep_var(name: str):
+    """Refuse a sweep variable that names no ScenarioConfig field, or a
+    field a sweep cannot set."""
+    if name in _UNSWEPT:
+        raise HarnessError(f"{name} cannot be swept; {_UNSWEPT[name]}")
+    if name not in CONFIG_FIELDS:
+        raise HarnessError(f"unknown sweep variable {name!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     config: ScenarioConfig
@@ -38,10 +56,7 @@ class ExperimentSpec:
     timings: bool = False
 
     def __post_init__(self):
-        if self.sweep_var == "seed":
-            raise HarnessError("seed cannot be swept; the master seed is --seed")
-        if self.sweep_var not in CONFIG_FIELDS:
-            raise HarnessError(f"unknown sweep variable {self.sweep_var!r}")
+        check_sweep_var(self.sweep_var)
         if not self.sweep_values:
             raise HarnessError("sweep_values is empty")
         if not self.schemes:

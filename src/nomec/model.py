@@ -146,8 +146,24 @@ def backhaul_rate(ap: AccessPoint, mec: MecServer, channel: ChannelState,
     """
     gain = _link_gain(channel.gain_ap_mec, (ap.id, mec.id),
                       f"backhaul gain for ap {ap.id} -> mec {mec.id}")
-    se = math.log2(1.0 + ap.q_tx_w * gain / channel.noise_w)
-    return channel.rrb_bandwidth_hz * se if bandwidth_scaled else se
+    return _link_rates(ap, [gain], channel, bandwidth_scaled)[0]
+
+
+def _link_rates(ap: AccessPoint, gains, channel: ChannelState, bandwidth_scaled: bool) -> list:
+    """backhaul_rate of ap's links of the given gains."""
+    se = [math.log2(1.0 + ap.q_tx_w * gain / channel.noise_w) for gain in gains]
+    return [channel.rrb_bandwidth_hz * s for s in se] if bandwidth_scaled else se
+
+
+def backhaul_rates(aps, mecs, channel: ChannelState, bandwidth_scaled: bool = True) -> dict:
+    """Per AP id in aps, the backhaul_rate of its link to each MEC in mecs,
+    in that order, with the gains read in one pass."""
+    ap_ids, mec_ids = [ap.id for ap in aps], [mec.id for mec in mecs]
+    if ap_ids and mec_ids:      # these two links bound every id
+        for key in ((min(ap_ids), min(mec_ids)), (max(ap_ids), max(mec_ids))):
+            _link_gain(channel.gain_ap_mec, key, f"backhaul gain for ap {key[0]} -> mec {key[1]}")
+    rows = channel.gain_ap_mec[:, mec_ids].tolist()
+    return {ap.id: _link_rates(ap, rows[ap.id], channel, bandwidth_scaled) for ap in aps}
 
 
 def _group_totals(group):

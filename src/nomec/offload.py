@@ -63,12 +63,17 @@ def first_layer_weight(group, f_loc: float, weights) -> float:
 def second_layer_weight(tasks, ap, mec, channel, bandwidth_scaled: bool = True) -> float:
     """Affinity of an AP group for a MEC: backhaul rate times the mean
     density over the group's total bits."""
+    return second_layer_weights(tasks, [backhaul_rate(ap, mec, channel, bandwidth_scaled)])[0]
+
+
+def second_layer_weights(tasks, rates) -> list:
+    """The affinities of one AP group for backhaul links of the given
+    rates, the group summed once."""
     total_bits = sum(t.size_bits for t in tasks)
     if total_bits <= 0:
         raise ValueError("second-layer weight undefined for an empty group")
     mean_density = sum(t.density_cpb for t in tasks) / len(tasks)
-    rate = backhaul_rate(ap, mec, channel, bandwidth_scaled)
-    return rate * mean_density / total_bits
+    return [rate * mean_density / total_bits for rate in rates]
 
 
 def admission_control(g_by_ap: dict, affinity: dict, mec_ids) -> AdmissionPlan:

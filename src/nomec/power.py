@@ -36,16 +36,22 @@ def solve_pairs_batch(ud_lo_gain, ud_hi_gain, p_max, noise_w, bandwidth_hz,
     the strong member's rate-floor boundary. The work runs in six
     batch-length float buffers, each step writing in place (out= and
     copyto), and log2(1 + sinr) is taken once per member for both the
-    rates and the objective. Every element sees the operations of the
-    textbook form in the same order, so the results are the same bits.
+    rates and the objective. Which member is strong is read once as the
+    index array of the clusters whose higher-id member is, and every
+    choice between the members is a gather and a scatter on it, not a
+    select on a mask that is set at random. Every element sees the
+    operations of the textbook form in the same order, so the results are
+    the same bits. The inputs are not written to.
     """
     g1 = np.asarray(ud_lo_gain, dtype=float)
     g2 = np.asarray(ud_hi_gain, dtype=float)
     single = np.isnan(g2)
     # lower id wins gain ties, i.e. decodes first; a singleton's UD is strong
-    first_is_hi = g2 > g1
-    strong = np.where(first_is_hi, g2, g1)
-    weak = np.where(first_is_hi, g1, g2)
+    hi = np.flatnonzero(g2 > g1)
+    strong = np.array(g1)
+    strong[hi] = g2[hi]
+    weak = np.array(g2)
+    weak[hi] = g1[hi]
     np.copyto(weak, 0.0, where=single)
     try:
         gamma_th = 2.0 ** (rate_threshold_bps / bandwidth_hz) - 1.0
@@ -85,12 +91,15 @@ def solve_pairs_batch(ud_lo_gain, ud_hi_gain, p_max, noise_w, bandwidth_hz,
     floor = rate_threshold_bps * (1.0 - 1e-12)
     feasible &= (strong >= floor) & (weak >= floor)
     np.copyto(objective, -np.inf, where=~feasible)
-    p_lo = np.where(first_is_hi, p_w, p_max)
-    np.copyto(p_w, p_max, where=first_is_hi)
+    # back to member order: where the higher-id member is strong, swap
+    p_lo = np.full_like(p_w, p_max)
+    p_lo[hi] = p_w[hi]
+    p_w[hi] = p_max
     np.copyto(p_w, np.nan, where=single)
-    r_lo = np.where(first_is_hi, weak, strong)
-    np.copyto(weak, strong, where=first_is_hi)
-    return p_lo, p_w, r_lo, weak, objective, feasible
+    r_strong = strong[hi]
+    strong[hi] = weak[hi]
+    weak[hi] = r_strong
+    return p_lo, p_w, strong, weak, objective, feasible
 
 
 def solve_singletons_batch(gain, p_max, noise_w, bandwidth_hz, rate_threshold_bps):

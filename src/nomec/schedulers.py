@@ -17,10 +17,10 @@ import numpy as np
 from .graph import _caps, build_pruned, enumerate_full, reweighed, weigh
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
-from .model import InvalidAssignmentError, Metrics, backhaul_rate, system_metrics
+from .model import InvalidAssignmentError, Metrics, backhaul_rates, system_metrics
 from .mwis import ORDERINGS, _scan, greedy_min_wis, random_maximal_is
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
-                      allocate_local, first_layer_weight, second_layer_weight)
+                      allocate_local, first_layer_weight, second_layer_weights)
 
 
 @dataclass(frozen=True)
@@ -185,20 +185,24 @@ def _random_maximal(scenario, opt: _Options):
     return _picked(graph, random_maximal_is(graph, opt.seed))
 
 
+def _candidate_rates(scenario, candidates):
+    """Per candidate AP id, its backhaul rates in scenario.mecs order."""
+    return backhaul_rates([scenario.aps[m] for m in candidates], scenario.mecs,
+                          scenario.channel, scenario.config.backhaul_bandwidth_scaling)
+
+
 def _admit_weighted(scenario, schedule, candidates, seed):
     """First/second-layer weighted admission for the candidate AP ids."""
-    bh = scenario.config.backhaul_bandwidth_scaling
+    rates = _candidate_rates(scenario, candidates)
+    mec_ids = [mec.id for mec in scenario.mecs]
     g = {}
     affinity = {}
     for m in candidates:
-        entries = schedule.ap_groups[m]
-        group = [(task, rate) for _, task, rate in entries]
-        tasks = [task for _, task, _ in entries]
+        group = [(task, rate) for _, task, rate in schedule.ap_groups[m]]
         g[m] = first_layer_weight(group, scenario.aps[m].f_loc_max_cps, scenario.weights)
-        for mec in scenario.mecs:
-            affinity[(m, mec.id)] = second_layer_weight(tasks, scenario.aps[m], mec,
-                                                        scenario.channel, bh)
-    return admission_control(g, affinity, [mec.id for mec in scenario.mecs])
+        weights = second_layer_weights([task for task, _ in group], rates[m])
+        affinity.update(zip([(m, k) for k in mec_ids], weights))
+    return admission_control(g, affinity, mec_ids)
 
 
 def _admit_random(scenario, schedule, candidates, seed):
@@ -207,20 +211,20 @@ def _admit_random(scenario, schedule, candidates, seed):
     for it is positive; with none left it stays unadmitted and draws
     nothing."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    remaining = list(scenario.mecs)
+    rates = _candidate_rates(scenario, candidates)
+    remaining = list(range(len(scenario.mecs)))     # positions in scenario.mecs
     y = {m: False for m in candidates}
     assignment = {}
     for idx in rng.permutation(len(candidates)):
         if not remaining:
             break
         m = candidates[idx]
-        usable = [k for k in remaining if backhaul_rate(
-            scenario.aps[m], k, scenario.channel, scenario.config.backhaul_bandwidth_scaling) > 0]
+        usable = [k for k in remaining if rates[m][k] > 0]
         if usable:
-            mec = usable[int(rng.integers(len(usable)))]
-            remaining.remove(mec)
+            k = usable[int(rng.integers(len(usable)))]
+            remaining.remove(k)
             y[m] = True
-            assignment[m] = mec.id
+            assignment[m] = scenario.mecs[k].id
     return AdmissionPlan(y, assignment)
 
 

@@ -205,3 +205,14 @@ def test_seed_sweep_rejected_by_name(capsys):
     assert code == 1
     assert err.startswith("error:") and "seed" in err and "--seed" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("sweep", ["ap_positions=1:2", "ap_positions=1", "mec_positions=0:0,1:1"])
+def test_position_sweeps_rejected_by_name(sweep, capsys):
+    """A position field holds one (x, y) pair per AP or MEC, which no
+    sweep value can give, so the variable is refused by name whatever
+    its values."""
+    code, out, err = run_cli(["--sweep", sweep, "--trials", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {sweep.split('=')[0]} cannot be swept;")
+    assert "(x, y) pair per" in err

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from nomec import (NomaAssociation, ScenarioConfig, build_full, build_pruned,
+from nomec import (SCHEMES, NomaAssociation, ScenarioConfig, build_full, build_pruned,
                    enumerate_full, generate, group_demand_cps, modified_weight, run_scheme)
-from nomec.graph import _solve_cells, reweighed, weigh
+from nomec.graph import _cell_columns, _solve_cells, reweighed, weigh
 from nomec.scenario import realize_channels, with_channel
 import oracles
 from oracles import conflicts, graph_of
@@ -450,9 +450,10 @@ def reference_graphs(scenario_of):
     for strict in (False, True):
         for rrbs in (None, [0], [1, 2]):
             scn = scenario_of()
-            yield _solve_cells(scn, oracles.full_cells_by_ap(scn, rrbs), strict)
+            yield _solve_cells(scn, _cell_columns(scn, *oracles.full_cells_by_ap(scn, rrbs)),
+                               strict)
         scn = scenario_of()
-        yield _solve_cells(scn, oracles.pruned_cells_by_scan(scn), strict)
+        yield _solve_cells(scn, _cell_columns(scn, *oracles.pruned_cells_by_scan(scn)), strict)
 
 
 def test_cached_candidates_match_a_fresh_scenario_on_every_trial():
@@ -474,8 +475,8 @@ def test_cached_candidates_match_a_fresh_scenario_on_every_trial():
                 assert_same_graph(got, want)
                 assert_same_graph(got, ref)
                 graphs += 1
-        assert set(scn._topology_cache) == {"ap_clusters", "power_cap", "pruned_cells",
-                                            "task_columns"}
+        assert set(scn._topology_cache) == {"full_cells", "power_cap", "pruned_cells",
+                                            "rrb0_cells", "task_columns"}
     assert graphs == len(CACHE_TOPOLOGIES) * 4 * 8
 
 
@@ -484,6 +485,7 @@ def test_with_channel_copies_reuse_the_cache_entries():
     first = with_channel(scn, realize_channels(scn, 1))
     assert first._topology_cache is scn._topology_cache
     enumerate_full(first)
+    enumerate_full(first, rrbs=[0])
     build_pruned(first)
     entries = dict(scn._topology_cache)
     second = with_channel(first, realize_channels(scn, 2))
@@ -492,6 +494,30 @@ def test_with_channel_copies_reuse_the_cache_entries():
     assert second._topology_cache is scn._topology_cache
     assert scn._topology_cache.keys() == entries.keys()
     assert all(scn._topology_cache[key] is value for key, value in entries.items())
+
+
+def test_cached_columns_stay_read_only_and_unchanged_by_every_scheme():
+    """Full-graph schemes hold the cached cell columns themselves, so after
+    all five schemes run on several channels, under both CC2 rules and
+    both orderings, every cached array is still read-only and keeps its
+    bytes."""
+    scn = generate(ScenarioConfig(n_uds=30, task_size_range_bits=(100.0, 2000.0),
+                                  density_cpb=300.0, seed=4))
+    enumerate_full(scn)
+    enumerate_full(scn, rrbs=[0])
+    build_pruned(scn)
+    before = {key: [a.tobytes() for a in arrays] for key, arrays in scn._topology_cache.items()}
+    for trial in range(2):
+        copy = with_channel(scn, realize_channels(scn, trial))
+        for strict in (False, True):
+            for ordering in ("original", "modified"):
+                for scheme in SCHEMES:
+                    run_scheme(copy, scheme, seed=trial, strict_cc2=strict,
+                               mwis_ordering=ordering)
+    assert scn._topology_cache.keys() == before.keys()
+    for key, arrays in scn._topology_cache.items():
+        assert not any(a.flags.writeable for a in arrays), key
+        assert [a.tobytes() for a in arrays] == before[key], key
 
 
 def test_replaced_coverage_or_devices_recompute_the_cache():
@@ -563,8 +589,8 @@ def test_graph_columns_match_the_copying_path():
 
 def test_reweighing_copies_and_leaves_the_source_alone():
     """reweighed copies under every mask, the all-true one too: the source's
-    columns stay writeable and share no memory with the copy's, and the
-    source keeps its weights."""
+    columns share no memory with the copy's, and the source keeps its
+    weights."""
     scn = generate(ScenarioConfig(n_uds=12, seed=3))
     full = enumerate_full(scn)
     weights = full.weights.copy()
@@ -573,7 +599,6 @@ def test_reweighing_copies_and_leaves_the_source_alone():
         copy = reweighed(scn, full, keep, half)
         for name in GRAPH_COLUMNS:
             column = getattr(full, name)
-            assert column.flags.writeable, name
             assert not np.shares_memory(getattr(copy, name), column), name
         assert full.weights.tobytes() == weights.tobytes()
         assert copy.weights.tobytes() != weights[keep].tobytes()
@@ -581,14 +606,22 @@ def test_reweighing_copies_and_leaves_the_source_alone():
 
 def test_cells_outside_the_channel_gains_are_refused():
     """The flat gain index would silently read another UD's row for an AP
-    or RRB past the gains' shape, so such cells raise, as indexing the
-    (N, M, Z) array itself does."""
+    or RRB past the gains' shape, or the appended NaN for a UD past it, so
+    such cells raise when their columns are built, as indexing the
+    (N, M, Z) array itself does; so does a channel whose gains have
+    another shape than the one the indices were built for."""
     scn = generate(ScenarioConfig(n_uds=6, n_aps=3, rrbs_per_ap=2, seed=1))
     col = lambda *v: np.array(v, dtype=np.int64)
-    for ap, rrb in ((3, 0), (0, 2), (-1, 0), (0, -1)):
+    for u, ap, rrb in ((0, 3, 0), (0, 0, 2), (0, -1, 0), (0, 0, -1), (6, 0, 0), (-1, 0, 0)):
         with pytest.raises(IndexError):
-            _solve_cells(scn, (col(0, 1), col(-1, 2), col(0, ap), col(0, rrb)), False)
-    assert len(_solve_cells(scn, (col(0, 1), col(-1, 2), col(0, 2), col(0, 1)), False)) <= 2
+            _cell_columns(scn, col(u, 1), col(-1, 2), col(0, ap), col(0, rrb))
+    cells = _cell_columns(scn, col(0, 1), col(-1, 2), col(0, 2), col(0, 1))
+    assert len(_solve_cells(scn, cells, False)) <= 2
+    # the cached indices are those of the scenario's (N, M, Z) gains
+    narrow = dataclasses.replace(scn.channel, gain_ud_rrb=scn.channel.gain_ud_rrb[:, :, :1])
+    for build in (enumerate_full, build_pruned):
+        with pytest.raises(ValueError, match="do not fit"):
+            build(with_channel(scn, narrow))
 
 
 def test_devices_with_different_power_caps_are_refused():

@@ -51,6 +51,17 @@ def test_spec_validation():
     assert tiny_spec(master_seed=0).master_seed == 0
 
 
+def test_spec_rejects_unsweepable_fields_by_name():
+    """seed and the position fields are config fields no sweep can set;
+    the spec names the field and says why."""
+    with pytest.raises(HarnessError, match="seed cannot be swept; the master seed is --seed"):
+        tiny_spec(sweep_var="seed", sweep_values=(1, 2))
+    for var, values in (("ap_positions", (((0.0, 0.0),) * 3,)),
+                        ("mec_positions", ((1.0, 2.0),))):
+        with pytest.raises(HarnessError, match=f"^{var} cannot be swept; .*pair per"):
+            tiny_spec(sweep_var=var, sweep_values=values)
+
+
 def test_spec_rejects_unknown_ordering_and_bad_sweep_values():
     with pytest.raises(HarnessError, match="lightest"):
         tiny_spec(mwis_ordering="lightest")

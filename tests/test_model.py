@@ -12,6 +12,7 @@ from nomec import (AccessPoint, ChannelState, CostWeights,
                    InvalidTopologyError, MecServer, ScenarioConfig, Task,
                    backhaul_rate, generate, local_cost, mec_cost, run_scheme,
                    system_metrics)
+from nomec.model import backhaul_rates
 from nomec.power import solve_pairs_batch
 from conftest import gain_arrays
 import oracles
@@ -85,6 +86,28 @@ def test_backhaul_rate_value_and_scaling():
     assert backhaul_rate(ap, mec, chan, bandwidth_scaled=False) == pytest.approx(se, rel=1e-12)
     with pytest.raises(InvalidTopologyError):
         backhaul_rate(ap, MecServer(3, (0.0, 0.0), 3e9), chan)
+
+
+def test_backhaul_rates_match_backhaul_rate_bit_for_bit():
+    """The one-pass rate table holds, per AP id and in MEC order, the bits
+    backhaul_rate gives for each link, scaled or not, zero-gain links
+    included; an id outside the backhaul gains is refused."""
+    scn = generate(ScenarioConfig(seed=2))
+    gains = scn.channel.gain_ap_mec.copy()
+    gains[::2, 1] = 0.0
+    chan = dataclasses.replace(scn.channel, gain_ap_mec=gains)
+    for scaled in (True, False):
+        for aps in (scn.aps, scn.aps[3:5], ()):
+            rates = backhaul_rates(aps, scn.mecs, chan, scaled)
+            assert list(rates) == [ap.id for ap in aps]
+            for ap in aps:
+                want = [backhaul_rate(ap, mec, chan, scaled) for mec in scn.mecs]
+                assert [r.hex() for r in rates[ap.id]] == [float(r).hex() for r in want]
+                assert all(type(r) is float for r in rates[ap.id])
+    outside = dataclasses.replace(scn.aps[0], id=len(scn.aps))
+    for aps, mecs in (([outside], scn.mecs), (scn.aps, [dataclasses.replace(scn.mecs[0], id=-1)])):
+        with pytest.raises(InvalidTopologyError):
+            backhaul_rates(aps, mecs, chan)
 
 
 def test_local_cost_single_task():

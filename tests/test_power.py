@@ -254,3 +254,16 @@ def test_pairs_batch_keeps_the_bits_of_the_textbook_form(case):
                               got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (threshold, name)
         assert got[5].any() == (threshold < 2e10)
+
+
+@pytest.mark.parametrize("case", ["edges", "n_uds=96"])
+def test_pairs_batch_leaves_its_inputs_alone(case):
+    """The solve works in buffers of its own: its inputs keep their bytes,
+    and no output shares memory with them."""
+    p_max, noise, g_lo, g_hi = edge_gains() if case == "edges" else enumerated_gains(
+        int(case.split("=")[1]))
+    before = g_lo.tobytes(), g_hi.tobytes()
+    for threshold in (0.0, 5e4, 2e7):
+        out = solve_pairs_batch(g_lo, g_hi, p_max, noise, B0, threshold)
+        assert (g_lo.tobytes(), g_hi.tobytes()) == before, threshold
+        assert not any(np.shares_memory(a, g) for a in out for g in (g_lo, g_hi)), threshold

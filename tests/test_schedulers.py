@@ -14,7 +14,9 @@ from nomec import graph as graph_module
 from nomec.graph import reweighed
 from nomec import schedulers
 from nomec.model import InvalidAssignmentError, backhaul_rate
-from nomec.scenario import with_channel
+from nomec.offload import (AdmissionPlan, admission_control, first_layer_weight,
+                           second_layer_weight)
+from nomec.scenario import realize_channels, with_channel
 import oracles
 from oracles import (conflicts, graph_of, modified_ranks_by_unique, pairs_first_order,
                      picks_in_order, recompute_metrics, rows_of)
@@ -568,3 +570,95 @@ def test_zero_rate_backhaul_links_are_never_assigned():
                     pytest.approx((want[2], want[3]), rel=1e-12), scheme
                 admitted += len(assignment)
     assert admitted > 0
+
+
+def admission_trials():
+    """(label, scenario) pairs, three fading trials per case, whose
+    admissions differ in kind: scaled and unscaled backhaul, a 100 dB
+    shadowing spread that rounds some backhaul rates to zero, and every
+    backhaul link dead or every other one."""
+    heavy = dict(n_uds=48, task_size_range_bits=(100.0, 2000.0), density_cpb=500.0, seed=1)
+    cases = [(f"scaled={scaled}", generate(ScenarioConfig(backhaul_bandwidth_scaling=scaled,
+                                                          **heavy)), None)
+             for scaled in (True, False)]
+    cases += [(f"shadowing seed {seed}",
+               generate(ScenarioConfig(n_uds=30, shadowing_std_db=100.0, seed=seed)), None)
+              for seed in (3, 4)]
+    cases += [(label, generate(ScenarioConfig(**heavy)), dead) for label, dead in (
+        ("all links dead", lambda g: np.zeros_like(g)),
+        ("every other link dead",
+         lambda g: np.where(np.add.outer(*map(np.arange, g.shape)) % 2 == 0, 0.0, g)))]
+    for label, scn, dead in cases:
+        for trial in range(3):
+            channel = realize_channels(scn, trial)
+            if dead is not None:
+                channel = dataclasses.replace(channel, gain_ap_mec=dead(channel.gain_ap_mec))
+            yield label, with_channel(scn, channel)
+
+
+def random_admission_by_calls(scenario, candidates, seed):
+    """_admit_random with one backhaul_rate call per link it reads."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    remaining = list(scenario.mecs)
+    y = {m: False for m in candidates}
+    assignment = {}
+    for idx in rng.permutation(len(candidates)):
+        if not remaining:
+            break
+        m = candidates[idx]
+        usable = [k for k in remaining if backhaul_rate(
+            scenario.aps[m], k, scenario.channel, scenario.config.backhaul_bandwidth_scaling) > 0]
+        if usable:
+            mec = usable[int(rng.integers(len(usable)))]
+            remaining.remove(mec)
+            y[m] = True
+            assignment[m] = mec.id
+    return AdmissionPlan(y, assignment)
+
+
+def test_admission_reads_one_rate_table_with_the_bits_of_the_per_link_weights(monkeypatch):
+    """_admit_weighted hands admission_control first-layer weights and
+    affinities equal bit for bit to first_layer_weight and
+    second_layer_weight per (candidate, MEC) link, and returns the plan
+    they give; _admit_random returns the plan of per-link backhaul_rate
+    calls. Every AP holding a group is a candidate."""
+    seen = []
+
+    def recording(g, affinity, mec_ids):
+        seen.append((g, affinity, mec_ids))
+        return admission_control(g, affinity, mec_ids)
+
+    monkeypatch.setattr(schedulers, "admission_control", recording)
+    admitted = plans = 0
+    zero_rate = set()
+    for label, scn in admission_trials():
+        bh = scn.config.backhaul_bandwidth_scaling
+        for scheme in ("all_offload", "random"):
+            schedule, _ = run_scheme(scn, scheme, seed=plans)
+            candidates = sorted(schedule.ap_groups)
+            seen.clear()
+            plan = schedulers._admit_weighted(scn, schedule, candidates, plans)
+            (g, affinity, mec_ids), = seen
+            assert mec_ids == [mec.id for mec in scn.mecs]
+            want_g, want_affinity = {}, {}
+            for m in candidates:
+                entries = schedule.ap_groups[m]
+                want_g[m] = first_layer_weight([(t, r) for _, t, r in entries],
+                                               scn.aps[m].f_loc_max_cps, scn.weights)
+                for mec in scn.mecs:
+                    want_affinity[(m, mec.id)] = second_layer_weight(
+                        [t for _, t, _ in entries], scn.aps[m], mec, scn.channel, bh)
+            assert {k: v.hex() for k, v in g.items()} == \
+                {k: v.hex() for k, v in want_g.items()}, label
+            assert {k: float(v).hex() for k, v in affinity.items()} == \
+                {k: float(v).hex() for k, v in want_affinity.items()}, label
+            assert plan == admission_control(want_g, want_affinity, mec_ids), label
+            assert schedulers._admit_random(scn, schedule, candidates, plans) == \
+                random_admission_by_calls(scn, candidates, plans), label
+            if 0.0 in want_affinity.values():
+                zero_rate.add(label)
+            admitted += len(plan.assignment)
+            plans += 1
+    assert zero_rate == {"shadowing seed 3", "shadowing seed 4", "all links dead",
+                         "every other link dead"}
+    assert plans == 6 * 3 * 2 and admitted > 0
