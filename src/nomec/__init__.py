@@ -4,7 +4,7 @@ edge computing."""
 from .model import (AccessPoint, ChannelState, CostWeights,
                     InfeasibleUploadError, InvalidAssignmentError,
                     InvalidTopologyError, MecServer, Metrics, Task, UserDevice,
-                    backhaul_rate, group_demand_cps, local_cost, mec_cost,
+                    backhaul_rates, group_demand_cps, local_cost, mec_cost,
                     system_metrics)
 from .scenario import (ConfigError, Scenario, ScenarioConfig, generate,
                        load_config, realize_channels, with_channel)
@@ -14,7 +14,7 @@ from .graph import (ConflictGraph, NomaAssociation, build_full, build_pruned,
 from .mwis import (IndependentSet, greedy_min_wis, modified_ranks,
                    random_maximal_is)
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
-                      allocate_local, first_layer_weight, second_layer_weight)
+                      allocate_local, first_layer_weight, second_layer_weights)
 from .schedulers import SCHEMES, OffloadPlan, Schedule, run_scheme
 from .harness import (CSV_COLUMNS, ExperimentSpec, HarnessError, ResultRow,
                       emit, read_rows, run_experiment, summarize)

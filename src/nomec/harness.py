@@ -125,14 +125,12 @@ def _run_value(args):
     generated for it. Top-level for pickling."""
     spec, index, value, scenario = args
     rows = []
+    options = {"strict_cc2": spec.strict_cc2, "fallback_local": spec.fallback_local,
+               "mwis_ordering": spec.mwis_ordering, "max_iters": spec.max_iters}
     for trial in range(spec.trials):
         trial_scn = with_channel(scenario, realize_channels(scenario, trial))
+        seed = _derive_seed(spec.master_seed, index, trial)
         for scheme in spec.schemes:
-            options = {"strict_cc2": spec.strict_cc2,
-                       "fallback_local": spec.fallback_local,
-                       "mwis_ordering": spec.mwis_ordering,
-                       "max_iters": spec.max_iters}
-            seed = _derive_seed(spec.master_seed, index, trial)
             start = time.perf_counter()
             try:
                 _, plan = run_scheme(trial_scn, scheme, seed=seed, **options)

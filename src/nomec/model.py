@@ -102,7 +102,8 @@ class ChannelState:
 
     gain_ud_rrb[ud_id, ap_id, rrb] is a linear uplink power gain, an
     (N, M, Z) array; gain_ap_mec[ap_id, mec_id] likewise for the backhaul
-    hop, an (M, K) array. noise_w is the receiver noise over one RRB of
+    hop, an (M, K) array. Every gain is finite and >= 0; a zero gain is a
+    dead link. noise_w is the receiver noise over one RRB of
     rrb_bandwidth_hz.
     """
     gain_ud_rrb: np.ndarray
@@ -117,6 +118,8 @@ class ChannelState:
             gains = np.asarray(getattr(self, name), dtype=float)
             if gains.ndim != ndim:
                 raise ValueError(f"{name} must be a {ndim}-d array, got shape {gains.shape}")
+            if not ((gains >= 0) & (gains < np.inf)).all():     # NaN fails both
+                raise ValueError(f"{name} must hold finite gains >= 0")
             object.__setattr__(self, name, gains)
 
 
@@ -129,41 +132,21 @@ class Metrics:
     scheduled_uds: int
 
 
-def _link_gain(gains: np.ndarray, key: tuple, what: str) -> float:
-    """gains[key], checked against the array bounds: numpy would wrap a
-    negative index onto another link."""
-    if not all(0 <= i < n for i, n in zip(key, gains.shape)):
-        raise InvalidTopologyError(f"no {what}")
-    return gains[key]
-
-
-def backhaul_rate(ap: AccessPoint, mec: MecServer, channel: ChannelState,
-                  bandwidth_scaled: bool = True) -> float:
-    """AP to MEC transfer rate.
-
-    bandwidth_scaled=True returns bits/s (spectral efficiency times the RRB
-    bandwidth); False returns the bare log2 term.
-    """
-    gain = _link_gain(channel.gain_ap_mec, (ap.id, mec.id),
-                      f"backhaul gain for ap {ap.id} -> mec {mec.id}")
-    return _link_rates(ap, [gain], channel, bandwidth_scaled)[0]
-
-
-def _link_rates(ap: AccessPoint, gains, channel: ChannelState, bandwidth_scaled: bool) -> list:
-    """backhaul_rate of ap's links of the given gains."""
-    se = [math.log2(1.0 + ap.q_tx_w * gain / channel.noise_w) for gain in gains]
-    return [channel.rrb_bandwidth_hz * s for s in se] if bandwidth_scaled else se
-
-
 def backhaul_rates(aps, mecs, channel: ChannelState, bandwidth_scaled: bool = True) -> dict:
-    """Per AP id in aps, the backhaul_rate of its link to each MEC in mecs,
-    in that order, with the gains read in one pass."""
+    """Per AP id in aps, the AP-to-MEC transfer rate of its link to each
+    MEC in mecs, in that order: B * log2(1 + q_tx * gain / noise) bits/s,
+    or the bare log2 term when not bandwidth_scaled. An AP or MEC id
+    outside the backhaul gains is refused: numpy would wrap a negative
+    index onto another link."""
     ap_ids, mec_ids = [ap.id for ap in aps], [mec.id for mec in mecs]
-    if ap_ids and mec_ids:      # these two links bound every id
-        for key in ((min(ap_ids), min(mec_ids)), (max(ap_ids), max(mec_ids))):
-            _link_gain(channel.gain_ap_mec, key, f"backhaul gain for ap {key[0]} -> mec {key[1]}")
+    shape = channel.gain_ap_mec.shape
+    if any(not 0 <= i < n for ids, n in zip((ap_ids, mec_ids), shape) for i in ids):
+        raise InvalidTopologyError(f"no backhaul gains for ap ids {ap_ids} -> mec ids "
+                                   f"{mec_ids} among gains of shape {shape}")
     rows = channel.gain_ap_mec[:, mec_ids].tolist()
-    return {ap.id: _link_rates(ap, rows[ap.id], channel, bandwidth_scaled) for ap in aps}
+    scale = channel.rrb_bandwidth_hz if bandwidth_scaled else 1.0
+    return {ap.id: [scale * math.log2(1.0 + ap.q_tx_w * gain / channel.noise_w)
+                    for gain in rows[ap.id]] for ap in aps}
 
 
 def _group_totals(group):
@@ -208,7 +191,7 @@ def mec_cost(group, ap: AccessPoint, mec: MecServer, channel: ChannelState,
     """
     if not group:
         return 0.0, 0.0
-    rate_bh = backhaul_rate(ap, mec, channel, bandwidth_scaled)
+    rate_bh = backhaul_rates([ap], [mec], channel, bandwidth_scaled)[ap.id][0]
     if rate_bh <= 0:
         raise InvalidTopologyError(f"backhaul ap {ap.id} -> mec {mec.id} has zero rate")
     upload, bits, cycles = _group_totals(group)
@@ -247,15 +230,13 @@ def system_metrics(schedule, plan, scenario) -> Metrics:
     capacity = 0
     scheduled = 0
     bh_scaled = scenario.config.backhaul_bandwidth_scaling
-    mec_by_id = {m.id: m for m in scenario.mecs}
-    ap_by_id = {a.id: a for a in scenario.aps}
     for ap_id, entries in schedule.ap_groups.items():
         if not entries:
             continue
         scheduled += len(entries)
         if ap_id in plan.failed_aps:
             continue
-        ap = ap_by_id[ap_id]
+        ap = scenario.aps[ap_id]
         group = [(task, rate) for _, task, rate in entries]
         tasks = [task for _, task, _ in entries]
         deadline = min(t.deadline_s for t in tasks)
@@ -267,7 +248,7 @@ def system_metrics(schedule, plan, scenario) -> Metrics:
             demand = group_demand_cps(tasks)
             ok = demand <= ap.f_loc_max_cps * (1.0 + REL_TOL)
         elif plan.admission.y.get(ap_id, False):
-            mec = mec_by_id[plan.admission.assignment[ap_id]]
+            mec = scenario.mecs[plan.admission.assignment[ap_id]]
             d, e = mec_cost(group, ap, mec, scenario.channel, w, bh_scaled)
             ok = d <= deadline
         elif ap_id in plan.fallback_aps:

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .model import REL_TOL, backhaul_rate, group_demand_cps, local_cost
+from .model import REL_TOL, group_demand_cps, local_cost
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,13 @@ def allocate_local(groups: dict, caps: dict) -> LocalAllocation:
 
 
 def first_layer_weight(group, f_loc: float, weights) -> float:
-    """Offload urgency of a group: its local delay plus local energy.
+    """Offload urgency of a group: its local delay plus local energy, 0.0
+    for an empty group.
 
     group is a sequence of (Task, upload_rate_bps).
     """
-    if not group:
-        return 0.0
     d, e = local_cost(group, f_loc, weights)
     return d + e
-
-
-def second_layer_weight(tasks, ap, mec, channel, bandwidth_scaled: bool = True) -> float:
-    """Affinity of an AP group for a MEC: backhaul rate times the mean
-    density over the group's total bits."""
-    return second_layer_weights(tasks, [backhaul_rate(ap, mec, channel, bandwidth_scaled)])[0]
 
 
 def second_layer_weights(tasks, rates) -> list:
@@ -76,27 +69,23 @@ def second_layer_weights(tasks, rates) -> list:
     return [rate * mean_density / total_bits for rate in rates]
 
 
-def admission_control(g_by_ap: dict, affinity: dict, mec_ids) -> AdmissionPlan:
-    """Admit up to len(mec_ids) offload candidates.
+def admission_control(g_by_ap: dict, affinity: dict) -> AdmissionPlan:
+    """Admit offload candidates to distinct MECs.
 
+    affinity[ap] is the AP's row of second-layer weights indexed by MEC id.
     Candidates are served in descending first-layer weight (ties by AP id);
-    each admitted AP takes its highest-affinity surviving MEC (ties by MEC
-    id). A MEC the AP's affinity for is not positive, such as one behind a
-    zero-rate backhaul link, is never its pick; an AP with no
+    each admitted AP takes its highest-affinity MEC not yet taken (ties by
+    MEC id). A MEC the AP's affinity for is not positive, such as one
+    behind a zero-rate backhaul link, is never its pick; an AP with no
     positive-affinity MEC left stays unadmitted and the next candidate is
     served. The assignment is injective; everyone else stays unadmitted.
     """
-    order = sorted(g_by_ap, key=lambda ap: (-g_by_ap[ap], ap))
-    remaining = list(mec_ids)
     y = {ap: False for ap in g_by_ap}
     assignment = {}
-    for ap in order:
-        if not remaining:
-            break
-        usable = [k for k in remaining if affinity[(ap, k)] > 0]
+    for ap in sorted(g_by_ap, key=lambda ap: (-g_by_ap[ap], ap)):
+        row = affinity[ap]
+        usable = [k for k in range(len(row)) if row[k] > 0 and k not in assignment.values()]
         if usable:
-            best = max(usable, key=lambda k: (affinity[(ap, k)], -k))
-            remaining.remove(best)
             y[ap] = True
-            assignment[ap] = best
+            assignment[ap] = max(usable, key=lambda k: (row[k], -k))
     return AdmissionPlan(y, assignment)

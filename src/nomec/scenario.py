@@ -161,7 +161,8 @@ def pathloss_backhaul_db(distance_m: float) -> float:
 @dataclass(frozen=True)
 class Scenario:
     """Immutable problem instance: devices, infrastructure, one channel
-    realization, and the coverage relation."""
+    realization, and the coverage relation. Each device, AP and MEC has
+    its position in its tuple as its id."""
     devices: tuple
     aps: tuple
     mecs: tuple

@@ -186,7 +186,7 @@ def _random_maximal(scenario, opt: _Options):
 
 
 def _candidate_rates(scenario, candidates):
-    """Per candidate AP id, its backhaul rates in scenario.mecs order."""
+    """Per candidate AP id, its backhaul rates indexed by MEC id."""
     return backhaul_rates([scenario.aps[m] for m in candidates], scenario.mecs,
                           scenario.channel, scenario.config.backhaul_bandwidth_scaling)
 
@@ -194,15 +194,13 @@ def _candidate_rates(scenario, candidates):
 def _admit_weighted(scenario, schedule, candidates, seed):
     """First/second-layer weighted admission for the candidate AP ids."""
     rates = _candidate_rates(scenario, candidates)
-    mec_ids = [mec.id for mec in scenario.mecs]
     g = {}
     affinity = {}
     for m in candidates:
         group = [(task, rate) for _, task, rate in schedule.ap_groups[m]]
         g[m] = first_layer_weight(group, scenario.aps[m].f_loc_max_cps, scenario.weights)
-        weights = second_layer_weights([task for task, _ in group], rates[m])
-        affinity.update(zip([(m, k) for k in mec_ids], weights))
-    return admission_control(g, affinity, mec_ids)
+        affinity[m] = second_layer_weights([task for task, _ in group], rates[m])
+    return admission_control(g, affinity)
 
 
 def _admit_random(scenario, schedule, candidates, seed):
@@ -212,7 +210,7 @@ def _admit_random(scenario, schedule, candidates, seed):
     nothing."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     rates = _candidate_rates(scenario, candidates)
-    remaining = list(range(len(scenario.mecs)))     # positions in scenario.mecs
+    remaining = list(range(len(scenario.mecs)))     # MEC ids
     y = {m: False for m in candidates}
     assignment = {}
     for idx in rng.permutation(len(candidates)):
@@ -224,7 +222,7 @@ def _admit_random(scenario, schedule, candidates, seed):
             k = usable[int(rng.integers(len(usable)))]
             remaining.remove(k)
             y[m] = True
-            assignment[m] = scenario.mecs[k].id
+            assignment[m] = k
     return AdmissionPlan(y, assignment)
 
 

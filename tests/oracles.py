@@ -54,6 +54,14 @@ def backhaul_rate(q_tx_w, gain, noise_w, bandwidth_hz, scaled=True):
     return bandwidth_hz * se if scaled else se
 
 
+def second_layer_weight(group, rate_bh):
+    """Affinity of a group for a backhaul link of rate rate_bh: the rate
+    times the mean density over the total bits. group: list of
+    (size_bits, density_cpb)."""
+    mean_density = sum(lam for _, lam in group) / len(group)
+    return rate_bh * mean_density / sum(b for b, _ in group)
+
+
 def local_delay_energy(group, f_loc, alpha):
     """group: list of (size_bits, density_cpb, rate_bps)."""
     upload = max(b / r for b, _, r in group)

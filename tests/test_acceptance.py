@@ -19,7 +19,7 @@ from nomec import (SCHEMES, ExperimentSpec, ScenarioConfig, build_full, build_pr
                    enumerate_full, generate, greedy_min_wis, group_demand_cps,
                    random_maximal_is, run_experiment, run_scheme)
 from nomec.model import (AccessPoint, ChannelState, CostWeights, MecServer, Task,
-                         backhaul_rate, local_cost, mec_cost)
+                         backhaul_rates, local_cost, mec_cost)
 from nomec.power import solve_pairs_batch
 import oracles
 from oracles import conflicts, exact_min_wis, is_independent, is_maximal
@@ -74,9 +74,9 @@ def test_criterion_01_formula_oracle():
         gain = float(10.0 ** rng.uniform(-12, -7))
         channel = ChannelState(*gain_arrays(backhaul={(0, 0): gain}), NOISE, B0)
         want = oracles.backhaul_rate(ap.q_tx_w, gain, NOISE, B0, scaled=True)
-        track(backhaul_rate(ap, mec, channel), want)
+        track(backhaul_rates([ap], [mec], channel)[0][0], want)
         bare = oracles.backhaul_rate(ap.q_tx_w, gain, NOISE, B0, scaled=False)
-        track(backhaul_rate(ap, mec, channel, bandwidth_scaled=False), bare)
+        track(backhaul_rates([ap], [mec], channel, bandwidth_scaled=False)[0][0], bare)
 
     # per-group local and offload costs
     weights = CostWeights()

@@ -10,9 +10,8 @@ import pytest
 from nomec import (AccessPoint, ChannelState, CostWeights,
                    InfeasibleUploadError, InvalidAssignmentError,
                    InvalidTopologyError, MecServer, ScenarioConfig, Task,
-                   backhaul_rate, generate, local_cost, mec_cost, run_scheme,
+                   backhaul_rates, generate, local_cost, mec_cost, run_scheme,
                    system_metrics)
-from nomec.model import backhaul_rates
 from nomec.power import solve_pairs_batch
 from conftest import gain_arrays
 import oracles
@@ -76,36 +75,57 @@ def test_sinr_gain_tie_breaks_by_id():
         assert rate == pytest.approx(want, rel=1e-12)
 
 
+def test_channel_state_refuses_non_finite_and_negative_gains():
+    """A NaN, infinite or negative gain in either array is refused by the
+    array's name; a zero gain is a dead link and stays valid."""
+    up, bh = gain_arrays({(0, 0, 0): 1e-9, (1, 1, 1): 0.0}, {(0, 0): 1e-9, (1, 1): 0.0})
+    ChannelState(up, bh, noise_w=1e-12, rrb_bandwidth_hz=1e7)
+    for name, gains in (("gain_ud_rrb", up), ("gain_ap_mec", bh)):
+        for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+            broken = gains.copy()
+            broken.flat[-1] = bad
+            arrays = {"gain_ud_rrb": up, "gain_ap_mec": bh, name: broken}
+            with pytest.raises(ValueError, match=name):
+                ChannelState(**arrays, noise_w=1e-12, rrb_bandwidth_hz=1e7)
+
+
 def test_backhaul_rate_value_and_scaling():
     ap = AccessPoint(0, (0.0, 0.0), 3, 5e7, q_tx_w=0.5, q_idle_w=0.05,
                      coverage_radius_m=750.0)
     mec = MecServer(0, (100.0, 0.0), 3e9)
     chan = make_channel(gain_ap_mec={(0, 0): 2e-12}, noise_w=1e-12, b0=1e7)
     se = math.log2(1.0 + 0.5 * 2e-12 / 1e-12)
-    assert backhaul_rate(ap, mec, chan) == pytest.approx(1e7 * se, rel=1e-12)
-    assert backhaul_rate(ap, mec, chan, bandwidth_scaled=False) == pytest.approx(se, rel=1e-12)
-    with pytest.raises(InvalidTopologyError):
-        backhaul_rate(ap, MecServer(3, (0.0, 0.0), 3e9), chan)
+    assert backhaul_rates([ap], [mec], chan) == {0: [pytest.approx(1e7 * se, rel=1e-12)]}
+    assert backhaul_rates([ap], [mec], chan, bandwidth_scaled=False) == \
+        {0: [pytest.approx(se, rel=1e-12)]}
 
 
 def test_backhaul_rates_match_backhaul_rate_bit_for_bit():
-    """The one-pass rate table holds, per AP id and in MEC order, the bits
-    backhaul_rate gives for each link, scaled or not, zero-gain links
-    included; an id outside the backhaul gains is refused."""
+    """The rate table holds, per AP id and in MEC order, the bits the
+    per-link oracle backhaul_rate gives for each link, scaled or not,
+    zero-gain links included; an AP or MEC id outside the backhaul gains
+    is refused."""
     scn = generate(ScenarioConfig(seed=2))
     gains = scn.channel.gain_ap_mec.copy()
     gains[::2, 1] = 0.0
     chan = dataclasses.replace(scn.channel, gain_ap_mec=gains)
     for scaled in (True, False):
-        for aps in (scn.aps, scn.aps[3:5], ()):
-            rates = backhaul_rates(aps, scn.mecs, chan, scaled)
+        for aps, mecs in ((scn.aps, scn.mecs), (scn.aps[3:5], scn.mecs[::-1]), ((), scn.mecs),
+                          (scn.aps, ())):
+            rates = backhaul_rates(aps, mecs, chan, scaled)
             assert list(rates) == [ap.id for ap in aps]
             for ap in aps:
-                want = [backhaul_rate(ap, mec, chan, scaled) for mec in scn.mecs]
-                assert [r.hex() for r in rates[ap.id]] == [float(r).hex() for r in want]
+                want = [oracles.backhaul_rate(ap.q_tx_w, float(gains[ap.id, mec.id]),
+                                              chan.noise_w, chan.rrb_bandwidth_hz, scaled)
+                        for mec in mecs]
+                assert [r.hex() for r in rates[ap.id]] == [r.hex() for r in want]
                 assert all(type(r) is float for r in rates[ap.id])
-    outside = dataclasses.replace(scn.aps[0], id=len(scn.aps))
-    for aps, mecs in (([outside], scn.mecs), (scn.aps, [dataclasses.replace(scn.mecs[0], id=-1)])):
+    assert backhaul_rates(scn.aps, scn.mecs, chan)[0][1] == 0.0     # a zero-gain link
+    past_ap = dataclasses.replace(scn.aps[0], id=len(scn.aps))
+    past_mec = dataclasses.replace(scn.mecs[0], id=len(scn.mecs))
+    for aps, mecs in (([past_ap], scn.mecs), ([past_ap], ()), (scn.aps, [past_mec]),
+                      ((), [past_mec]), ([dataclasses.replace(scn.aps[0], id=-1)], scn.mecs),
+                      (scn.aps, [dataclasses.replace(scn.mecs[0], id=-1)])):
         with pytest.raises(InvalidTopologyError):
             backhaul_rates(aps, mecs, chan)
 

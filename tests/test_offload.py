@@ -3,8 +3,8 @@
 import pytest
 
 from nomec import (AccessPoint, ChannelState, CostWeights, MecServer, Task,
-                   admission_control, allocate_local, first_layer_weight,
-                   second_layer_weight)
+                   admission_control, allocate_local, backhaul_rates,
+                   first_layer_weight, second_layer_weights)
 from conftest import gain_arrays
 import oracles
 
@@ -79,22 +79,22 @@ def test_first_layer_weight_matches_oracle():
 def test_second_layer_weight_matches_oracle():
     ap, mec, channel = make_backhaul()
     tasks = [Task(1e5, 100.0, 0.01), Task(2e5, 200.0, 0.01)]
-    rate = oracles.backhaul_rate(ap.q_tx_w, 2e-9, NOISE, B0, scaled=True)
-    want = rate * 150.0 / 3e5
-    assert second_layer_weight(tasks, ap, mec, channel) == \
-        pytest.approx(want, rel=1e-12)
-    bare = oracles.backhaul_rate(ap.q_tx_w, 2e-9, NOISE, B0, scaled=False)
-    assert second_layer_weight(tasks, ap, mec, channel, bandwidth_scaled=False) == \
-        pytest.approx(bare * 150.0 / 3e5, rel=1e-12)
+    for scaled in (True, False):
+        rate = oracles.backhaul_rate(ap.q_tx_w, 2e-9, NOISE, B0, scaled=scaled)
+        want = oracles.second_layer_weight([(1e5, 100.0), (2e5, 200.0)], rate)
+        assert want == pytest.approx(rate * 150.0 / 3e5, rel=1e-12)
+        rates = backhaul_rates([ap], [mec], channel, scaled)[ap.id]
+        assert second_layer_weights(tasks, rates) == [pytest.approx(want, rel=1e-12)]
+        assert second_layer_weights(tasks, [rate, 0.0, 2 * rate]) == \
+            [want, 0.0, pytest.approx(2 * want, rel=1e-12)]
     with pytest.raises(ValueError):
-        second_layer_weight([], ap, mec, channel)
+        second_layer_weights([], [1.0])
 
 
 def test_admission_prefers_heavier_first_layer():
     g = {0: 5.0, 1: 7.0, 2: 3.0}
-    affinity = {(0, 0): 4.0, (0, 1): 8.0, (1, 0): 2.0, (1, 1): 9.0,
-                (2, 0): 1.0, (2, 1): 1.0}
-    plan = admission_control(g, affinity, [0, 1])
+    affinity = {0: [4.0, 8.0], 1: [2.0, 9.0], 2: [1.0, 1.0]}
+    plan = admission_control(g, affinity)
     assert plan.y == {0: True, 1: True, 2: False}
     assert plan.assignment == {1: 1, 0: 0}
 
@@ -102,8 +102,8 @@ def test_admission_prefers_heavier_first_layer():
 def test_admission_tie_breaks():
     # equal first-layer weight: the smaller AP id goes first
     g = {0: 5.0, 1: 5.0}
-    affinity = {(0, 0): 3.0, (0, 1): 3.0, (1, 0): 6.0, (1, 1): 1.0}
-    plan = admission_control(g, affinity, [0, 1])
+    affinity = {0: [3.0, 3.0], 1: [6.0, 1.0]}
+    plan = admission_control(g, affinity)
     # equal affinity: AP 0 takes the smaller MEC id
     assert plan.assignment[0] == 0
     assert plan.assignment[1] == 1
@@ -111,20 +111,21 @@ def test_admission_tie_breaks():
 
 def test_admission_is_injective_under_contention():
     g = {0: 3.0, 1: 2.0, 2: 1.0}
-    affinity = {(a, k): 10.0 if k == 2 else float(k + 1) for a in g for k in range(3)}
-    plan = admission_control(g, affinity, [0, 1, 2])
+    affinity = {a: [1.0, 2.0, 10.0] for a in g}
+    plan = admission_control(g, affinity)
     assert sorted(plan.assignment.values()) == [0, 1, 2]
     assert plan.assignment[0] == 2
     assert all(plan.y.values())
 
 
 def test_admission_capacity_and_empty():
+    # one MEC: the row length is the MEC count
     g = {0: 1.0, 1: 2.0, 2: 3.0}
-    affinity = {(a, 0): 1.0 for a in g}
-    plan = admission_control(g, affinity, [0])
+    affinity = {a: [1.0] for a in g}
+    plan = admission_control(g, affinity)
     assert sum(plan.y.values()) == 1
     assert plan.y[2] is True
-    empty = admission_control({}, {}, [0, 1])
+    empty = admission_control({}, {})
     assert empty.y == {} and empty.assignment == {}
 
 
@@ -132,12 +133,11 @@ def test_admission_skips_mecs_without_positive_affinity():
     # AP 1 is served first but has no positive affinity, so it stays out
     # and both MECs go on down the order; AP 2 then takes the MEC left
     g = {0: 2.0, 1: 3.0, 2: 1.0}
-    affinity = {(0, 0): 5.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0,
-                (2, 0): 1.0, (2, 1): 2.0}
-    plan = admission_control(g, affinity, [0, 1])
+    affinity = {0: [5.0, 0.0], 1: [0.0, 0.0], 2: [1.0, 2.0]}
+    plan = admission_control(g, affinity)
     assert plan.y == {0: True, 1: False, 2: True}
     assert plan.assignment == {0: 0, 2: 1}
     # the only MEC left to AP 1 is one it has no affinity for
-    affinity = {(0, 0): 5.0, (0, 1): 1.0, (1, 0): 3.0, (1, 1): 0.0}
-    plan = admission_control({0: 2.0, 1: 1.0}, affinity, [0, 1])
+    affinity = {0: [5.0, 1.0], 1: [3.0, 0.0]}
+    plan = admission_control({0: 2.0, 1: 1.0}, affinity)
     assert plan.y == {0: True, 1: False} and plan.assignment == {0: 0}

@@ -211,6 +211,25 @@ def test_position_overrides_and_length_check():
         generate(ScenarioConfig(n_aps=3, ap_positions=((0.0, 0.0),), seed=0))
 
 
+def test_ids_are_positions():
+    """Each AP, MEC and device has its position in its scenario tuple as its
+    id, the index its row in the gain arrays has; admission and metrics
+    index scenario.aps and scenario.mecs by id."""
+    ring = ((0.0, 0.0), (300.0, 0.0), (0.0, 300.0))
+    for cfg in (ScenarioConfig(), ScenarioConfig(n_aps=1, seed=3),
+                ScenarioConfig(n_aps=2, n_mecs=7, seed=4),
+                ScenarioConfig(n_aps=3, n_mecs=3, ap_positions=ring,
+                               mec_positions=ring[::-1], seed=5)):
+        scn = generate(cfg)
+        for entities, count in ((scn.aps, cfg.n_aps), (scn.mecs, cfg.n_mecs),
+                                (scn.devices, cfg.n_uds)):
+            assert [e.id for e in entities] == list(range(count)), cfg
+        assert scn.channel.gain_ap_mec.shape == (cfg.n_aps, cfg.n_mecs)
+        if cfg.ap_positions:
+            assert [ap.position for ap in scn.aps] == list(ring)
+            assert [mec.position for mec in scn.mecs] == list(ring[::-1])
+
+
 def test_task_sizes_within_range():
     cfg = ScenarioConfig(task_size_range_bits=(200.0, 250.0), seed=5)
     scn = generate(cfg)

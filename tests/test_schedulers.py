@@ -13,9 +13,8 @@ from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
 from nomec import graph as graph_module
 from nomec.graph import reweighed
 from nomec import schedulers
-from nomec.model import InvalidAssignmentError, backhaul_rate
-from nomec.offload import (AdmissionPlan, admission_control, first_layer_weight,
-                           second_layer_weight)
+from nomec.model import InvalidAssignmentError
+from nomec.offload import AdmissionPlan, admission_control, first_layer_weight
 from nomec.scenario import realize_channels, with_channel
 import oracles
 from oracles import (conflicts, graph_of, modified_ranks_by_unique, pairs_first_order,
@@ -554,7 +553,7 @@ def test_zero_rate_backhaul_links_are_never_assigned():
     admitted = 0
     for dead in (np.zeros_like(gains), every_other):
         trial = with_channel(scn, dataclasses.replace(scn.channel, gain_ap_mec=dead))
-        live = {(ap.id, mec.id): backhaul_rate(ap, mec, trial.channel) > 0
+        live = {(ap.id, mec.id): oracle_backhaul_rate(trial, ap, mec) > 0
                 for ap in trial.aps for mec in trial.mecs}
         for scheme in SCHEMES:
             for fallback in (True, False):
@@ -596,8 +595,16 @@ def admission_trials():
             yield label, with_channel(scn, channel)
 
 
+def oracle_backhaul_rate(scenario, ap, mec):
+    """The per-link oracle rate of the AP-to-MEC link in scenario."""
+    chan = scenario.channel
+    return oracles.backhaul_rate(ap.q_tx_w, float(chan.gain_ap_mec[ap.id, mec.id]),
+                                 chan.noise_w, chan.rrb_bandwidth_hz,
+                                 scenario.config.backhaul_bandwidth_scaling)
+
+
 def random_admission_by_calls(scenario, candidates, seed):
-    """_admit_random with one backhaul_rate call per link it reads."""
+    """_admit_random with one per-link oracle rate per link it reads."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     remaining = list(scenario.mecs)
     y = {m: False for m in candidates}
@@ -606,8 +613,7 @@ def random_admission_by_calls(scenario, candidates, seed):
         if not remaining:
             break
         m = candidates[idx]
-        usable = [k for k in remaining if backhaul_rate(
-            scenario.aps[m], k, scenario.channel, scenario.config.backhaul_bandwidth_scaling) > 0]
+        usable = [k for k in remaining if oracle_backhaul_rate(scenario, scenario.aps[m], k) > 0]
         if usable:
             mec = usable[int(rng.integers(len(usable)))]
             remaining.remove(mec)
@@ -617,45 +623,43 @@ def random_admission_by_calls(scenario, candidates, seed):
 
 
 def test_admission_reads_one_rate_table_with_the_bits_of_the_per_link_weights(monkeypatch):
-    """_admit_weighted hands admission_control first-layer weights and
-    affinities equal bit for bit to first_layer_weight and
-    second_layer_weight per (candidate, MEC) link, and returns the plan
-    they give; _admit_random returns the plan of per-link backhaul_rate
-    calls. Every AP holding a group is a candidate."""
+    """_admit_weighted hands admission_control first-layer weights equal bit
+    for bit to first_layer_weight and, per candidate, an affinity row
+    indexed by MEC id equal bit for bit to the per-link oracle affinity,
+    and returns the plan they give; _admit_random returns the plan of
+    per-link oracle rates. Every AP holding a group is a candidate."""
     seen = []
 
-    def recording(g, affinity, mec_ids):
-        seen.append((g, affinity, mec_ids))
-        return admission_control(g, affinity, mec_ids)
+    def recording(g, affinity):
+        seen.append((g, affinity))
+        return admission_control(g, affinity)
 
     monkeypatch.setattr(schedulers, "admission_control", recording)
     admitted = plans = 0
     zero_rate = set()
     for label, scn in admission_trials():
-        bh = scn.config.backhaul_bandwidth_scaling
         for scheme in ("all_offload", "random"):
             schedule, _ = run_scheme(scn, scheme, seed=plans)
             candidates = sorted(schedule.ap_groups)
             seen.clear()
             plan = schedulers._admit_weighted(scn, schedule, candidates, plans)
-            (g, affinity, mec_ids), = seen
-            assert mec_ids == [mec.id for mec in scn.mecs]
+            (g, affinity), = seen
             want_g, want_affinity = {}, {}
             for m in candidates:
                 entries = schedule.ap_groups[m]
                 want_g[m] = first_layer_weight([(t, r) for _, t, r in entries],
                                                scn.aps[m].f_loc_max_cps, scn.weights)
-                for mec in scn.mecs:
-                    want_affinity[(m, mec.id)] = second_layer_weight(
-                        [t for _, t, _ in entries], scn.aps[m], mec, scn.channel, bh)
+                sizes = [(t.size_bits, t.density_cpb) for _, t, _ in entries]
+                want_affinity[m] = [oracles.second_layer_weight(
+                    sizes, oracle_backhaul_rate(scn, scn.aps[m], mec)) for mec in scn.mecs]
             assert {k: v.hex() for k, v in g.items()} == \
                 {k: v.hex() for k, v in want_g.items()}, label
-            assert {k: float(v).hex() for k, v in affinity.items()} == \
-                {k: float(v).hex() for k, v in want_affinity.items()}, label
-            assert plan == admission_control(want_g, want_affinity, mec_ids), label
+            assert {m: [v.hex() for v in row] for m, row in affinity.items()} == \
+                {m: [v.hex() for v in row] for m, row in want_affinity.items()}, label
+            assert plan == admission_control(want_g, want_affinity), label
             assert schedulers._admit_random(scn, schedule, candidates, plans) == \
                 random_admission_by_calls(scn, candidates, plans), label
-            if 0.0 in want_affinity.values():
+            if any(0.0 in row for row in want_affinity.values()):
                 zero_rate.add(label)
             admitted += len(plan.assignment)
             plans += 1
