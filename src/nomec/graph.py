@@ -81,7 +81,7 @@ class ConflictGraph:
             max_rrb = int(rrb.max()) if len(rrb) else 0
             self.slot = ap * (max_rrb + 1)
             self.slot += rrb
-        self._adj_bits = self._rank_keys = None
+        self._adj_bits = self._rank_keys = self._extent = None     # built on first use
 
     @property
     def adj_bits(self) -> np.ndarray:
@@ -92,22 +92,22 @@ class ConflictGraph:
 
     @property
     def vertices(self):
-        return tuple(self.vertex(i) for i in range(len(self)))
+        return tuple(self.vertices_at(np.arange(len(self))))
 
     def vertex(self, i: int) -> NomaAssociation:
         """Vertex i as a NomaAssociation, built on demand."""
-        u2 = int(self.u2[i])
-        if u2 < 0:
-            uds = (int(self.u1[i]),)
-            sol = ClusterPowerSolution((float(self._p1[i]),), (float(self._r1[i]),),
-                                       float(self._obj[i]))
-        else:
-            uds = (int(self.u1[i]), u2)
-            sol = ClusterPowerSolution((float(self._p1[i]), float(self._p2[i])),
-                                       (float(self._r1[i]), float(self._r2[i])),
-                                       float(self._obj[i]))
-        return NomaAssociation(uds, int(self.rrb_arr[i]), int(self.ap_arr[i]),
-                               sol, float(self.weights[i]))
+        return self.vertices_at([i])[0]
+
+    def vertices_at(self, idx) -> list:
+        """The vertices at the positions idx as NomaAssociations, built
+        from one gather per column."""
+        rows = zip(*(col.take(idx).tolist() for col in (
+            self.u1, self.u2, self.rrb_arr, self.ap_arr, self.weights,
+            self._p1, self._p2, self._r1, self._r2, self._obj)))
+        return [NomaAssociation((a,), z, m, ClusterPowerSolution((p1,), (r1,), obj), w)
+                if b < 0 else
+                NomaAssociation((a, b), z, m, ClusterPowerSolution((p1, p2), (r1, r2), obj), w)
+                for a, b, z, m, w, p1, p2, r1, r2, obj in rows]
 
     @staticmethod
     def _build_adjacency(u1, u2, slot, block: int = 2048):
@@ -153,7 +153,7 @@ class ConflictGraph:
         return adj
 
     def __len__(self):
-        return len(self.weights)
+        return len(self.u1)     # weights are None until the graph is weighed
 
     def neighbor_mask(self, i: int) -> np.ndarray:
         """Boolean neighbor row for vertex i."""
@@ -203,23 +203,29 @@ def _caps(scenario):
     return {ap.id: ap.f_loc_max_cps for ap in scenario.aps}
 
 
-def _weights(scenario, u1, u2, ap, r1, r2, f_loc):
-    """Per vertex, the summed per-UD utility: upload delay plus compute
-    delay plus compute energy at the frequency of the vertex's AP in the
-    dict f_loc. u2 = -1 reads an appended zero-size task, adding exact
-    zeros. The four terms are summed left to right in one buffer."""
+def _channel_terms(scenario, graph):
+    """Per vertex, the summed upload delay and each member's cycles; u2 =
+    -1 reads an appended zero-size task, giving exact zeros."""
     sizes, cycles = _cached(scenario, "task_columns", _task_columns)
+    upload = sizes.take(graph.u1)
+    upload /= graph._r1
+    term = sizes.take(graph.u2)
+    term /= graph._r2
+    upload += term
+    return upload, cycles.take(graph.u1), cycles.take(graph.u2)
+
+
+def _weights(scenario, terms, ap, f_loc):
+    """Per vertex, the summed per-UD utility from its _channel_terms: upload
+    delay plus compute delay plus compute energy at the frequency of its AP
+    in the dict f_loc, added left to right (a + b and b + a are equal bits)."""
+    upload, cycles1, cycles2 = terms
     f = np.array([f_loc[m.id] for m in scenario.aps])
     per_cycle = (1.0 / f + scenario.weights.alpha_cpu * f * f).take(ap)
-    w = sizes.take(u1)
-    w /= r1
-    term = sizes.take(u2)
-    term /= r2
-    w += term
-    for u in (u1, u2):
-        np.take(cycles, u, out=term, mode="wrap")   # wrap: u2 = -1 reads the 0.0
-        term *= per_cycle
-        w += term
+    w = cycles1 * per_cycle
+    w += upload
+    per_cycle *= cycles2
+    w += per_cycle
     return w
 
 
@@ -229,7 +235,7 @@ def _gain_shape(scenario):
 
 
 def _cell_columns(scenario, u1, u2, ap, rrb):
-    """Candidate cells as the seven columns _solve_cells reads.
+    """Candidate cells as the seven columns _solve reads.
 
     The cells (u1, u2, ap, rrb) are parallel integer arrays, one entry per
     candidate cluster on one RRB, with u1 < u2 and u2 = -1 for a
@@ -257,18 +263,13 @@ def _cell_columns(scenario, u1, u2, ap, rrb):
     return u1, u2, ap, rrb, slot, i1, i2
 
 
-def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
-    """The graph over the feasible candidate clusters among cells, the
-    seven columns _cell_columns gives.
-
-    Both members' gains are gathered through the cells' flat indices,
-    powers come from one call of the batched closed form at the UDs' one
-    power cap, and weights from _weights at each AP's frequency cap.
-    Clusters that miss the rate floor or get a non-positive rate are
-    dropped by reweighed; the rest keep the order of cells. When every
-    cluster passes, no filtered copy is made: the graph holds the cell
-    columns and the solver's outputs as they are, weighed in place.
-    """
+def _solve(scenario, cells, strict_cc2: bool):
+    """The unweighed graph over every cluster of cells, the seven columns
+    _cell_columns gives, holding them and the solver's outputs as they
+    are, and the mask of the clusters that meet the rate floor with
+    positive rates. Both members' gains are gathered through the cells'
+    flat indices, and powers come from one call of the batched closed
+    form at the UDs' one power cap."""
     u1, u2, ap, rrb, slot, i1, i2 = cells
     chan = scenario.channel
     gains = chan.gain_ud_rrb
@@ -282,7 +283,13 @@ def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
         chan.noise_w, chan.rrb_bandwidth_hz, scenario.weights.rate_threshold_bps)
     feas &= r1 > 0
     feas &= r2 > 0
-    graph = ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, strict_cc2, slot)
+    return ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, strict_cc2, slot), feas
+
+
+def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
+    """The graph over _solve's feasible clusters of cells, in order, weighed at
+    the AP caps: in place when every cluster is feasible, else a copy."""
+    graph, feas = _solve(scenario, cells, strict_cc2)
     if not feas.all():
         return reweighed(scenario, graph, feas, _caps(scenario))
     graph.weights = weigh(scenario, graph, _caps(scenario))
@@ -290,21 +297,28 @@ def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
 
 
 def weigh(scenario, graph: ConflictGraph, f_loc) -> np.ndarray:
-    """The weights of graph's vertices at the per-AP frequencies in the
-    dict f_loc, from their solved rates."""
-    return _weights(scenario, graph.u1, graph.u2, graph.ap_arr, graph._r1, graph._r2, f_loc)
+    """The weights of graph's vertices at the per-AP frequencies in the dict
+    f_loc; a caller weighing one graph often keeps its _channel_terms."""
+    return _weights(scenario, _channel_terms(scenario, graph), graph.ap_arr, f_loc)
+
+
+def _gathered(graph: ConflictGraph, keep) -> ConflictGraph:
+    """An unweighed copy of the vertices of a solved graph that keep, a
+    boolean mask or ascending positions, selects, reusing powers and rates."""
+    keep = np.asarray(keep)
+    rows = keep.nonzero()[0] if keep.dtype == bool else keep.astype(np.int64, copy=False)
+    u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
+        col.take(rows) for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
+                                   graph._p2, graph._r1, graph._r2, graph._obj))
+    return ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, graph.strict_cc2)
 
 
 def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
-    """A copy of the vertices of a solved graph where the boolean mask keep
-    is set, weighed at the per-AP frequencies in the dict f_loc; powers and
-    rates are reused, not solved again."""
-    keep = np.asarray(keep, dtype=bool)
-    u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
-        col[keep] for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
-                              graph._p2, graph._r1, graph._r2, graph._obj))
-    w = _weights(scenario, u1, u2, ap, r1, r2, f_loc)
-    return ConflictGraph(u1, u2, rrb, ap, w, p1, p2, r1, r2, obj, graph.strict_cc2)
+    """The _gathered copy of the vertices keep selects, weighed at the
+    per-AP frequencies in the dict f_loc."""
+    copy = _gathered(graph, keep)
+    copy.weights = weigh(scenario, copy, f_loc)
+    return copy
 
 
 def _full_cells(scenario, rrbs=None):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import CONFIG_FIELDS, ScenarioConfig, generate, realize_channels, with_channel
+from .model import sum_left_to_right
 from .mwis import ORDERINGS
 from .schedulers import SCHEMES, run_scheme
 
@@ -116,7 +117,7 @@ def _value_config(spec: ExperimentSpec, index: int, value):
 
 def _scalar_value(value):
     if isinstance(value, (tuple, list)):
-        return float(sum(value)) / len(value)
+        return float(sum_left_to_right(value)) / len(value)
     return float(value)
 
 

@@ -5,7 +5,9 @@ Units are SI throughout: bits, cycles, seconds, watts, Hz. Channel gains are
 linear power gains (dimensionless), noise is total watts over one RRB.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,10 +208,15 @@ def mec_cost(group, ap: AccessPoint, mec: MecServer, channel: ChannelState,
 REL_TOL = 1e-9
 
 
+def sum_left_to_right(values):
+    """values added one at a time from 0; sum() compensates floats on Python 3.12+."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def group_demand_cps(tasks) -> float:
     """CPU demand of a group processed at its AP, cycles/s: total cycles
     over the pooled deadline budget len(tasks) * min(deadline)."""
-    cycles = sum(t.cycles for t in tasks)
+    cycles = sum_left_to_right(t.cycles for t in tasks)
     deadline = min(t.deadline_s for t in tasks)
     return cycles / (len(tasks) * deadline)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ConflictGraph
+from .model import sum_left_to_right
 # kept bound here: perfbench/tracer.py wraps mwis.modified_weight by name
 from .graph import modified_weight  # noqa: F401
 
@@ -46,6 +47,13 @@ def _live(graph: ConflictGraph, idx, used):
     return idx[~(taken_ud[u1] | taken_ud[u2] | taken_slot[slot])]
 
 
+def _extent(graph: ConflictGraph, idx):
+    """The numbers of distinct slots and of distinct UDs of the vertices idx."""
+    u2 = graph.u2[idx]
+    return (int(np.count_nonzero(np.bincount(graph.slot[idx]))),
+            int(np.count_nonzero(np.bincount(np.concatenate([graph.u1[idx], u2[u2 >= 0]])))))
+
+
 def _scan(graph: ConflictGraph, parts, rank=None) -> IndependentSet:
     """Maximal independent set taking the vertices of each index array in
     parts in turn: a vertex is taken when its UDs and its slot are all
@@ -54,18 +62,19 @@ def _scan(graph: ConflictGraph, parts, rank=None) -> IndependentSet:
     Each part is read in chunks of growing size, each cut by _live to the
     vertices the picks so far leave free. Without rank a part is read in
     its given order. With rank, one entry per vertex, it is read by (rank,
-    ap, rrb, uds): a chunk of size k takes every remaining live vertex
-    whose rank is at most the k-th smallest such rank, so equal ranks never
-    straddle two chunks, and is sorted by rank alone when its ranks are
-    distinct, else by lexsort, whose keys run minor-first and which puts
-    NaN ranks last. The parts are disjoint; the scan stops once every slot
-    or every UD of their vertices is used, since no later vertex could then
-    be taken.
+    ap, rrb, uds): a live rest of more than twice the chunk size k is cut
+    to every vertex whose rank is at most the k-th smallest such rank, so
+    equal ranks never straddle two chunks, and a chunk is sorted by rank
+    alone when its ranks are distinct, else by lexsort, whose keys run
+    minor-first and which puts NaN ranks last. The parts are disjoint; the
+    scan stops once every slot or every UD of their vertices (counts kept on
+    a graph they cover) is used, since no later vertex could then be taken.
+    total_weight adds the picks' weights left to right.
     """
-    idx = slice(None) if sum(p.size for p in parts) == len(graph) else np.concatenate(parts)
-    u2 = graph.u2[idx]
-    n_slots = int(np.count_nonzero(np.bincount(graph.slot[idx])))
-    n_uds = int(np.count_nonzero(np.bincount(np.concatenate([graph.u1[idx], u2[u2 >= 0]]))))
+    if sum(p.size for p in parts) < len(graph):
+        n_slots, n_uds = _extent(graph, np.concatenate(parts))
+    else:
+        graph._extent = n_slots, n_uds = graph._extent or _extent(graph, slice(None))
     used_uds, used_slots = used = (set(), set())
     picked = []
     for rest in parts:
@@ -76,13 +85,14 @@ def _scan(graph: ConflictGraph, parts, rank=None) -> IndependentSet:
             else:
                 chunk = _live(graph, rest, used)
                 rest = chunk[:0]
-                if chunk.size > size:
+                if chunk.size > 2 * size:
                     r = rank[chunk]
                     head = r <= np.partition(r, size - 1)[size - 1]
                     chunk, rest = chunk[head], chunk[~head]
                 r = rank[chunk]
                 order = np.argsort(r)
-                if not np.all(np.diff(r[order]) > 0):     # equal or NaN ranks
+                ranked = r[order]
+                if not (ranked[1:] > ranked[:-1]).all():     # equal or NaN ranks
                     order = np.lexsort((graph.u2[chunk], graph.u1[chunk],
                                         graph.rrb_arr[chunk], graph.ap_arr[chunk], r))
                 chunk = chunk[order]
@@ -98,7 +108,7 @@ def _scan(graph: ConflictGraph, parts, rank=None) -> IndependentSet:
                 used_slots.add(s)
                 if len(used_slots) == n_slots or len(used_uds) == n_uds:
                     break
-    return IndependentSet(tuple(picked), float(sum(graph.weights[i] for i in picked)))
+    return IndependentSet(tuple(picked), float(sum_left_to_right(graph.weights[picked].tolist())))
 
 
 def _sum_by(weights, keys):

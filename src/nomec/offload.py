@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .model import REL_TOL, group_demand_cps, local_cost
+from .model import REL_TOL, group_demand_cps, local_cost, sum_left_to_right
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,11 @@ def first_layer_weight(group, f_loc: float, weights) -> float:
 
 def second_layer_weights(tasks, rates) -> list:
     """The affinities of one AP group for backhaul links of the given
-    rates, the group summed once."""
-    total_bits = sum(t.size_bits for t in tasks)
+    rates, the group summed once, left to right."""
+    total_bits = sum_left_to_right(t.size_bits for t in tasks)
     if total_bits <= 0:
         raise ValueError("second-layer weight undefined for an empty group")
-    mean_density = sum(t.density_cpb for t in tasks) / len(tasks)
+    mean_density = sum_left_to_right(t.density_cpb for t in tasks) / len(tasks)
     return [rate * mean_density / total_bits for rate in rates]
 
 

@@ -202,6 +202,11 @@ def _ring_positions(count: int, radius: float):
     return tuple(pts)
 
 
+# bounds _faded_channel's Rayleigh power (z1**2 + z2**2) / 2: numpy's ziggurat
+# normal sampler draws |z| <= r - log(2**-53) / r < 13.71 (r = 3.6542), power < 188
+RAYLEIGH_POWER_BOUND = 256.0
+
+
 def _faded_channel(config, trial_seed: int, mean_up, mean_bh,
                    noise_w: float, bandwidth_hz: float) -> ChannelState:
     """The mean link gains times unit-mean Rayleigh power fading,
@@ -263,7 +268,7 @@ def generate(config: ScenarioConfig) -> Scenario:
         for ap in aps}
 
     # mean link gains: path loss times shadowing, fixed for the scenario;
-    # path loss is positive at d >= 1 m, so only a shadowing draw overflows
+    # path loss is positive at d >= 1 m, so only a shadowing draw overflows, here or faded
     mean_up = np.empty((config.n_uds, config.n_aps))
     mean_bh = np.empty((config.n_aps, config.n_mecs))
     try:
@@ -277,11 +282,11 @@ def generate(config: ScenarioConfig) -> Scenario:
                 pl = pathloss_backhaul_db(math.dist(ap.position, mec.position))
                 shadow = shadow_rng.normal(0.0, config.shadowing_std_db)
                 mean_bh[ap.id, mec.id] = 10.0 ** ((-pl + shadow) / 10.0)
-        if not (np.isfinite(mean_up).all() and np.isfinite(mean_bh).all()):
+        if not max(mean_up.max(), mean_bh.max()) <= np.finfo(float).max / RAYLEIGH_POWER_BOUND:
             raise OverflowError
     except OverflowError as exc:
         raise ConfigError(f"shadowing_std_db {config.shadowing_std_db!r} drew a shadowing "
-                          "whose link gain overflows a float") from exc
+                          "whose link gain, faded, can overflow a float") from exc
 
     channel = _faded_channel(config, 0, mean_up, mean_bh, noise_w,
                              config.rrb_bandwidth_hz)

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import _caps, build_pruned, enumerate_full, reweighed, weigh
+from .graph import (_cached, _caps, _channel_terms, _full_cells, _gathered, _solve, _weights,
+                    build_pruned, enumerate_full, reweighed, weigh)
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
 from .model import InvalidAssignmentError, Metrics, backhaul_rates, system_metrics
@@ -74,16 +75,16 @@ def _stage1(scenario, opt: _Options):
 
     Groups flagged for offloading are frozen and their UDs and AP leave the
     next iteration's pool, and under strict CC2 their RRB indices, which a
-    frozen cluster holds on every AP. Candidate clusters are enumerated and
-    their powers solved once into a pool private to the call; each later
-    new input weighs the whole pool again in place at the new frequencies,
-    and the greedy searches the vertices still in it as its subset. An
-    iteration whose input repeats an earlier one's reuses its picks and
-    allocation; cycle_period is how far back the first repeat lies, or 0.
-    The associations are the frozen ones plus the last iteration's picks at
-    uncommitted APs. The graph is the solved graph weighed at the last
-    iteration's frequencies, in place when no vertex left the pool, else a
-    copy of the vertices still in it; the picks index it.
+    frozen cluster holds on every AP. The cached full cells are solved once,
+    unweighed; the pool, private to the call, gathers their feasible rows
+    and keeps its frequency-free weight terms, so each new input weighs it
+    again in five array operations, and the greedy searches the vertices
+    still in it as its subset. An iteration whose input repeats an earlier
+    one's reuses its picks and allocation; cycle_period is how far back the
+    first repeat lies, or 0. The associations are the frozen ones plus the
+    last iteration's picks at uncommitted APs. The graph, built once, holds
+    the feasible cells the last iteration's pool still covers, weighed at
+    its frequencies, in place when that is every cell; the picks index it.
 
     Under the original ordering the pool holds the singletons only: a pair
     is strictly heavier than both of its member singletons on its slot and
@@ -105,10 +106,10 @@ def _stage1(scenario, opt: _Options):
         return ud[g.u1] & ud[g.u2] & ap[g.ap_arr] & rrb[g.rrb_arr]
 
     tasks = [d.task for d in scenario.devices]
-    solved = enumerate_full(scenario, strict_cc2=opt.strict_cc2)
-    pool = (solved if opt.ordering == "modified"
-            else reweighed(scenario, solved, solved.u2 < 0, caps))
-    rows = np.arange(len(solved)) if pool is solved else np.flatnonzero(solved.u2 < 0)
+    solved, feas = _solve(scenario, _cached(scenario, "full_cells", _full_cells), opt.strict_cc2)
+    rows = np.flatnonzero(feas if opt.ordering == "modified" else feas & (solved.u2 < 0))
+    pool = _gathered(solved, rows)
+    terms = _channel_terms(scenario, pool)
     seen = {}       # per input, its iteration, picks, their APs and allocation
     converged, iterations, cycle_period = False, 0, 0
     for it in range(opt.max_iters):
@@ -116,15 +117,16 @@ def _stage1(scenario, opt: _Options):
         masks, weighed_at = active, dict(f_loc)
         key = (len(committed), *f_loc.values())     # only commits shrink the pool
         if key not in seen:
-            if it > 0:
-                pool.weights = weigh(scenario, pool, f_loc)
+            pool.weights = _weights(scenario, terms, pool.ap_arr, f_loc)
             subset = in_pool(pool, *masks).nonzero()[0] if committed else None
             idx = np.array(greedy_min_wis(pool, opt.ordering, subset).indices, dtype=np.int64)
             pick_aps = pool.ap_arr[idx].tolist()
             # each AP's tasks in pick order, which fixes the demand sums' last bits
             groups = {}
             for m, u1, u2 in zip(pick_aps, pool.u1[idx].tolist(), pool.u2[idx].tolist()):
-                groups.setdefault(m, []).extend(tasks[u] for u in (u1, u2) if u >= 0)
+                groups.setdefault(m, []).append(tasks[u1])
+                if u2 >= 0:
+                    groups[m].append(tasks[u2])
             seen[key] = (it, idx, pick_aps, allocate_local(groups, caps))
         first, idx, pick_aps, alloc = seen[key]
         cycle_period = cycle_period or it - first
@@ -135,30 +137,30 @@ def _stage1(scenario, opt: _Options):
             break
         if new_flags:   # a repeated input never flags: flagging shrinks the pool
             masks = [a.copy() for a in active]
-        for i, m in zip(idx.tolist(), pick_aps):
-            if m in new_flags:
-                committed.append(pool.vertex(i))
-                active_ud[list(committed[-1].uds)] = False
+            for a in pool.vertices_at([i for i, m in zip(idx.tolist(), pick_aps)
+                                       if m in new_flags]):
+                committed.append(a)
+                active_ud[list(a.uds)] = False
                 if opt.strict_cc2:
-                    active_rrb[committed[-1].rrb] = False
-        active_ap[list(new_flags)] = False
+                    active_rrb[a.rrb] = False
+            active_ap[list(new_flags)] = False
         f_loc.update(f_new)
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
-    keep = in_pool(solved, *masks)
+    keep = feas & in_pool(solved, *masks) if key[0] else feas   # key[0]: commits before
     graph = solved if keep.all() else reweighed(scenario, solved, keep, weighed_at)
-    if graph is solved:     # no vertex left the pool: weigh it in place
+    if graph is solved:     # no vertex left: weigh it in place
         solved.weights = weigh(scenario, solved, weighed_at)
-    picks = tuple(keep.nonzero()[0].searchsorted(rows[idx]).tolist())
-    assocs = committed + [graph.vertex(i) for i, m in zip(picks, pick_aps)
-                          if m not in committed_aps]
-    extras = {"vertices": len(solved), "iterations": iterations,
+    picks = tuple(np.flatnonzero(keep).searchsorted(rows[idx]).tolist())
+    assocs = committed + graph.vertices_at([i for i, m in zip(picks, pick_aps)
+                                            if m not in committed_aps])
+    extras = {"vertices": int(np.count_nonzero(feas)), "iterations": iterations,
               "converged": converged, "cycle_period": cycle_period,
               "stage1_f_loc": dict(f_loc), "committed_aps": committed_aps}
     return assocs, graph, picks, extras
 
 
 def _picked(graph, wis):
-    return [graph.vertex(i) for i in wis.indices], graph, wis.indices, {}
+    return graph.vertices_at(wis.indices), graph, wis.indices, {}
 
 
 def _stage1_original(scenario, opt: _Options):

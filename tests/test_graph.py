@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from nomec import (SCHEMES, NomaAssociation, ScenarioConfig, build_full, build_pruned,
-                   enumerate_full, generate, group_demand_cps, modified_weight, run_scheme)
+from nomec import (SCHEMES, ClusterPowerSolution, NomaAssociation, ScenarioConfig, build_full,
+                   build_pruned, enumerate_full, generate, group_demand_cps, modified_weight,
+                   run_scheme)
 from nomec.graph import _cell_columns, _solve_cells, reweighed, weigh
 from nomec.scenario import realize_channels, with_channel
 import oracles
@@ -326,6 +327,35 @@ def test_custom_graph_lazy_vertex_access():
     assert isinstance(v, NomaAssociation)
     assert graph.vertices[0].key == v.key
     assert graph_of(graph.vertices).vertices == graph.vertices
+
+
+def vertex_by_scalars(graph, i):
+    """Vertex i of graph read one scalar at a time, as int and float."""
+    u1, u2 = int(graph.u1[i]), int(graph.u2[i])
+    members = (0,) if u2 < 0 else (0, 1)
+    powers = tuple(float((graph._p1, graph._p2)[k][i]) for k in members)
+    rates = tuple(float((graph._r1, graph._r2)[k][i]) for k in members)
+    return NomaAssociation((u1,) if u2 < 0 else (u1, u2), int(graph.rrb_arr[i]),
+                           int(graph.ap_arr[i]),
+                           ClusterPowerSolution(powers, rates, float(graph._obj[i])),
+                           float(graph.weights[i]))
+
+
+def test_vertices_at_reads_each_vertex_as_its_scalars():
+    """vertices_at(idx) gives per position, repeats and any order allowed,
+    the vertex its scalars make, every value a Python int or float;
+    vertex(i) is its one-element case."""
+    for strict in (False, True):
+        graph = enumerate_full(generate(ScenarioConfig(n_uds=12, seed=13)), strict_cc2=strict)
+        assert (graph.u2 < 0).any() and (graph.u2 >= 0).any()
+        idx = np.random.default_rng(5).integers(len(graph), size=60).tolist() + [0, len(graph) - 1]
+        got = graph.vertices_at(idx)
+        assert got == [vertex_by_scalars(graph, i) for i in idx] == [graph.vertex(i) for i in idx]
+        for v in got:
+            assert all(type(u) is int for u in v.uds) and type(v.rrb) is type(v.ap) is int
+            assert type(v.weight) is float and type(v.power.objective) is float
+            assert all(type(x) is float for x in v.power.powers + v.power.rates)
+        assert graph.vertices_at([]) == [] and graph.vertices_at(np.array(idx[:3])) == got[:3]
 
 
 def test_enumerate_full_matches_build_full_without_edges():

@@ -9,6 +9,7 @@ import pytest
 
 from nomec import (CSV_COLUMNS, ConfigError, ExperimentSpec, HarnessError, ResultRow,
                    ScenarioConfig, run_experiment)
+from nomec import harness
 from nomec.harness import emit, read_rows, rows_to_csv, rows_to_json, summarize
 
 TINY = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, rrbs_per_ap=2)
@@ -160,6 +161,13 @@ def test_tuple_sweep_value_becomes_mean():
                      trials=1)
     rows = run_experiment(spec)
     assert all(r.sweep_value == 1000.0 for r in rows)
+
+
+def test_tuple_sweep_value_sums_left_to_right():
+    """A tuple value's mean adds its entries one at a time, in order, on
+    every Python."""
+    assert harness._scalar_value((2.0 ** 53, 1.0, 1.0)) == 2.0 ** 53 / 3
+    assert harness._scalar_value([0.1, 0.2, 0.3]) == 0.6000000000000001 / 3
 
 
 def test_wall_time_column():

@@ -1,6 +1,8 @@
 """Minimum-weight maximal independent set search, against the exact
 search and the validity checks in tests/oracles.py."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,23 @@ def test_ordering_validation_and_empty():
     some = graph_of([assoc((0,), 0, 0, 1.0)])
     with pytest.raises(ValueError):
         greedy_min_wis(some, ordering="lightest")
+
+
+def test_total_weight_adds_the_picks_left_to_right():
+    """total_weight is the picks' weights added one at a time in pick
+    order, bit for bit, on every Python; on 0.1, 0.2 and 0.3 that is
+    0.6000000000000001, where a compensated sum gives 0.6."""
+    weights = [0.3, 0.1, 0.2]
+    graph = graph_of([assoc((u,), 0, u, w) for u, w in enumerate(weights)])
+    assert math.fsum(weights) == 0.6
+    for result in (greedy_min_wis(graph), greedy_min_wis(graph, "modified"),
+                   random_maximal_is(graph, seed=3)):
+        total = 0.0
+        for i in result.indices:
+            total += weights[i]
+        assert sorted(result.indices) == [0, 1, 2]
+        assert type(result.total_weight) is float and result.total_weight == total
+    assert greedy_min_wis(graph).total_weight == 0.6000000000000001
 
 
 # Dense route: the packed-bit adjacency the incidence passes replace. The

@@ -4,7 +4,8 @@ import pytest
 
 from nomec import (AccessPoint, ChannelState, CostWeights, MecServer, Task,
                    admission_control, allocate_local, backhaul_rates,
-                   first_layer_weight, second_layer_weights)
+                   first_layer_weight, group_demand_cps, second_layer_weights)
+from nomec.model import sum_left_to_right
 from conftest import gain_arrays
 import oracles
 
@@ -89,6 +90,18 @@ def test_second_layer_weight_matches_oracle():
             [want, 0.0, pytest.approx(2 * want, rel=1e-12)]
     with pytest.raises(ValueError):
         second_layer_weights([], [1.0])
+
+
+def test_group_sums_run_left_to_right():
+    """Demand and second-layer sums add the tasks one at a time, in order,
+    on every Python: 2**53 + 1 + 1 stays 2**53, where the compensated
+    sum() of Python 3.12 gives 2**53 + 2."""
+    deadline = 0.01
+    tasks = [Task(2.0 ** 53, 1.0, deadline), Task(1.0, 1.0, deadline), Task(1.0, 1.0, deadline)]
+    assert group_demand_cps(tasks) == 2.0 ** 53 / (3 * deadline)
+    assert allocate_local({0: tasks}, {0: 1e300}).f_loc[0] == 2.0 ** 53 / (3 * deadline)
+    assert second_layer_weights(tasks, [2.0 ** 53]) == [1.0]
+    assert sum_left_to_right([1e16, 1.0, -1e16, 0.1, 0.2]) == 0.30000000000000004
 
 
 def test_admission_prefers_heavier_first_layer():

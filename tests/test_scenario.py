@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nomec import SCHEMES, ConfigError, ScenarioConfig, generate, load_config, run_scheme
-from nomec.scenario import (dbm_per_hz_to_watts, pathloss_backhaul_db,
+from nomec.scenario import (RAYLEIGH_POWER_BOUND, dbm_per_hz_to_watts, pathloss_backhaul_db,
                             pathloss_uplink_db, realize_channels, with_channel)
 
 GOLDEN_DIGEST = "2965be61705b9787b7c46aa1f3fd570cc8c78635cf401016d56e40365c7af95b"
@@ -153,6 +153,38 @@ def test_generate_refuses_a_shadowing_spread_that_overflows_a_gain():
         for scheme in SCHEMES:
             _, plan = run_scheme(scn, scheme)
             assert math.isfinite(plan.metrics.cost) and plan.metrics.scheduled_uds > 0
+
+
+def test_generate_refuses_a_mean_gain_whose_fading_can_overflow():
+    """A mean gain can be finite while its product with a Rayleigh power
+    above 1 overflows. Each of these configs draws such a gain, which
+    fading at trial 0 (the first) or at trials 2, 16 and 3 of
+    realize_channels would overflow; generate refuses each with a
+    ConfigError naming the spread, without a warning. A 100 dB spread
+    still generates and runs every scheme without one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spread, seed in ((1070.0, 16), (1200.0, 2), (1220.0, 4), (1290.0, 1)):
+            with pytest.raises(ConfigError, match="shadowing_std_db"):
+                generate(ScenarioConfig(shadowing_std_db=spread, seed=seed))
+        scn = generate(ScenarioConfig(shadowing_std_db=100.0))
+        for trial in range(10):
+            trial_scn = with_channel(scn, realize_channels(scn, trial))
+            for scheme in SCHEMES:
+                assert math.isfinite(run_scheme(trial_scn, scheme)[1].metrics.cost)
+    limit = np.finfo(float).max / RAYLEIGH_POWER_BOUND
+    assert np.all(scn.mean_gain_uplink <= limit) and np.all(scn.mean_gain_backhaul <= limit)
+
+
+def test_the_rayleigh_power_bound_covers_the_largest_normal_draw():
+    """numpy's ziggurat sampler returns at most r - log(2**-53) / r in
+    magnitude, r = 3.6541528853610088 its last layer; two such draws give
+    a power under the bound, and the draws of many trials stay far below."""
+    r = 3.6541528853610088
+    z_max = r - math.log(2.0 ** -53) / r
+    assert z_max * z_max < RAYLEIGH_POWER_BOUND
+    z = np.random.default_rng(0).standard_normal(10 ** 6)
+    assert np.abs(z).max() < z_max
 
 
 def test_dbm_per_hz_to_watts():

@@ -14,6 +14,7 @@ from nomec import graph as graph_module
 from nomec.graph import reweighed
 from nomec import schedulers
 from nomec.model import InvalidAssignmentError
+from nomec.mwis import ORDERINGS
 from nomec.offload import AdmissionPlan, admission_control, first_layer_weight
 from nomec.scenario import realize_channels, with_channel
 import oracles
@@ -440,13 +441,26 @@ def stage1_corpus(rng, count):
                int(rng.integers(1, 9)))
 
 
+# heavy tasks on 48 UDs: 15 of the cells fail the rate floor, and stage 1
+# commits 4 APs at density 500 under the default CC2 rule, 2 at density
+# 4000 under the strict one
+DROP_AND_COMMIT = ScenarioConfig(n_uds=48, task_size_range_bits=(100.0, 2000.0),
+                                 density_cpb=500.0, seed=1)
+DROP_AND_COMMIT_CASES = ((False, DROP_AND_COMMIT),
+                         (True, dataclasses.replace(DROP_AND_COMMIT, density_cpb=4000.0)))
+
+
 def test_stage1_equals_the_copying_loop():
     """Stage 1 gives what the loop that copies its pool every iteration and
     reuses nothing gives: associations, extras but cycle_period, the final
-    graph's columns with their dtypes, and the final picks."""
+    graph's columns with their dtypes, and the final picks. Past the random
+    corpus, where no cell fails the rate floor, DROP_AND_COMMIT_CASES run
+    under both orderings: there cells drop and APs commit."""
     rng = np.random.default_rng(71)
-    committed = cycled = 0
-    for cfg, strict, ordering, max_iters in stage1_corpus(rng, 150):
+    committed = cycled = dropped = 0
+    fixed = [(cfg, strict, ordering, 5) for strict, cfg in DROP_AND_COMMIT_CASES
+             for ordering in ORDERINGS]
+    for cfg, strict, ordering, max_iters in (*stage1_corpus(rng, 150), *fixed):
         scn = generate(cfg)
         got = schedulers._stage1(scn, schedulers._Options(0, max_iters, strict, ordering))
         want = oracles.stage1_by_copy(scn, strict, ordering, max_iters)
@@ -459,7 +473,42 @@ def test_stage1_equals_the_copying_loop():
             a, b = getattr(graph, name), getattr(want[1], name)
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
         committed += bool(extras["committed_aps"])
-    assert committed >= 30 and cycled >= 10
+        cells = len(scn._topology_cache["full_cells"][0])
+        if (cfg, strict, ordering, max_iters) in fixed:
+            assert extras["vertices"] == cells - 15
+            assert len(extras["committed_aps"]) == (2 if strict else 4)
+        dropped += extras["vertices"] < cells
+    assert committed >= 30 and cycled >= 10 and dropped == len(fixed)
+
+
+@pytest.mark.parametrize("scheme", ["joint", "local"])
+def test_stage1_weighs_full_length_arrays_once(monkeypatch, scheme):
+    """Under the original ordering stage 1 computes its pool's
+    frequency-free weight terms once and weighs the pool from them at each
+    new input; the only weighing at the length of the full graph is the
+    final graph's."""
+    terms, weighed = [], []
+    real_terms, real_weights = graph_module._channel_terms, graph_module._weights
+
+    def record_terms(scenario, graph):
+        terms.append(len(graph))
+        return real_terms(scenario, graph)
+
+    def record_weights(scenario, terms_, ap, f_loc):
+        weighed.append(len(ap))
+        return real_weights(scenario, terms_, ap, f_loc)
+
+    for module in (graph_module, schedulers):
+        monkeypatch.setattr(module, "_channel_terms", record_terms)
+        monkeypatch.setattr(module, "_weights", record_weights)
+    for strict, cfg in (*DROP_AND_COMMIT_CASES, (False, ScenarioConfig())):
+        terms.clear()
+        weighed.clear()
+        _, plan = run_scheme(generate(cfg), scheme, strict_cc2=strict)
+        pool, final = terms
+        assert final == len(plan.extras["final_graph"])
+        assert plan.extras["iterations"] > 1 and weighed[:-1] == [pool] * (len(weighed) - 1)
+        assert weighed[-1] == final
 
 
 def test_joint_solves_powers_once(monkeypatch):
