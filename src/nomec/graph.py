@@ -55,6 +55,12 @@ class NomaAssociation:
         return (self.uds, self.rrb, self.ap)
 
 
+def _default_slot(ap, rrb):
+    """Per cell, its default-CC2 slot ap * (largest rrb + 1) + rrb: ap
+    itself when every rrb is 0."""
+    return ap * (int(rrb.max()) + 1) + rrb if rrb.any() else ap
+
+
 class ConflictGraph:
     """Array-backed vertex store plus lazily built packed bitset adjacency.
 
@@ -62,8 +68,8 @@ class ConflictGraph:
     rrb[i] of AP ap[i], with scheduling weight weights[i] and solved powers
     p1/p2, rates r1/r2 and objective obj; strict_cc2 records which conflict
     rule produces the edges. ``slot`` names the conflicting resource block;
-    under the default rule it is ap * (largest rrb + 1) + rrb, which a
-    caller that already holds it passes as slot. NomaAssociation objects
+    under the default rule it is _default_slot's, which a caller that
+    already holds it passes as slot. NomaAssociation objects
     are materialized on demand, so building large graphs stays an array
     operation; ``adj_bits`` is built on first access.
     """
@@ -73,14 +79,7 @@ class ConflictGraph:
         self.strict_cc2 = strict_cc2
         self.u1, self.u2, self.rrb_arr, self.ap_arr, self.weights = u1, u2, rrb, ap, weights
         self._p1, self._p2, self._r1, self._r2, self._obj = p1, p2, r1, r2, obj
-        if strict_cc2:
-            self.slot = rrb
-        elif slot is not None:
-            self.slot = slot
-        else:
-            max_rrb = int(rrb.max()) if len(rrb) else 0
-            self.slot = ap * (max_rrb + 1)
-            self.slot += rrb
+        self.slot = rrb if strict_cc2 else _default_slot(ap, rrb) if slot is None else slot
         self._adj_bits = self._rank_keys = self._extent = None     # built on first use
 
     @property
@@ -239,8 +238,8 @@ def _cell_columns(scenario, u1, u2, ap, rrb):
 
     The cells (u1, u2, ap, rrb) are parallel integer arrays, one entry per
     candidate cluster on one RRB, with u1 < u2 and u2 = -1 for a
-    singleton. Returned are those four as int64, the int64 default-CC2
-    slot (ap itself when every rrb is 0), and each member's index
+    singleton. Returned are those four as int64, their int64
+    _default_slot, and each member's index
     (u*M + ap)*Z + rrb into the scenario's (N, M, Z) uplink gains raveled
     with one NaN appended; u2 = -1 indexes that NaN, the gain of a
     singleton's absent member. The indices are int32 when the gains allow,
@@ -255,7 +254,7 @@ def _cell_columns(scenario, u1, u2, ap, rrb):
                         and 0 <= ap.min() and ap.max() < n_aps
                         and 0 <= rrb.min() and rrb.max() < n_rrbs):
         raise IndexError(f"cells name a (UD, AP, RRB) outside the {shape} gains")
-    slot = ap * (int(rrb.max()) + 1) + rrb if rrb.any() else ap
+    slot = _default_slot(ap, rrb)
     i1, i2 = ((u * n_aps + ap) * n_rrbs + rrb for u in (u1, u2))
     i2[u2 < 0] = n * n_aps * n_rrbs
     if n * n_aps * n_rrbs < np.iinfo(np.int32).max:
@@ -286,16 +285,6 @@ def _solve(scenario, cells, strict_cc2: bool):
     return ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, strict_cc2, slot), feas
 
 
-def _solve_cells(scenario, cells, strict_cc2: bool) -> ConflictGraph:
-    """The graph over _solve's feasible clusters of cells, in order, weighed at
-    the AP caps: in place when every cluster is feasible, else a copy."""
-    graph, feas = _solve(scenario, cells, strict_cc2)
-    if not feas.all():
-        return reweighed(scenario, graph, feas, _caps(scenario))
-    graph.weights = weigh(scenario, graph, _caps(scenario))
-    return graph
-
-
 def weigh(scenario, graph: ConflictGraph, f_loc) -> np.ndarray:
     """The weights of graph's vertices at the per-AP frequencies in the dict
     f_loc; a caller weighing one graph often keeps its _channel_terms."""
@@ -319,6 +308,16 @@ def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     copy = _gathered(graph, keep)
     copy.weights = weigh(scenario, copy, f_loc)
     return copy
+
+
+def _kept(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
+    """The vertices of a solved graph that the boolean mask keep selects,
+    weighed at the per-AP frequencies in the dict f_loc: the graph itself,
+    weighed in place, when keep selects every vertex, else a reweighed copy."""
+    if not keep.all():
+        return reweighed(scenario, graph, keep, f_loc)
+    graph.weights = weigh(scenario, graph, f_loc)
+    return graph
 
 
 def _full_cells(scenario, rrbs=None):
@@ -346,17 +345,13 @@ def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGra
     indices. Vertices run AP by AP, RRB by RRB, singletons before pairs;
     powers and weights are solved in one batch, and the returned graph
     builds its adjacency only if something reads ``adj_bits``. The cells
-    depend on the topology alone, so those of every RRB and those of RRB 0
-    alone are built once per scenario, and the graph holds their read-only
-    columns; other RRB lists are built on each call.
+    depend on the topology alone, so those of each RRB list are built once
+    per scenario, under the cache key ("full_cells", the list as a tuple,
+    or None for every RRB), and the graph holds their read-only columns.
     """
-    if rrbs is None:
-        cells = _cached(scenario, "full_cells", _full_cells)
-    elif np.array_equal(rrbs, [0]):
-        cells = _cached(scenario, "rrb0_cells", lambda scn: _full_cells(scn, [0]))
-    else:
-        cells = _full_cells(scenario, rrbs)
-    return _solve_cells(scenario, cells, strict_cc2)
+    rrbs = None if rrbs is None else tuple(np.asarray(rrbs, dtype=np.int64).ravel().tolist())
+    cells = _cached(scenario, ("full_cells", rrbs), lambda scn: _full_cells(scn, rrbs))
+    return _kept(scenario, *_solve(scenario, cells, strict_cc2), _caps(scenario))
 
 
 def build_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
@@ -428,4 +423,5 @@ def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
     alone, so they are chosen once per scenario; powers and weights are
     solved on every call.
     """
-    return _solve_cells(scenario, _cached(scenario, "pruned_cells", _pruned_cells), strict_cc2)
+    cells = _cached(scenario, "pruned_cells", _pruned_cells)
+    return _kept(scenario, *_solve(scenario, cells, strict_cc2), _caps(scenario))

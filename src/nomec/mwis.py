@@ -47,11 +47,14 @@ def _live(graph: ConflictGraph, idx, used):
     return idx[~(taken_ud[u1] | taken_ud[u2] | taken_slot[slot])]
 
 
-def _extent(graph: ConflictGraph, idx):
-    """The numbers of distinct slots and of distinct UDs of the vertices idx."""
-    u2 = graph.u2[idx]
-    return (int(np.count_nonzero(np.bincount(graph.slot[idx]))),
-            int(np.count_nonzero(np.bincount(np.concatenate([graph.u1[idx], u2[u2 >= 0]])))))
+def _extent(graph: ConflictGraph):
+    """The numbers of distinct slots and of distinct UDs of graph's
+    vertices, kept on the graph: weights are rebound, columns never change."""
+    if graph._extent is None:
+        u2 = graph.u2
+        graph._extent = (int(np.count_nonzero(np.bincount(graph.slot))),
+                         int(np.count_nonzero(np.bincount(np.concatenate([graph.u1, u2[u2 >= 0]])))))
+    return graph._extent
 
 
 def _scan(graph: ConflictGraph, parts, rank=None) -> IndependentSet:
@@ -67,14 +70,12 @@ def _scan(graph: ConflictGraph, parts, rank=None) -> IndependentSet:
     equal ranks never straddle two chunks, and a chunk is sorted by rank
     alone when its ranks are distinct, else by lexsort, whose keys run
     minor-first and which puts NaN ranks last. The parts are disjoint; the
-    scan stops once every slot or every UD of their vertices (counts kept on
-    a graph they cover) is used, since no later vertex could then be taken.
+    scan stops once every slot or every UD of the graph is used, since no
+    later vertex could then be taken. Parts that leave some of the graph
+    out pick the same set, but may read to their end instead.
     total_weight adds the picks' weights left to right.
     """
-    if sum(p.size for p in parts) < len(graph):
-        n_slots, n_uds = _extent(graph, np.concatenate(parts))
-    else:
-        graph._extent = n_slots, n_uds = graph._extent or _extent(graph, slice(None))
+    n_slots, n_uds = _extent(graph)
     used_uds, used_slots = used = (set(), set())
     picked = []
     for rest in parts:
@@ -117,7 +118,7 @@ def _sum_by(weights, keys):
     return np.bincount(keys, weights=weights)[keys]
 
 
-def modified_ranks(graph: ConflictGraph, subset=None) -> np.ndarray:
+def modified_ranks(graph: ConflictGraph) -> np.ndarray:
     """Every vertex's weight times its total non-neighbour weight.
 
     Vertex i and its neighbours are the union of the cliques of its UDs and
@@ -130,8 +131,6 @@ def modified_ranks(graph: ConflictGraph, subset=None) -> np.ndarray:
     the pair's own weight. Vectorized equivalent of graph.modified_weight.
 
     The keys are kept on the graph, so weights set on it again reuse them.
-    With subset, an ascending index array, the ranks there are the
-    subset's graph's bit for bit: other vertices add 0.0 to each sum.
     """
     n = len(graph)
     if n == 0:      # bincount of no keys is an int array
@@ -147,9 +146,6 @@ def modified_ranks(graph: ConflictGraph, subset=None) -> np.ndarray:
                             pair_key * n_slots + slot[n:] if graph.strict_cc2 else None)
     pair, ud, ud_slot, pair_key, pair_slot = graph._rank_keys
     w = graph.weights
-    if subset is not None:
-        w = np.zeros(n)
-        w[subset] = graph.weights[subset]
     w_pair = w[pair]
     member_w = np.concatenate([w, w_pair])
     by_ud = _sum_by(member_w, ud)
@@ -157,22 +153,20 @@ def modified_ranks(graph: ConflictGraph, subset=None) -> np.ndarray:
     union = by_ud[:n] + _sum_by(w, graph.slot) - by_ud_slot[:n]
     by_pair_slot = _sum_by(w_pair, pair_slot) if graph.strict_cc2 else w_pair
     union[pair] += by_ud[n:] - by_ud_slot[n:] - _sum_by(w_pair, pair_key) + by_pair_slot
-    return w * ((w if subset is None else w[subset]).sum() - union)
+    return w * (w.sum() - union)
 
 
-def greedy_min_wis(graph: ConflictGraph, ordering: str = "original",
-                   subset=None) -> IndependentSet:
+def greedy_min_wis(graph: ConflictGraph, ordering: str = "original") -> IndependentSet:
     """Greedy lightest-first maximal independent set.
 
     ordering "original" ranks by the vertex weight, "modified" by the
     weight scaled by the total non-neighbor weight; ties break on
     (ap, rrb, lowest ud id). total_weight always sums the plain weights.
-    subset, an ascending index array, searches those vertices' graph alone.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    rank = modified_ranks(graph, subset) if ordering == "modified" else graph.weights
-    return _scan(graph, (np.arange(len(graph)) if subset is None else subset,), rank)
+    rank = modified_ranks(graph) if ordering == "modified" else graph.weights
+    return _scan(graph, (np.arange(len(graph)),), rank)
 
 
 def random_maximal_is(graph: ConflictGraph, seed: int) -> IndependentSet:

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (_cached, _caps, _channel_terms, _full_cells, _gathered, _solve, _weights,
-                    build_pruned, enumerate_full, reweighed, weigh)
+from .graph import (_cached, _caps, _channel_terms, _full_cells, _gathered, _kept, _solve,
+                    _weights, build_pruned, enumerate_full)
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
 from .model import InvalidAssignmentError, Metrics, backhaul_rates, system_metrics
@@ -78,13 +78,15 @@ def _stage1(scenario, opt: _Options):
     frozen cluster holds on every AP. The cached full cells are solved once,
     unweighed; the pool, private to the call, gathers their feasible rows
     and keeps its frequency-free weight terms, so each new input weighs it
-    again in five array operations, and the greedy searches the vertices
-    still in it as its subset. An iteration whose input repeats an earlier
-    one's reuses its picks and allocation; cycle_period is how far back the
-    first repeat lies, or 0. The associations are the frozen ones plus the
-    last iteration's picks at uncommitted APs. The graph, built once, holds
-    the feasible cells the last iteration's pool still covers, weighed at
-    its frequencies, in place when that is every cell; the picks index it.
+    again in five array operations, and the greedy searches the whole pool.
+    When APs commit, the pool, its terms and its rows of the solved cells
+    are regathered at the next new input to the vertices still in it. An
+    iteration whose input repeats an earlier one's reuses its picks and
+    allocation; cycle_period is how far back the first repeat lies, or 0.
+    The associations are the frozen ones plus the last iteration's picks at
+    uncommitted APs. The graph, built once, holds the feasible cells the
+    last iteration's pool still covers, weighed at its frequencies, in
+    place when that is every cell; the picks index it.
 
     Under the original ordering the pool holds the singletons only: a pair
     is strictly heavier than both of its member singletons on its slot and
@@ -106,10 +108,13 @@ def _stage1(scenario, opt: _Options):
         return ud[g.u1] & ud[g.u2] & ap[g.ap_arr] & rrb[g.rrb_arr]
 
     tasks = [d.task for d in scenario.devices]
-    solved, feas = _solve(scenario, _cached(scenario, "full_cells", _full_cells), opt.strict_cc2)
+    cells = _cached(scenario, ("full_cells", None), _full_cells)
+    solved, feas = _solve(scenario, cells, opt.strict_cc2)
+    # the pool's rows of solved, its vertices and their frequency-free terms
     rows = np.flatnonzero(feas if opt.ordering == "modified" else feas & (solved.u2 < 0))
     pool = _gathered(solved, rows)
     terms = _channel_terms(scenario, pool)
+    pooled = 0      # how many commits the pool has left out
     seen = {}       # per input, its iteration, picks, their APs and allocation
     converged, iterations, cycle_period = False, 0, 0
     for it in range(opt.max_iters):
@@ -117,9 +122,12 @@ def _stage1(scenario, opt: _Options):
         masks, weighed_at = active, dict(f_loc)
         key = (len(committed), *f_loc.values())     # only commits shrink the pool
         if key not in seen:
+            if key[0] > pooled:
+                keep = in_pool(pool, *masks)
+                pool, rows, terms = _gathered(pool, keep), rows[keep], [t[keep] for t in terms]
+                pooled = key[0]
             pool.weights = _weights(scenario, terms, pool.ap_arr, f_loc)
-            subset = in_pool(pool, *masks).nonzero()[0] if committed else None
-            idx = np.array(greedy_min_wis(pool, opt.ordering, subset).indices, dtype=np.int64)
+            idx = np.array(greedy_min_wis(pool, opt.ordering).indices, dtype=np.int64)
             pick_aps = pool.ap_arr[idx].tolist()
             # each AP's tasks in pick order, which fixes the demand sums' last bits
             groups = {}
@@ -147,9 +155,7 @@ def _stage1(scenario, opt: _Options):
         f_loc.update(f_new)
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
     keep = feas & in_pool(solved, *masks) if key[0] else feas   # key[0]: commits before
-    graph = solved if keep.all() else reweighed(scenario, solved, keep, weighed_at)
-    if graph is solved:     # no vertex left: weigh it in place
-        solved.weights = weigh(scenario, solved, weighed_at)
+    graph = _kept(scenario, solved, keep, weighed_at)
     picks = tuple(np.flatnonzero(keep).searchsorted(rows[idx]).tolist())
     assocs = committed + graph.vertices_at([i for i, m in zip(picks, pick_aps)
                                             if m not in committed_aps])

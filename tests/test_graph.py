@@ -9,7 +9,7 @@ import pytest
 from nomec import (SCHEMES, ClusterPowerSolution, NomaAssociation, ScenarioConfig, build_full,
                    build_pruned, enumerate_full, generate, group_demand_cps, modified_weight,
                    run_scheme)
-from nomec.graph import _cell_columns, _solve_cells, reweighed, weigh
+from nomec.graph import _caps, _cell_columns, _kept, _solve, reweighed, weigh
 from nomec.scenario import realize_channels, with_channel
 import oracles
 from oracles import conflicts, graph_of
@@ -475,15 +475,22 @@ def candidate_graphs(scenario_of):
         yield build_pruned(scenario_of(), strict_cc2=strict)
 
 
+def solved_at_caps(scn, cells, strict):
+    """The graph over the feasible clusters of cells, _cell_columns'
+    columns, weighed at the AP caps, as enumerate_full and build_pruned
+    build it from their cached cells."""
+    return _kept(scn, *_solve(scn, cells, strict), _caps(scn))
+
+
 def reference_graphs(scenario_of):
     """candidate_graphs' graphs from the reference cell builders."""
     for strict in (False, True):
         for rrbs in (None, [0], [1, 2]):
             scn = scenario_of()
-            yield _solve_cells(scn, _cell_columns(scn, *oracles.full_cells_by_ap(scn, rrbs)),
-                               strict)
+            yield solved_at_caps(scn, _cell_columns(scn, *oracles.full_cells_by_ap(scn, rrbs)),
+                                 strict)
         scn = scenario_of()
-        yield _solve_cells(scn, _cell_columns(scn, *oracles.pruned_cells_by_scan(scn)), strict)
+        yield solved_at_caps(scn, _cell_columns(scn, *oracles.pruned_cells_by_scan(scn)), strict)
 
 
 def test_cached_candidates_match_a_fresh_scenario_on_every_trial():
@@ -505,8 +512,9 @@ def test_cached_candidates_match_a_fresh_scenario_on_every_trial():
                 assert_same_graph(got, want)
                 assert_same_graph(got, ref)
                 graphs += 1
-        assert set(scn._topology_cache) == {"full_cells", "power_cap", "pruned_cells",
-                                            "rrb0_cells", "task_columns"}
+        assert set(scn._topology_cache) == {
+            ("full_cells", None), ("full_cells", (0,)), ("full_cells", (1, 2)),
+            "power_cap", "pruned_cells", "task_columns"}
     assert graphs == len(CACHE_TOPOLOGIES) * 4 * 8
 
 
@@ -520,6 +528,7 @@ def test_with_channel_copies_reuse_the_cache_entries():
     entries = dict(scn._topology_cache)
     second = with_channel(first, realize_channels(scn, 2))
     enumerate_full(second, strict_cc2=True, rrbs=[0])
+    enumerate_full(second, rrbs=np.zeros(1, dtype=np.int32))    # the same RRB list
     build_pruned(second, strict_cc2=True)
     assert second._topology_cache is scn._topology_cache
     assert scn._topology_cache.keys() == entries.keys()
@@ -634,6 +643,22 @@ def test_reweighing_copies_and_leaves_the_source_alone():
         assert copy.weights.tobytes() != weights[keep].tobytes()
 
 
+def test_kept_weighs_in_place_only_when_every_vertex_stays():
+    """_kept hands back the solved graph itself, weighed in place, when its
+    mask keeps every vertex, and reweighed's copy otherwise; either way
+    every column equals reweighed's."""
+    scn = generate(ScenarioConfig(n_uds=12, seed=3))
+    half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
+    cells = _cell_columns(scn, *oracles.full_cells_by_ap(scn))
+    for every in (True, False):
+        solved, _ = _solve(scn, cells, False)
+        keep = np.ones(len(solved), bool) if every else solved.u2 < 0
+        want = reweighed(scn, solved, keep, half)
+        got = _kept(scn, solved, keep, half)
+        assert (got is solved) == every
+        assert_same_graph(got, want)
+
+
 def test_cells_outside_the_channel_gains_are_refused():
     """The flat gain index would silently read another UD's row for an AP
     or RRB past the gains' shape, or the appended NaN for a UD past it, so
@@ -646,7 +671,7 @@ def test_cells_outside_the_channel_gains_are_refused():
         with pytest.raises(IndexError):
             _cell_columns(scn, col(u, 1), col(-1, 2), col(0, ap), col(0, rrb))
     cells = _cell_columns(scn, col(0, 1), col(-1, 2), col(0, 2), col(0, 1))
-    assert len(_solve_cells(scn, cells, False)) <= 2
+    assert len(solved_at_caps(scn, cells, False)) <= 2
     # the cached indices are those of the scenario's (N, M, Z) gains
     narrow = dataclasses.replace(scn.channel, gain_ud_rrb=scn.channel.gain_ud_rrb[:, :, :1])
     for build in (enumerate_full, build_pruned):

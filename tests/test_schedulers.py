@@ -270,17 +270,17 @@ SOLVED = ("u1", "u2", "rrb_arr", "ap_arr", "weights", "slot",
 
 
 def record_greedy(monkeypatch):
-    """Record every call of schedulers.greedy_min_wis as (the searched rows
-    packed into a fresh graph, the rows, the package's modified ranks on
-    them, the result). Stage 1 weighs its pool again in place, so the rows
-    and their ranks are taken at call time."""
+    """Record every call of schedulers.greedy_min_wis as (the searched graph
+    packed into a fresh one with rows_of, the rows it packs, the package's
+    modified ranks on them, the result). Stage 1 weighs its pool again in
+    place, so the rows and their ranks are taken at call time."""
     calls = []
     real = schedulers.greedy_min_wis
 
-    def record(graph, ordering="original", subset=None):
-        wis = real(graph, ordering, subset)
-        rows = np.arange(len(graph)) if subset is None else subset
-        calls.append((rows_of(graph, rows), rows, modified_ranks(graph, subset)[rows], wis))
+    def record(graph, ordering="original"):
+        wis = real(graph, ordering)
+        rows = np.arange(len(graph))
+        calls.append((rows_of(graph, rows), rows, modified_ranks(graph)[rows], wis))
         return wis
 
     monkeypatch.setattr(schedulers, "greedy_min_wis", record)
@@ -293,7 +293,7 @@ def stage1_replay(scn, cfg, strict, ordering, calls, iterations):
     An iteration's input is the pool as coverage (committed APs cover no
     one, committed UDs are covered by no AP; strict CC2 also drops
     committed RRBs) and the per-AP frequencies. A new input takes the next
-    call: its subset of the pool, packed into a fresh graph, must be
+    call: the pool it searched, packed into a fresh graph, must be
     searched as that graph alone, with the same modified ranks bit for bit
     and the same picks. An input seen before takes no call and reuses its
     picks. Returns per iteration (searched graph, picks into it, fresh
@@ -473,7 +473,7 @@ def test_stage1_equals_the_copying_loop():
             a, b = getattr(graph, name), getattr(want[1], name)
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
         committed += bool(extras["committed_aps"])
-        cells = len(scn._topology_cache["full_cells"][0])
+        cells = len(oracles.full_cells_by_ap(scn)[0])
         if (cfg, strict, ordering, max_iters) in fixed:
             assert extras["vertices"] == cells - 15
             assert len(extras["committed_aps"]) == (2 if strict else 4)
@@ -485,10 +485,13 @@ def test_stage1_equals_the_copying_loop():
 def test_stage1_weighs_full_length_arrays_once(monkeypatch, scheme):
     """Under the original ordering stage 1 computes its pool's
     frequency-free weight terms once and weighs the pool from them at each
-    new input; the only weighing at the length of the full graph is the
-    final graph's."""
-    terms, weighed = [], []
+    new input, at the length of the graph the greedy then searches: the
+    first pool's, shrinking only where APs committed, as a regathered pool
+    gathers its terms instead of computing them. The only weighing at the
+    length of the full graph is the final graph's."""
+    terms, weighed, searched = [], [], []
     real_terms, real_weights = graph_module._channel_terms, graph_module._weights
+    real_greedy = schedulers.greedy_min_wis
 
     def record_terms(scenario, graph):
         terms.append(len(graph))
@@ -498,16 +501,23 @@ def test_stage1_weighs_full_length_arrays_once(monkeypatch, scheme):
         weighed.append(len(ap))
         return real_weights(scenario, terms_, ap, f_loc)
 
+    def record_greedy(graph, ordering="original"):
+        searched.append(len(graph))
+        return real_greedy(graph, ordering)
+
     for module in (graph_module, schedulers):
         monkeypatch.setattr(module, "_channel_terms", record_terms)
         monkeypatch.setattr(module, "_weights", record_weights)
+    monkeypatch.setattr(schedulers, "greedy_min_wis", record_greedy)
     for strict, cfg in (*DROP_AND_COMMIT_CASES, (False, ScenarioConfig())):
-        terms.clear()
-        weighed.clear()
+        for calls in (terms, weighed, searched):
+            calls.clear()
         _, plan = run_scheme(generate(cfg), scheme, strict_cc2=strict)
         pool, final = terms
         assert final == len(plan.extras["final_graph"])
-        assert plan.extras["iterations"] > 1 and weighed[:-1] == [pool] * (len(weighed) - 1)
+        assert plan.extras["iterations"] > 1 and weighed[:-1] == searched
+        assert searched[0] == pool and searched == sorted(searched, reverse=True)
+        assert (searched[-1] < pool) == bool(plan.extras["committed_aps"])
         assert weighed[-1] == final
 
 
