@@ -75,21 +75,37 @@ class ScenarioConfig:
             except OverflowError:
                 watts = math.inf
             if not (math.isfinite(watts) and watts > 0):
-                raise ConfigError(f"{name} must give a finite, positive power per RRB, "
-                                  f"got {v!r} dBm/Hz over {self.rrb_bandwidth_hz!r} Hz")
+                raise ConfigError(f"{name} must give a finite, positive power per RRB, got "
+                                  f"{v!r} dBm/Hz over rrb_bandwidth_hz {self.rrb_bandwidth_hz!r} Hz")
         lo, hi = _finite_pair("task_size_range_bits", self.task_size_range_bits)
         if not (0 < lo <= hi):
             raise ConfigError(f"task_size_range_bits must satisfy 0 < lo <= hi, got {self.task_size_range_bits!r}")
-        # finite fields can still give an infinite task, load or AP cost,
-        # which would turn into inf and NaN costs
+        # finite fields can still give an infinite task, load, time, rate or
+        # AP cost, which would turn into inf and NaN costs, or an infinite
+        # range to draw positions from. An AP group holds at most 2 UDs per
+        # RRB, and its demand is at least the lightest task's load alone
         cycles = hi * self.density_cpb
         f = self.f_loc_max_cps
+        per_cycle = 1.0 / f + self.alpha_cpu * (f * f)
+        light = lo * self.density_cpb / self.deadline_s
         for what, value in (
                 ("task cycles task_size_range_bits[1] * density_cpb", cycles),
                 ("single-task load task_size_range_bits[1] * density_cpb / deadline_s",
                  cycles / self.deadline_s),
                 ("per-cycle AP cost 1 / f_loc_max_cps + alpha_cpu * f_loc_max_cps**2",
-                 1.0 / f + self.alpha_cpu * (f * f))):
+                 per_cycle),
+                ("task cost at the AP cap task_size_range_bits[1] * density_cpb * "
+                 "(1 / f_loc_max_cps + alpha_cpu * f_loc_max_cps**2)", cycles * per_cycle),
+                ("group deadline budget 2 * rrbs_per_ap * deadline_s",
+                 2 * self.rrbs_per_ap * self.deadline_s),
+                ("per-cycle compute time 1 / f at the lightest load "
+                 "f = task_size_range_bits[0] * density_cpb / deadline_s",
+                 1.0 / light if light else math.inf),
+                ("MEC compute time task_size_range_bits[1] * density_cpb / f_mec_cps",
+                 cycles / self.f_mec_cps),
+                ("largest rate rrb_bandwidth_hz * log2 of the largest float",
+                 self.rrb_bandwidth_hz * 1024.0),
+                ("cell diameter 2 * cell_radius_m", 2.0 * self.cell_radius_m)):
             if not math.isfinite(value):
                 raise ConfigError(f"{what} must be finite, got {value!r}")
         for name, count in (("ap_positions", self.n_aps), ("mec_positions", self.n_mecs)):

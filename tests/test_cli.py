@@ -1,11 +1,15 @@
 """Command line interface: argument handling, exit codes, output."""
 
+import csv
+import io
 import json
+import math
 import warnings
 
 import pytest
 
 from nomec.cli import _parse_sweep, build_parser, main
+from nomec.scenario import CONFIG_FIELDS
 
 
 @pytest.fixture()
@@ -122,6 +126,27 @@ def test_dbm_config_outside_float_range_exits_1(tmp_path, capsys, field, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("field, value", [
+    ("deadline_s", "1.7976931348623157e308"),     # a group's demand rounds to 0
+    ("density_cpb", "5e-324"),                    # 1 / f of a subnormal demand
+    ("f_mec_cps", "5e-324"),                      # an infinite MEC compute time
+    ("rrb_bandwidth_hz", "1.7976931348623157e308"),   # an infinite rate
+    ("cell_radius_m", "1e308"),                   # no range to draw positions from
+    ("f_loc_max_cps", "1e-305"),                  # an infinite task cost at the cap
+])
+def test_finite_field_with_an_infinite_consequence_exits_1(capsys, field, value):
+    """A finite config value that would make the run compute an infinite
+    or zero quantity is refused by name before any row is written, with
+    no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["--trials", "1", "--sweep", f"{field}={value}"], capsys)
+    assert not caught
+    assert code == 1 and err.startswith("error:") and field in err
+    assert "unexpected" not in err and "Warning" not in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_shadowing_spread_that_overflows_a_gain_exits_1(capsys):
     """generate refuses the spread while the experiment runs, so the run
     exits 1 before it writes a row, with workers too."""
@@ -216,3 +241,42 @@ def test_position_sweeps_rejected_by_name(sweep, capsys):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {sweep.split('=')[0]} cannot be swept;")
     assert "(x, y) pair per" in err
+
+
+# every float config field at each edge of the float range, 0, 1, a
+# negative value, a bool and a string
+EDGE_VALUES = (5e-324, 1e-300, 0.0, 1.0, 1e300, 1.7976931348623157e308, -1.0, True, "1")
+FLOAT_FIELDS = tuple(name for name, kind in CONFIG_FIELDS.items() if kind is float)
+
+
+def test_edge_config_values_run_clean_or_are_refused(tmp_path, capsys):
+    """Each float config field at each EDGE_VALUES entry, through the CLI
+    at 8 UDs and one trial with a fixed seed: a case exits 0 with an empty
+    stderr and finite latency, energy and cost in every row, or exits 1
+    with one error: line that names the field. No case warns, and none
+    raises out of main."""
+    path = tmp_path / "edge.json"
+    refused = 0
+    for field in FLOAT_FIELDS:
+        for value in EDGE_VALUES:
+            case = f"{field}={value!r}"
+            path.write_text(json.dumps({"n_uds": 8, field: value}), encoding="utf-8")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["--config", str(path), "--trials", "1", "--seed", "3"])
+            out, err = capsys.readouterr()
+            assert not caught, (case, [str(w.message) for w in caught])
+            assert "Warning" not in err and "Traceback" not in err, (case, err)
+            if code == 1:
+                assert err.startswith("error:") and err.count("\n") == 1, (case, err)
+                assert field in err and "unexpected" not in err, (case, err)
+                refused += 1
+                continue
+            assert code == 0 and err == "", (case, code, err)
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert len(rows) == 5, case
+            for row in rows:
+                assert all(math.isfinite(float(row[k])) for k in ("latency_s", "energy_j", "cost")), \
+                    (case, row)
+    # bools, strings and values below each field's range are refused
+    assert refused >= 3 * len(FLOAT_FIELDS)
