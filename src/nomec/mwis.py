@@ -51,9 +51,9 @@ def _extent(graph: ConflictGraph):
     """The numbers of distinct slots and of distinct UDs of graph's
     vertices, kept on the graph: weights are rebound, columns never change."""
     if graph._extent is None:
-        u2 = graph.u2
+        uds = np.concatenate([graph.u1, graph.u2[graph.u2 >= 0]])
         graph._extent = (int(np.count_nonzero(np.bincount(graph.slot))),
-                         int(np.count_nonzero(np.bincount(np.concatenate([graph.u1, u2[u2 >= 0]])))))
+                         int(np.count_nonzero(np.bincount(uds))))
     return graph._extent
 
 

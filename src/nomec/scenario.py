@@ -75,8 +75,8 @@ class ScenarioConfig:
             except OverflowError:
                 watts = math.inf
             if not (math.isfinite(watts) and watts > 0):
-                raise ConfigError(f"{name} must give a finite, positive power per RRB, got "
-                                  f"{v!r} dBm/Hz over rrb_bandwidth_hz {self.rrb_bandwidth_hz!r} Hz")
+                raise ConfigError(f"{name} must give a finite, positive power per RRB, got {v!r} "
+                                  f"dBm/Hz over rrb_bandwidth_hz {self.rrb_bandwidth_hz!r} Hz")
         lo, hi = _finite_pair("task_size_range_bits", self.task_size_range_bits)
         if not (0 < lo <= hi):
             raise ConfigError(f"task_size_range_bits must satisfy 0 < lo <= hi, got {self.task_size_range_bits!r}")
