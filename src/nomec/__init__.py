@@ -10,8 +10,8 @@ from .scenario import (ConfigError, Scenario, ScenarioConfig, generate,
                        load_config, realize_channels, with_channel)
 from .power import ClusterPowerSolution
 from .graph import (ConflictGraph, NomaAssociation, build_full, build_pruned,
-                    enumerate_full, modified_weight)
-from .mwis import (IndependentSet, greedy_min_wis, modified_ranks,
+                    enumerate_full)
+from .mwis import (IndependentSet, greedy_min_wis, modified_ranks, modified_weight,
                    random_maximal_is)
 from .offload import (AdmissionPlan, LocalAllocation, admission_control,
                       allocate_local, first_layer_weight, second_layer_weights)

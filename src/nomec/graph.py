@@ -154,18 +154,6 @@ class ConflictGraph:
     def __len__(self):
         return len(self.u1)     # weights are None until the graph is weighed
 
-    def neighbor_mask(self, i: int) -> np.ndarray:
-        """Boolean neighbor row for vertex i."""
-        n = len(self.weights)
-        return np.unpackbits(self.adj_bits[i], count=n).astype(bool)
-
-
-def modified_weight(i: int, graph: ConflictGraph) -> float:
-    """Weight times the total weight of non-adjacent other vertices."""
-    w = graph.weights
-    adj_sum = float(w[graph.neighbor_mask(i)].sum())
-    return float(w[i] * (w.sum() - w[i] - adj_sum))
-
 
 def _cached(scenario, key, build):
     """The tuple of arrays build(scenario), kept read-only in the
@@ -285,39 +273,22 @@ def _solve(scenario, cells, strict_cc2: bool):
     return ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, strict_cc2, slot), feas
 
 
-def weigh(scenario, graph: ConflictGraph, f_loc) -> np.ndarray:
-    """The weights of graph's vertices at the per-AP frequencies in the dict
-    f_loc; a caller weighing one graph often keeps its _channel_terms."""
-    return _weights(scenario, _channel_terms(scenario, graph), graph.ap_arr, f_loc)
-
-
-def _gathered(graph: ConflictGraph, keep) -> ConflictGraph:
-    """An unweighed copy of the vertices of a solved graph that keep, a
-    boolean mask or ascending positions, selects, reusing powers and rates."""
-    keep = np.asarray(keep)
-    rows = keep.nonzero()[0] if keep.dtype == bool else keep.astype(np.int64, copy=False)
+def _gathered(graph: ConflictGraph, rows) -> ConflictGraph:
+    """An unweighed copy of the vertices of a solved graph at the ascending
+    positions rows, reusing powers and rates."""
     u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
         col.take(rows) for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
                                    graph._p2, graph._r1, graph._r2, graph._obj))
     return ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, graph.strict_cc2)
 
 
-def reweighed(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
-    """The _gathered copy of the vertices keep selects, weighed at the
-    per-AP frequencies in the dict f_loc."""
-    copy = _gathered(graph, keep)
-    copy.weights = weigh(scenario, copy, f_loc)
-    return copy
-
-
 def _kept(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     """The vertices of a solved graph that the boolean mask keep selects,
     weighed at the per-AP frequencies in the dict f_loc: the graph itself,
-    weighed in place, when keep selects every vertex, else a reweighed copy."""
-    if not keep.all():
-        return reweighed(scenario, graph, keep, f_loc)
-    graph.weights = weigh(scenario, graph, f_loc)
-    return graph
+    weighed in place, when keep selects every vertex, else a _gathered copy."""
+    g = graph if keep.all() else _gathered(graph, np.flatnonzero(keep))
+    g.weights = _weights(scenario, _channel_terms(scenario, g), g.ap_arr, f_loc)
+    return g
 
 
 def _full_cells(scenario, rrbs=None):
@@ -340,7 +311,7 @@ def _full_cells(scenario, rrbs=None):
 def enumerate_full(scenario, strict_cc2: bool = False, rrbs=None) -> ConflictGraph:
     """Enumerate every coverage- and rate-feasible association, no edges.
 
-    Vertex weights use each AP's frequency cap; weigh gives them at other
+    Vertex weights use each AP's frequency cap; _kept gives them at other
     frequencies. rrbs restricts the enumeration to those RRB
     indices. Vertices run AP by AP, RRB by RRB, singletons before pairs;
     powers and weights are solved in one batch, and the returned graph

@@ -186,18 +186,12 @@ def summarize(rows):
     return out
 
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_format_cell(getattr(row, col)) for col in CSV_COLUMNS])
+        writer.writerow([getattr(row, col) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -17,8 +17,6 @@ import numpy as np
 
 from .graph import ConflictGraph
 from .model import sum_left_to_right
-# kept bound here: perfbench/tracer.py wraps mwis.modified_weight by name
-from .graph import modified_weight  # noqa: F401
 
 
 ORDERINGS = ("original", "modified")
@@ -118,6 +116,14 @@ def _sum_by(weights, keys):
     return np.bincount(keys, weights=weights)[keys]
 
 
+def modified_weight(i: int, graph: ConflictGraph) -> float:
+    """Vertex i's weight times the total weight of the other vertices its
+    packed adjacency row leaves out."""
+    w = graph.weights
+    adj_sum = float(w[np.unpackbits(graph.adj_bits[i], count=len(w)).astype(bool)].sum())
+    return float(w[i] * (w.sum() - w[i] - adj_sum))
+
+
 def modified_ranks(graph: ConflictGraph) -> np.ndarray:
     """Every vertex's weight times its total non-neighbour weight.
 
@@ -128,7 +134,7 @@ def modified_ranks(graph: ConflictGraph) -> np.ndarray:
     and, under strict CC2, (u1*N + u2)*S + slot, with N and S one past the
     largest UD id and slot. Under the default CC2 rule a slot is one RRB of
     one AP, where a cluster is enumerated once, so a (pair, slot) sum is
-    the pair's own weight. Vectorized equivalent of graph.modified_weight.
+    the pair's own weight. Vectorized equivalent of modified_weight.
 
     The keys are kept on the graph, so weights set on it again reuse them.
     """

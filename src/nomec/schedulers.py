@@ -123,8 +123,8 @@ def _stage1(scenario, opt: _Options):
         key = (len(committed), *f_loc.values())     # only commits shrink the pool
         if key not in seen:
             if key[0] > pooled:
-                keep = in_pool(pool, *masks)
-                pool, rows, terms = _gathered(pool, keep), rows[keep], [t[keep] for t in terms]
+                at = np.flatnonzero(in_pool(pool, *masks))
+                pool, rows, terms = _gathered(pool, at), rows[at], [t[at] for t in terms]
                 pooled = key[0]
             pool.weights = _weights(scenario, terms, pool.ap_arr, f_loc)
             idx = np.array(greedy_min_wis(pool, opt.ordering).indices, dtype=np.int64)

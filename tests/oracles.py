@@ -17,8 +17,8 @@ its buffered power solve, graph assembly and chunked all_offload order;
 and greedy_by_order_full_read and stage1_by_copy, the greedy pass that
 reads every chunk whole and the stage-1 loop that copies its pool every
 iteration, for the live-vertex pass and the one-pool stage 1.
-stage1_by_copy runs the package's enumeration, reweighing and local
-allocation, which other tests pin, around its own greedy. rows_of packs
+stage1_by_copy runs the package's enumeration and local allocation,
+which other tests pin, around its own greedy and reweighed_by_copy. rows_of packs
 rows of a graph into a fresh one, as graph_of packs associations.
 """
 
@@ -28,7 +28,6 @@ from collections import namedtuple
 import numpy as np
 
 from nomec import ConflictGraph, allocate_local, enumerate_full
-from nomec.graph import reweighed
 
 
 def sic_sinr(members, gains, ud_id, noise_w):
@@ -361,14 +360,14 @@ def stage1_by_copy(scenario, strict_cc2, ordering, max_iters):
     tasks = [d.task for d in scenario.devices]
     solved = enumerate_full(scenario, strict_cc2=strict_cc2)
     pool = graph = (solved if ordering == "modified"
-                    else reweighed(scenario, solved, solved.u2 < 0, caps))
+                    else reweighed_by_copy(scenario, solved, solved.u2 < 0, caps))
     converged = False
     iterations = 0
     for it in range(max_iters):
         iterations = it + 1
         if it > 0:
             masks, weighed_at = [a.copy() for a in active], dict(f_loc)
-            graph = reweighed(scenario, pool, in_pool(pool, *masks), f_loc)
+            graph = reweighed_by_copy(scenario, pool, in_pool(pool, *masks), f_loc)
         picks = greedy_full_read(graph, ordering)
         idx = np.array(picks, dtype=np.int64)
         pick_aps = graph.ap_arr[idx].tolist()
@@ -393,7 +392,7 @@ def stage1_by_copy(scenario, strict_cc2, ordering, max_iters):
     assocs = committed + [graph.vertex(i) for i, m in zip(picks, pick_aps)
                           if m not in committed_aps]
     if pool is not solved:
-        graph = solved if iterations == 1 else reweighed(
+        graph = solved if iterations == 1 else reweighed_by_copy(
             scenario, solved, in_pool(solved, *masks), weighed_at)
         picks = tuple(np.flatnonzero(graph.u2 < 0)[idx].tolist())
     extras = {"vertices": len(solved), "iterations": iterations,

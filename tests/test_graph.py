@@ -1,5 +1,6 @@
 """Conflict graph construction: vertices, edges, weights, pruning."""
 
+import copy
 import dataclasses
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from nomec import (SCHEMES, ClusterPowerSolution, NomaAssociation, ScenarioConfig, build_full,
                    build_pruned, enumerate_full, generate, group_demand_cps, modified_weight,
                    run_scheme)
-from nomec.graph import _caps, _cell_columns, _kept, _solve, reweighed, weigh
+from nomec.graph import _caps, _cell_columns, _gathered, _kept, _solve
 from nomec.scenario import realize_channels, with_channel
 import oracles
 from oracles import conflicts, graph_of
@@ -75,11 +76,14 @@ def test_adjacency_matches_pairwise_conflicts():
 
 
 def test_neighbor_views_consistent():
+    """Each packed adjacency row unpacks to the dense matrix's row, and the
+    matrix is symmetric."""
     rng = np.random.default_rng(5)
     graph = graph_of(random_assocs(rng, 30))
     mat = oracles.adjacency_matrix(graph)
     for i in range(len(graph)):
-        assert (graph.neighbor_mask(i) == mat[i]).all()
+        row = np.unpackbits(graph.adj_bits[i], count=len(graph)).astype(bool)
+        assert (row == mat[i]).all()
     assert (mat == mat.T).all()
 
 
@@ -105,7 +109,7 @@ def test_vertex_weight_formula():
     f_loc = {ap.id: (0.4 + 0.2 * ap.id) * ap.f_loc_max_cps for ap in scn.aps}
     full = enumerate_full(scn)
     graphs = ((build_pruned(scn), None), (full, None),
-              (reweighed(scn, full, np.ones(len(full), bool), f_loc), f_loc))
+              (_kept(scn, copy.copy(full), np.ones(len(full), bool), f_loc), f_loc))
     for graph, freqs in graphs:
         assert len(graph) > 0 and any(len(v.uds) == 2 for v in graph.vertices)
         for v in graph.vertices:
@@ -189,22 +193,25 @@ def test_build_full_filters():
 
 
 def test_build_full_f_loc_forms():
-    """build_full weighs at the caps; weigh and reweighed weigh at any
-    other per-AP frequency, alike, and give the caps' weights back bit for
-    bit."""
+    """build_full weighs at the caps; _kept weighs at any other per-AP
+    frequency, in place and on a gathered copy alike, and gives the caps'
+    weights back bit for bit."""
     cfg = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, seed=6)
     scn = generate(cfg)
     g_default = build_full(scn)
     keep = np.ones(len(g_default), bool)
+    every = np.arange(len(g_default))
     caps = {ap.id: ap.f_loc_max_cps for ap in scn.aps}
-    g_caps = reweighed(scn, g_default, keep, caps)
+    g_caps = _kept(scn, _gathered(g_default, every), keep, caps)
     assert list(g_default.weights) == list(g_caps.weights)
-    assert weigh(scn, g_default, caps).tobytes() == g_default.weights.tobytes()
+    in_place = _kept(scn, copy.copy(g_default), keep, caps)
+    assert in_place.weights.tobytes() == g_default.weights.tobytes()
     half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
-    g_dict = reweighed(scn, g_default, keep, half)
+    g_dict = _kept(scn, _gathered(g_default, every), keep, half)
     assert len(g_dict) == len(g_default)
     assert list(g_dict.weights) != list(g_default.weights)
-    assert weigh(scn, g_default, half).tobytes() == g_dict.weights.tobytes()
+    in_place = _kept(scn, copy.copy(g_default), keep, half)
+    assert in_place.weights.tobytes() == g_dict.weights.tobytes()
 
 
 def test_load_helpers():
@@ -398,7 +405,7 @@ def test_pairs_outweigh_both_member_singletons():
             f_loc = {ap.id: float(rng.uniform(0.05, 1.0)) * ap.f_loc_max_cps for ap in scn.aps}
             for strict in (False, True):
                 graph = enumerate_full(scn, strict_cc2=strict)
-                graph = reweighed(scn, graph, np.ones(len(graph), bool), f_loc)
+                graph = _kept(scn, graph, np.ones(len(graph), bool), f_loc)
                 rows = list(zip(graph.u1.tolist(), graph.u2.tolist(), graph.ap_arr.tolist(),
                                 graph.rrb_arr.tolist(), graph.weights.tolist()))
                 alone = {(u1, ap, rrb): w for u1, u2, ap, rrb, w in rows if u2 < 0}
@@ -592,8 +599,8 @@ def test_a_second_channel_gets_its_own_graph():
 def old_path_graphs(scn, strict):
     """(built graph, its old-path reference) pairs on one scenario: the full
     enumeration on every RRB and on [0], the pruned graph, and the full
-    graph reweighed at half the caps with an all-true mask, the singleton
-    mask and an every-other-vertex mask."""
+    graph weighed by _kept at half the caps with an all-true mask, the
+    singleton mask and an every-other-vertex mask."""
     half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
     full = enumerate_full(scn, strict_cc2=strict)
     full_ref = oracles.solve_cells_by_copy(scn, oracles.full_cells_by_ap(scn), strict)
@@ -604,12 +611,12 @@ def old_path_graphs(scn, strict):
            oracles.solve_cells_by_copy(scn, oracles.pruned_cells_by_scan(scn), strict))
     every_other = np.arange(len(full)) % 2 == 0
     for keep in (np.ones(len(full), bool), full.u2 < 0, every_other):
-        yield (reweighed(scn, full, keep, half),
+        yield (_kept(scn, copy.copy(full), keep, half),
                oracles.reweighed_by_copy(scn, full_ref, keep, half))
 
 
 def test_graph_columns_match_the_copying_path():
-    """Every column of the enumerated, pruned and reweighed graphs equals,
+    """Every column of the enumerated, pruned and _kept graphs equals,
     bit for bit and in dtype, what the path that gathers with three
     indices, solves one array per step and copies every filtered column
     gives; one topology has cells that miss the rate floor."""
@@ -627,33 +634,35 @@ def test_graph_columns_match_the_copying_path():
 
 
 def test_reweighing_copies_and_leaves_the_source_alone():
-    """reweighed copies under every mask, the all-true one too: the source's
-    columns share no memory with the copy's, and the source keeps its
-    weights."""
+    """_gathered copies under every selection, every position too, and
+    _kept weighs such a copy, or its own copy under a mask that drops
+    vertices: the source's columns share no memory with the copy's, and
+    the source keeps its weights."""
     scn = generate(ScenarioConfig(n_uds=12, seed=3))
     full = enumerate_full(scn)
     weights = full.weights.copy()
     half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
     for keep in (np.ones(len(full), bool), full.u2 < 0):
-        copy = reweighed(scn, full, keep, half)
+        source = _gathered(full, np.arange(len(full))) if keep.all() else full
+        got = _kept(scn, source, keep, half)
         for name in GRAPH_COLUMNS:
             column = getattr(full, name)
-            assert not np.shares_memory(getattr(copy, name), column), name
+            assert not np.shares_memory(getattr(got, name), column), name
         assert full.weights.tobytes() == weights.tobytes()
-        assert copy.weights.tobytes() != weights[keep].tobytes()
+        assert got.weights.tobytes() != weights[keep].tobytes()
 
 
 def test_kept_weighs_in_place_only_when_every_vertex_stays():
     """_kept hands back the solved graph itself, weighed in place, when its
-    mask keeps every vertex, and reweighed's copy otherwise; either way
-    every column equals reweighed's."""
+    mask keeps every vertex, and a gathered copy otherwise; either way
+    every column equals the copying reference's."""
     scn = generate(ScenarioConfig(n_uds=12, seed=3))
     half = {ap.id: ap.f_loc_max_cps / 2 for ap in scn.aps}
     cells = _cell_columns(scn, *oracles.full_cells_by_ap(scn))
     for every in (True, False):
         solved, _ = _solve(scn, cells, False)
         keep = np.ones(len(solved), bool) if every else solved.u2 < 0
-        want = reweighed(scn, solved, keep, half)
+        want = oracles.reweighed_by_copy(scn, solved, keep, half)
         got = _kept(scn, solved, keep, half)
         assert (got is solved) == every
         assert_same_graph(got, want)

@@ -1,6 +1,7 @@
 """Minimum-weight maximal independent set search, against the exact
 search and the validity checks in tests/oracles.py."""
 
+import copy
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from nomec import (ConflictGraph, NomaAssociation, ScenarioConfig, build_pruned,
                    enumerate_full, generate, greedy_min_wis, modified_ranks,
                    random_maximal_is)
-from nomec.graph import reweighed
+from nomec.graph import _kept
 from nomec import mwis
 from nomec.mwis import _scan
 import oracles
@@ -271,7 +272,8 @@ def test_modified_ranks_match_oracle():
 
 def bit_identity_corpus():
     """Full and pruned graphs at n_uds 1/8/24/96 in both CC2 modes, each
-    full graph also reweighed under random masks at random per-AP f_loc."""
+    full graph also weighed by _kept under random masks at random per-AP
+    f_loc."""
     rng = np.random.default_rng(59)
     for n_uds in (1, 8, 24, 96):
         scn = generate(ScenarioConfig(n_uds=n_uds, seed=59 + n_uds))
@@ -283,7 +285,7 @@ def bit_identity_corpus():
                 keep = rng.random(len(full)) < rng.uniform(0.1, 1.0)
                 f_loc = {ap.id: float(rng.uniform(0.2, 1.0)) * ap.f_loc_max_cps
                          for ap in scn.aps}
-                yield reweighed(scn, full, keep, f_loc)
+                yield _kept(scn, copy.copy(full), keep, f_loc)
 
 
 def singleton_rows(graph):
@@ -297,8 +299,9 @@ def singleton_rows(graph):
 
 def stage1_corpus(rng):
     """Full and pruned graphs at n_uds 8/24/96 in both CC2 modes, each full
-    graph also reweighed at random per-AP f_loc after dropping random UDs,
-    APs and RRB indices, the way stage 1 drops committed clusters."""
+    graph also weighed by _kept at random per-AP f_loc after dropping
+    random UDs, APs and RRB indices, the way stage 1 drops committed
+    clusters."""
     for n_uds in (8, 24, 96):
         scn = generate(ScenarioConfig(n_uds=n_uds, seed=67 + n_uds))
         for strict in (False, True):
@@ -315,7 +318,7 @@ def stage1_corpus(rng):
                         & active_rrb[full.rrb_arr])
                 f_loc = {ap.id: float(rng.uniform(0.05, 1.0)) * ap.f_loc_max_cps
                          for ap in scn.aps}
-                yield reweighed(scn, full, keep, f_loc)
+                yield _kept(scn, copy.copy(full), keep, f_loc)
 
 
 def test_original_greedy_on_the_singletons_picks_what_it_picks_on_the_whole_graph():

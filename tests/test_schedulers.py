@@ -11,7 +11,7 @@ from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
                    NomaAssociation, Schedule, ScenarioConfig, allocate_local,
                    enumerate_full, generate, greedy_min_wis, modified_ranks, run_scheme)
 from nomec import graph as graph_module
-from nomec.graph import reweighed
+from nomec.graph import _kept
 from nomec import schedulers
 from nomec.model import InvalidAssignmentError
 from nomec.mwis import ORDERINGS
@@ -308,7 +308,7 @@ def stage1_replay(scn, cfg, strict, ordering, calls, iterations):
     for it in range(iterations):
         fresh = enumerate_full(dataclasses.replace(scn, coverage=coverage),
                                strict_cc2=strict, rrbs=rrbs)
-        fresh = reweighed(scn, fresh, np.ones(len(fresh), bool), f_loc)
+        fresh = _kept(scn, fresh, np.ones(len(fresh), bool), f_loc)
         key = (tuple(sorted(coverage.items())), tuple(rrbs), tuple(f_loc.values()))
         if key in seen:
             first, graph, picks = seen[key]
