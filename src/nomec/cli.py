@@ -1,6 +1,8 @@
 """Command line front end for the simulator.
 
-Exit codes: 0 on success, 1 on bad arguments or config, 2 on runtime failure.
+Exit codes: 0 on success, 1 on bad arguments or config, 2 on runtime failure,
+which includes a trial that raised or reported a non-finite metric: its row
+has status "error", and every row and the summary are still written.
 """
 
 import argparse
@@ -122,6 +124,10 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: unexpected failure: {exc}", file=sys.stderr)
+        return 2
+    failed = sum(row.status != "ok" for row in rows)
+    if failed:
+        print(f"error: {failed} of {len(rows)} scheme trials failed", file=sys.stderr)
         return 2
     return 0
 

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -99,6 +100,7 @@ class ResultRow:
     scheduled: int
     wall_time_s: float
     vertices: int
+    status: str = "ok"      # "error" for a trial that raised or gave a non-finite metric
 
 
 # the CSV header and read_rows' conversions follow ResultRow's fields
@@ -123,7 +125,9 @@ def _scalar_value(value):
 
 def _run_value(args):
     """All trials and schemes for one sweep value, on the scenario
-    generated for it. Top-level for pickling."""
+    generated for it. A trial that raises, or whose latency, energy or
+    cost is not finite, warns on stderr and gets an all-zero row with
+    status "error". Top-level for pickling."""
     spec, index, value, scenario = args
     rows = []
     options = {"strict_cc2": spec.strict_cc2, "fallback_local": spec.fallback_local,
@@ -135,11 +139,14 @@ def _run_value(args):
             start = time.perf_counter()
             try:
                 _, plan = run_scheme(trial_scn, scheme, seed=seed, **options)
+                for name in ("latency_s", "energy_j", "cost"):     # as Metrics names them
+                    if not math.isfinite(getattr(plan.metrics, name)):
+                        raise ArithmeticError(f"{name} is {getattr(plan.metrics, name)!r}")
             except Exception as exc:  # noqa: BLE001 - one bad trial must not sink the sweep
                 print(f"warning: {scheme} failed at {spec.sweep_var}={value} "
                       f"trial {trial}: {exc}", file=sys.stderr)
                 rows.append(ResultRow(scheme, spec.sweep_var, _scalar_value(value),
-                                      trial, 0.0, 0.0, 0.0, 0, 0, 0.0, 0))
+                                      trial, 0.0, 0.0, 0.0, 0, 0, 0.0, 0, "error"))
                 continue
             elapsed = time.perf_counter() - start if spec.timings else 0.0
             m = plan.metrics
@@ -169,19 +176,23 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
 
 
 def summarize(rows):
-    """Aggregate trials: mean and population standard deviation per
-    (scheme, sweep_value), ordered as first encountered."""
+    """Aggregate trials: per (scheme, sweep_value), ordered as first
+    encountered, the trial count, how many of them failed, and the mean
+    and population standard deviation over the ok trials, None when none
+    is ok."""
     groups = {}     # insertion order is the order of first appearance
     for row in rows:
         groups.setdefault((row.scheme, row.sweep_value), []).append(row)
     out = []
     for (scheme, value), group in groups.items():
+        ok = [r for r in group if r.status == "ok"]
         summary = {"scheme": scheme, "sweep_var": group[0].sweep_var,
-                   "sweep_value": value, "trials": len(group)}
+                   "sweep_value": value, "trials": len(group),
+                   "failed": len(group) - len(ok)}
         for metric in ("latency_s", "energy_j", "cost", "capacity", "scheduled"):
-            data = np.array([getattr(r, metric) for r in group], dtype=float)
-            summary[f"{metric}_mean"] = float(data.mean())
-            summary[f"{metric}_std"] = float(data.std(ddof=0))
+            data = np.array([getattr(r, metric) for r in ok], dtype=float)
+            summary[f"{metric}_mean"] = float(data.mean()) if ok else None
+            summary[f"{metric}_std"] = float(data.std(ddof=0)) if ok else None
         out.append(summary)
     return out
 

@@ -167,7 +167,7 @@ def test_rate_floor_beyond_float_range_runs_clean(capsys):
     assert len(rows) == 10
     # the unreachable floor schedules nobody: zero cost, capacity and vertices
     for row in rows[5:]:
-        assert row.split(",")[6:9] == ["0.0", "0", "0"] and row.endswith(",0")
+        assert row.split(",")[6:9] == ["0.0", "0", "0"] and row.endswith(",0,ok")
     assert all(row.split(",")[7] != "0" for row in rows[:5])
 
 
@@ -280,3 +280,33 @@ def test_edge_config_values_run_clean_or_are_refused(tmp_path, capsys):
                     (case, row)
     # bools, strings and values below each field's range are refused
     assert refused >= 3 * len(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("fields", [
+    {"w_energy": 1e300, "rrb_bandwidth_hz": 1e300},
+    {"density_cpb": 1e300, "w_latency": 1e100},
+    {"q_idle_factor": 1e300, "f_mec_cps": 1e-100},
+], ids=lambda fields: ",".join(fields))
+def test_a_non_finite_metric_fails_its_trial(tmp_path, capsys, fields):
+    """Two finite fields that each pass the config's checks can still
+    overflow a trial's latency, energy or cost. Such a trial is a failed
+    one: it warns naming the metric, its row has status error, and the
+    run exits 2, so no ok row holds an inf or NaN. Nothing warns through
+    the warnings module or raises out of main."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"n_uds": 8, **fields}), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["--config", str(path), "--trials", "1"], capsys)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 2 and "Warning" not in err and "Traceback" not in err, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 5
+    failed = [row for row in rows if row["status"] == "error"]
+    assert failed and {row["status"] for row in rows} <= {"ok", "error"}
+    for row in failed:
+        assert any(f"warning: {row['scheme']} failed at n_uds=8 trial 0: {metric} is inf" in err
+                   for metric in ("latency_s", "energy_j", "cost")), (row, err)
+    for row in rows:
+        if row["status"] == "ok":
+            assert all(math.isfinite(float(row[k])) for k in ("latency_s", "energy_j", "cost")), row

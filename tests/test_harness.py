@@ -1,15 +1,19 @@
 """Monte Carlo harness: sweeps, determinism, summaries, and I/O."""
 
+import ast
 import concurrent.futures
 import json
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from nomec import (CSV_COLUMNS, ConfigError, ExperimentSpec, HarnessError, ResultRow,
                    ScenarioConfig, run_experiment)
 from nomec import harness
+from nomec.cli import main
 from nomec.harness import emit, read_rows, rows_to_csv, rows_to_json, summarize
 
 TINY = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, rrbs_per_ap=2)
@@ -178,16 +182,55 @@ def test_wall_time_column():
     assert all(r.vertices > 0 for r in on)
 
 
-def test_failed_trial_yields_zero_row(monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise RuntimeError("injected failure")
+def test_failed_trial_yields_error_row(monkeypatch, tmp_path, capsys):
+    """One injected failure, through the CLI: the failed trial gets an
+    all-zero row with status error and its error reaches stderr; every
+    other row is the clean run's; the summary counts the failure and
+    averages the other trials only; and the run exits 2 after writing
+    every row and the summary."""
+    clean = run_experiment(tiny_spec(trials=3))
+    real, calls = harness.run_scheme, []
 
-    monkeypatch.setattr("nomec.harness.run_scheme", boom)
-    rows = run_experiment(tiny_spec(schemes=("joint",), trials=1))
+    def fail_second_joint(scenario, scheme, **kwargs):
+        calls.append(scheme)
+        if scheme == "joint" and calls.count("joint") == 2:
+            raise RuntimeError("injected failure")
+        return real(scenario, scheme, **kwargs)
+
+    monkeypatch.setattr("nomec.harness.run_scheme", fail_second_joint)
+    config, out = tmp_path / "tiny.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps({"n_uds": 6, "n_aps": 3, "n_mecs": 2, "rrbs_per_ap": 2}),
+                      encoding="utf-8")
+    code = main(["--config", str(config), "--schemes", "random,joint", "--trials", "3",
+                 "--seed", "1", "--summary", "--out", str(out)])
     err = capsys.readouterr().err
-    assert "injected failure" in err
-    assert rows == [ResultRow("joint", "n_uds", 6.0, 0,
-                              0.0, 0.0, 0.0, 0, 0, 0.0, 0)]
+    assert code == 2
+    assert "injected failure" in err and err.endswith("error: 1 of 6 scheme trials failed\n")
+    failed = ResultRow("joint", "n_uds", 6.0, 1, 0.0, 0.0, 0.0, 0, 0, 0.0, 0, "error")
+    assert read_rows(str(out)) == [failed if (r.scheme, r.trial) == ("joint", 1) else r
+                                   for r in clean]
+    summaries = {s["scheme"]: s for s in map(ast.literal_eval, err.splitlines()[1:-1])}
+    assert summaries["random"]["failed"] == 0 and summaries["joint"]["failed"] == 1
+    for scheme, summary in summaries.items():
+        ok = [r for r in clean if r.scheme == scheme and (scheme, r.trial) != ("joint", 1)]
+        assert summary["trials"] == 3
+        for metric in ("latency_s", "energy_j", "cost", "capacity", "scheduled"):
+            assert summary[f"{metric}_mean"] == float(np.mean([getattr(r, metric) for r in ok]))
+
+
+def test_summarize_leaves_failed_trials_out():
+    """Error rows count as failed and stay out of the means; a group with
+    no ok trial gets None means and deviations, without a numpy warning."""
+    rows = [make_row(trial=0, cost=1.0), make_row(trial=1, cost=0.0, status="error"),
+            make_row(trial=2, cost=3.0), make_row(scheme="random", status="error")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        joint, random_ = summarize(rows)
+    assert (joint["trials"], joint["failed"]) == (3, 1)
+    assert joint["cost_mean"] == 2.0 and joint["cost_std"] == 1.0
+    assert (random_["trials"], random_["failed"]) == (1, 1)
+    assert all(random_[f"{metric}_{stat}"] is None for stat in ("mean", "std")
+               for metric in ("latency_s", "energy_j", "cost", "capacity", "scheduled"))
 
 
 def test_summarize_values():
@@ -216,11 +259,12 @@ def test_summarize_groups_by_scheme_and_value():
 
 def test_csv_round_trip(tmp_path):
     rows = [make_row(latency_s=1.0 / 3.0, energy_j=2e-7),
-            make_row(trial=1, scheme="random", wall_time_s=0.25)]
+            make_row(trial=1, scheme="random", wall_time_s=0.25),
+            make_row(trial=2, status="error")]
     text = rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 3
+    assert len(lines) == 4
     path = tmp_path / "rows.csv"
     path.write_text(text, encoding="utf-8")
     assert read_rows(str(path)) == rows
