@@ -118,7 +118,8 @@ def _sum_by(weights, keys):
 
 def modified_weight(i: int, graph: ConflictGraph) -> float:
     """Vertex i's weight times the total weight of the other vertices its
-    packed adjacency row leaves out."""
+    packed adjacency row leaves out. No scheduling path calls it:
+    perfbench/tracer.py wraps mwis.modified_weight by name."""
     w = graph.weights
     adj_sum = float(w[np.unpackbits(graph.adj_bits[i], count=len(w)).astype(bool)].sum())
     return float(w[i] * (w.sum() - w[i] - adj_sum))
