@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import REL_TOL
+from .model import cap_side
 from .power import ClusterPowerSolution, solve_pairs_batch
 # kept bound here: perfbench/tracer.py wraps graph.solve_singletons_batch by name
 from .power import solve_singletons_batch  # noqa: F401
@@ -56,9 +56,9 @@ class NomaAssociation:
 
 
 def _default_slot(ap, rrb):
-    """Per cell, its default-CC2 slot ap * (largest rrb + 1) + rrb: ap
-    itself when every rrb is 0."""
-    return ap * (int(rrb.max()) + 1) + rrb if rrb.any() else ap
+    """Per cell, its default-CC2 slot ap * (largest rrb + 1) + rrb, which
+    is ap when every rrb is 0."""
+    return ap * (int(rrb.max(initial=0)) + 1) + rrb
 
 
 class ConflictGraph:
@@ -275,11 +275,11 @@ def _solve(scenario, cells, strict_cc2: bool):
 
 def _gathered(graph: ConflictGraph, rows) -> ConflictGraph:
     """An unweighed copy of the vertices of a solved graph at the ascending
-    positions rows, reusing powers and rates."""
-    u1, u2, rrb, ap, p1, p2, r1, r2, obj = (
+    positions rows, reusing powers, rates and slots."""
+    u1, u2, rrb, ap, p1, p2, r1, r2, obj, slot = (
         col.take(rows) for col in (graph.u1, graph.u2, graph.rrb_arr, graph.ap_arr, graph._p1,
-                                   graph._p2, graph._r1, graph._r2, graph._obj))
-    return ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, graph.strict_cc2)
+                                   graph._p2, graph._r1, graph._r2, graph._obj, graph.slot))
+    return ConflictGraph(u1, u2, rrb, ap, None, p1, p2, r1, r2, obj, graph.strict_cc2, slot)
 
 
 def _kept(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
@@ -345,13 +345,13 @@ def _pruned_cells(scenario):
     for a, ap in enumerate(scenario.aps):
         covered[a, list(scenario.coverage[ap.id])] = True
     budget = np.array([ap.f_loc_max_cps / ap.num_rrbs for ap in scenario.aps])[:, None]
-    below = load < budget * (1.0 - REL_TOL)
-    on_budget = ~below & (np.abs(load - budget) <= REL_TOL * budget)
+    side = cap_side(load, budget)
+    on_budget = side == 0
     seeds, slots = [], []           # per seeded slot, its seed and (AP index, RRB)
     used_seeds = set()
     slot_index = 0
     for a, ap in enumerate(scenario.aps):
-        ids = np.flatnonzero(covered[a] & (below[a] | on_budget[a])).tolist()
+        ids = np.flatnonzero(covered[a] & (side[a] <= 0)).tolist()
         for z in range(ap.num_rrbs):
             # scan from position slot_index mod N, wrapping around; the
             # first qualifying UD that has not seeded yet wins, else the first
@@ -369,7 +369,7 @@ def _pruned_cells(scenario):
     # take is the seed's singleton, column u + 1 its pair with UD u
     pooled = (cycles[seeds, None] + cycles) / (2 * np.minimum(deadline[seeds, None], deadline))
     take = np.ones((seeds.size, n + 1), dtype=bool)
-    take[:, 1:] = (covered[slot_ap] & (pooled <= budget[slot_ap] * (1.0 + REL_TOL))
+    take[:, 1:] = (covered[slot_ap] & (cap_side(pooled, budget[slot_ap]) <= 0)
                    & ~on_budget[slot_ap, seeds][:, None])
     take[np.arange(seeds.size), seeds + 1] = False
     row, col = np.nonzero(take)
@@ -383,12 +383,12 @@ def build_pruned(scenario, strict_cc2: bool = False) -> ConflictGraph:
     """Reduced candidate set: one seed UD per RRB slot.
 
     Slots are enumerated (ap, rrb) in order; slot s tries covered UDs
-    starting at position s mod N until one passes the single-task load test
-    load < f_loc_max / Z, preferring UDs that have not yet seeded another
+    starting at position s mod N until one's single task is not above
+    f_loc_max / Z by cap_side, preferring UDs that have not yet seeded another
     slot so the seeds spread round-robin over the population. A feasible
     seed contributes its singleton plus a pair with every other covered UD
-    passing the pooled two-task load test; a seed sitting exactly on the
-    threshold (within a relative REL_TOL) contributes only its singleton.
+    whose pooled two-task load is not above it; a seed at the threshold
+    (cap_side 0) contributes only its singleton.
     Weights use the AP's frequency cap. The vertex set is always a subset
     of the full graph's. The candidate clusters depend on the topology
     alone, so they are chosen once per scenario; powers and weights are

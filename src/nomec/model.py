@@ -208,6 +208,12 @@ def mec_cost(group, ap: AccessPoint, mec: MecServer, channel: ChannelState,
 REL_TOL = 1e-9
 
 
+def cap_side(demand, cap):
+    """-1 where demand is below cap, 0 where it is at cap within REL_TOL,
+    1 where it is above or NaN; for floats and arrays alike."""
+    return (1 - 2 * (demand < cap)) * (1 - (abs(demand - cap) <= REL_TOL * cap))
+
+
 def sum_left_to_right(values):
     """values added one at a time from 0; sum() compensates floats on Python 3.12+."""
     return functools.reduce(operator.add, values, 0)
@@ -252,8 +258,7 @@ def system_metrics(schedule, plan, scenario) -> Metrics:
         offload = plan.local.x.get(ap_id, False)
         if not offload:
             d, e = local_cost(group, plan.local.f_loc[ap_id], w)
-            demand = group_demand_cps(tasks)
-            ok = demand <= ap.f_loc_max_cps * (1.0 + REL_TOL)
+            ok = cap_side(group_demand_cps(tasks), ap.f_loc_max_cps) <= 0
         elif plan.admission.y.get(ap_id, False):
             mec = scenario.mecs[plan.admission.assignment[ap_id]]
             d, e = mec_cost(group, ap, mec, scenario.channel, w, bh_scaled)

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .model import REL_TOL, group_demand_cps, local_cost, sum_left_to_right
+from .model import cap_side, group_demand_cps, local_cost, sum_left_to_right
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ def allocate_local(groups: dict, caps: dict) -> LocalAllocation:
     """Three-case closed form per AP group against that AP's cap in caps.
 
     Demand D = total cycles / (group size * tightest deadline). D below the
-    cap gets f = D with no offload; D at the cap (within REL_TOL) gets the
+    cap gets f = D with no offload; D at the cap (cap_side 0) gets the
     cap; D above the cap flags the group for offloading (f_loc then holds
     the cap as the best-effort fallback frequency). Empty groups are
     skipped with x False and f 0.
@@ -37,15 +37,9 @@ def allocate_local(groups: dict, caps: dict) -> LocalAllocation:
             x_out[ap_id] = False
             continue
         demand = group_demand_cps(tasks)
-        if abs(demand - cap) <= REL_TOL * cap:
-            f_out[ap_id] = cap
-            x_out[ap_id] = False
-        elif demand < cap:
-            f_out[ap_id] = demand
-            x_out[ap_id] = False
-        else:
-            f_out[ap_id] = cap
-            x_out[ap_id] = True
+        side = cap_side(demand, cap)
+        f_out[ap_id] = demand if side < 0 else cap
+        x_out[ap_id] = side > 0
     return LocalAllocation(f_out, x_out)
 
 

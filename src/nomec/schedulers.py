@@ -73,10 +73,11 @@ def _stage1(scenario, opt: _Options):
     """Alternate scheduling and local allocation until the offload flags and
     per-AP frequencies stop changing.
 
-    Groups flagged for offloading are frozen and their UDs and AP leave the
-    next iteration's pool, and under strict CC2 their RRB indices, which a
-    frozen cluster holds on every AP. The cached full cells are solved once,
-    unweighed; the pool, private to the call, gathers their feasible rows
+    Groups flagged for offloading are frozen and their UDs, AP and slots
+    leave the next iteration's pool; under strict CC2 a slot is an RRB
+    index, which a frozen cluster holds on every AP, and under the default
+    rule the AP's own. The cached full cells are solved once, unweighed;
+    the pool, private to the call, gathers their feasible rows
     and keeps its frequency-free weight terms, so each new input weighs it
     again in five array operations, and the greedy searches the whole pool.
     When APs commit, the pool, its terms and its rows of the solved cells
@@ -97,19 +98,19 @@ def _stage1(scenario, opt: _Options):
     caps = _caps(scenario)
     f_loc = dict(caps)
     committed = []
-    # per UD, AP id and RRB index, whether it is still in the pool; the
-    # extra last UD entry stays set, so a singleton's u2 = -1 never removes it
-    active = (np.ones(len(scenario.devices) + 1, dtype=bool),
-              np.ones(len(scenario.aps), dtype=bool),
-              np.ones(max(ap.num_rrbs for ap in scenario.aps), dtype=bool))
-    active_ud, active_ap, active_rrb = active
-
-    def in_pool(g, ud, ap, rrb):
-        return ud[g.u1] & ud[g.u2] & ap[g.ap_arr] & rrb[g.rrb_arr]
-
     tasks = [d.task for d in scenario.devices]
     cells = _cached(scenario, ("full_cells", None), _full_cells)
     solved, feas = _solve(scenario, cells, opt.strict_cc2)
+    # per UD, AP id and slot of solved, whether it is still in the pool; the
+    # extra last UD entry stays set, so a singleton's u2 = -1 never removes it
+    active = (np.ones(len(scenario.devices) + 1, dtype=bool),
+              np.ones(len(scenario.aps), dtype=bool),
+              np.ones(int(solved.slot.max(initial=-1)) + 1, dtype=bool))
+    active_ud, active_ap, active_slot = active
+
+    def in_pool(g, ud, ap, slot):
+        return ud[g.u1] & ud[g.u2] & ap[g.ap_arr] & slot[g.slot]
+
     # the pool's rows of solved, its vertices and their frequency-free terms
     rows = np.flatnonzero(feas if opt.ordering == "modified" else feas & (solved.u2 < 0))
     pool = _gathered(solved, rows)
@@ -145,13 +146,12 @@ def _stage1(scenario, opt: _Options):
             break
         if new_flags:   # a repeated input never flags: flagging shrinks the pool
             masks = [a.copy() for a in active]
-            for a in pool.vertices_at([i for i, m in zip(idx.tolist(), pick_aps)
-                                       if m in new_flags]):
+            at = [i for i, m in zip(idx.tolist(), pick_aps) if m in new_flags]
+            for a in pool.vertices_at(at):
                 committed.append(a)
                 active_ud[list(a.uds)] = False
-                if opt.strict_cc2:
-                    active_rrb[a.rrb] = False
             active_ap[list(new_flags)] = False
+            active_slot[pool.slot[at]] = False
         f_loc.update(f_new)
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
     keep = feas & in_pool(solved, *masks) if key[0] else feas   # key[0]: commits before
