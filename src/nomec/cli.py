@@ -114,8 +114,9 @@ def main(argv=None) -> int:
         rows = run_experiment(spec, workers=args.workers)
         emit(rows, args.out, args.format)
         if args.summary:
+            import json
             for line in summarize(rows):
-                print(line, file=sys.stderr)
+                print(json.dumps(line), file=sys.stderr)
     except ConfigError as exc:     # a scenario the config cannot generate
         print(f"error: {exc}", file=sys.stderr)
         return 1

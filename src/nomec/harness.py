@@ -73,6 +73,9 @@ class ExperimentSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise HarnessError(f"{name} must be an int >= {low}, got {value!r}")
+        for name in ("strict_cc2", "fallback_local", "timings"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise HarnessError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.mwis_ordering not in ORDERINGS:
             raise HarnessError(f"unknown mwis_ordering {self.mwis_ordering!r}")
         reported = {}     # per sweep_value, the first sweep value reported as it

@@ -262,10 +262,11 @@ def run_scheme(scenario, scheme: str, seed: int = 0, max_iters: int = 5,
                fallback_local: bool = True):
     """Run one scheme on one channel realization; returns (Schedule, OffloadPlan).
 
-    seed drives only the random scheme and max_iters only the stage-1
-    alternation of joint and local; mwis_ordering applies to joint and
-    pruning. fallback_local lets rejected offload candidates of joint,
-    pruning and random run best-effort locally instead of failing.
+    seed, an int >= 0, drives only the random scheme and max_iters only
+    the stage-1 alternation of joint and local; mwis_ordering applies to
+    joint and pruning. fallback_local lets rejected offload candidates of
+    joint, pruning and random run best-effort locally instead of failing;
+    it and strict_cc2 must be bools.
     """
     if scheme not in _PIPELINES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -273,6 +274,11 @@ def run_scheme(scenario, scheme: str, seed: int = 0, max_iters: int = 5,
         raise ValueError(f"unknown ordering {mwis_ordering!r}")
     if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
         raise ValueError(f"max_iters must be an int >= 1, got {max_iters!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    for name, flag in (("strict_cc2", strict_cc2), ("fallback_local", fallback_local)):
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a bool, got {flag!r}")
     select, admit, may_fall_back, offload_all = _PIPELINES[scheme]
     assocs, graph, picks, extras = select(
         scenario, _Options(seed, max_iters, strict_cc2, mwis_ordering))

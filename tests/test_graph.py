@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from nomec import (SCHEMES, ClusterPowerSolution, NomaAssociation, ScenarioConfig, build_full,
-                   build_pruned, enumerate_full, generate, group_demand_cps, modified_weight,
-                   run_scheme)
+from nomec import (SCHEMES, ClusterPowerSolution, NomaAssociation, ScenarioConfig, Task,
+                   allocate_local, build_full, build_pruned, enumerate_full, generate,
+                   group_demand_cps, modified_weight, run_scheme)
 from nomec.graph import _caps, _cell_columns, _gathered, _kept, _solve
+from nomec.model import REL_TOL
 from nomec.scenario import realize_channels, with_channel
 import oracles
 from oracles import conflicts, graph_of
@@ -318,10 +319,44 @@ def test_build_pruned_threshold_seed_is_singleton_only():
     assert all(len(v.uds) == 1 for v in pruned.vertices)
 
 
+def test_build_pruned_seeds_exactly_the_tasks_allocate_local_keeps_local():
+    """With one UD, one AP and one RRB, build_pruned holds the UD's
+    singleton exactly when allocate_local keeps its task local, and the
+    local scheme counts it in capacity then: at loads on both spellings of
+    the tolerance band's edges and one float step either side of each. The
+    first load lies between the two spellings of the lower edge."""
+    cap = 270516927.05010647
+    scn = generate(ScenarioConfig(n_uds=1, n_aps=1, n_mecs=1, rrbs_per_ap=1,
+                                  f_loc_max_cps=cap, ap_coverage_m=1e4))
+    edges = (cap * (1 - REL_TOL), cap - REL_TOL * cap, cap * (1 + REL_TOL), cap + REL_TOL * cap)
+    loads = [270516926.77958953] + [load for edge in edges for load in (
+        math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+    outcomes = set()
+    for load in loads:
+        # density 1 and a 1 s deadline make the load the task size
+        task = Task(load, 1.0, 1.0)
+        one = dataclasses.replace(scn, devices=(dataclasses.replace(scn.devices[0], task=task),))
+        local = not allocate_local({0: [task]}, {0: cap}).x[0]
+        assert len(enumerate_full(one)) == 1
+        assert len(build_pruned(one)) == local, load
+        assert run_scheme(one, "local")[1].metrics.effective_capacity == local, load
+        outcomes.add(local)
+    assert outcomes == {True, False}
+
+
 def test_build_pruned_empty_when_loads_violate():
     cfg = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, density_cpb=8000.0, seed=11)
     scn = generate(cfg)
     assert len(build_pruned(scn)) == 0
+
+
+def test_gathered_keeps_the_source_slots():
+    """A copy without the top RRB keeps its source's slot numbers instead
+    of renumbering them from its own rows."""
+    graph = enumerate_full(generate(ScenarioConfig(n_uds=12, seed=3)))
+    rows = np.flatnonzero(graph.rrb_arr < 2)
+    assert 0 < rows.size < len(graph)
+    assert np.array_equal(_gathered(graph, rows).slot, graph.slot[rows])
 
 
 def test_custom_graph_lazy_vertex_access():

@@ -1,6 +1,5 @@
 """Monte Carlo harness: sweeps, determinism, summaries, and I/O."""
 
-import ast
 import concurrent.futures
 import json
 import subprocess
@@ -54,6 +53,14 @@ def test_spec_validation():
         with pytest.raises(HarnessError, match="master_seed"):
             tiny_spec(master_seed=value)
     assert tiny_spec(master_seed=0).master_seed == 0
+
+
+@pytest.mark.parametrize("name", ["strict_cc2", "fallback_local", "timings"])
+@pytest.mark.parametrize("value", ["off", "no", 0, 1, None])
+def test_spec_flags_must_be_bools(name, value):
+    with pytest.raises(HarnessError, match=f"^{name} must be a bool"):
+        tiny_spec(**{name: value})
+    assert getattr(tiny_spec(**{name: np.bool_(True)}), name)
 
 
 def test_spec_rejects_unsweepable_fields_by_name():
@@ -209,13 +216,38 @@ def test_failed_trial_yields_error_row(monkeypatch, tmp_path, capsys):
     failed = ResultRow("joint", "n_uds", 6.0, 1, 0.0, 0.0, 0.0, 0, 0, 0.0, 0, "error")
     assert read_rows(str(out)) == [failed if (r.scheme, r.trial) == ("joint", 1) else r
                                    for r in clean]
-    summaries = {s["scheme"]: s for s in map(ast.literal_eval, err.splitlines()[1:-1])}
+    summaries = {s["scheme"]: s for s in map(json.loads, err.splitlines()[1:-1])}
     assert summaries["random"]["failed"] == 0 and summaries["joint"]["failed"] == 1
     for scheme, summary in summaries.items():
         ok = [r for r in clean if r.scheme == scheme and (scheme, r.trial) != ("joint", 1)]
         assert summary["trials"] == 3
         for metric in ("latency_s", "energy_j", "cost", "capacity", "scheduled"):
             assert summary[f"{metric}_mean"] == float(np.mean([getattr(r, metric) for r in ok]))
+
+
+def test_summary_lines_parse_as_json(monkeypatch, capsys):
+    """Every --summary line of a run with failed trials is one JSON
+    object; a group with no ok trial reads null for its means."""
+    real = harness.run_scheme
+
+    def fail_joint(scenario, scheme, **kwargs):
+        if scheme == "joint":
+            raise RuntimeError("injected failure")
+        return real(scenario, scheme, **kwargs)
+
+    monkeypatch.setattr("nomec.harness.run_scheme", fail_joint)
+    code = main(["--schemes", "random,joint", "--trials", "2", "--sweep", "n_uds=6,8",
+                 "--summary", "--out", "-"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and err[-1] == "error: 4 of 8 scheme trials failed"
+    assert all(line.startswith("warning: joint failed") for line in err[:4])
+    summaries = [json.loads(line) for line in err[4:-1]]
+    assert [(s["scheme"], s["sweep_value"], s["failed"]) for s in summaries] == [
+        ("random", 6.0, 0), ("joint", 6.0, 2), ("random", 8.0, 0), ("joint", 8.0, 2)]
+    for line, summary in zip(err[4:-1], summaries):
+        joint = summary["scheme"] == "joint"
+        assert (summary["cost_mean"] is None) == joint
+        assert ('"cost_mean": null, "cost_std": null' in line) == joint
 
 
 def test_summarize_leaves_failed_trials_out():

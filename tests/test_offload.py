@@ -1,11 +1,14 @@
 """Local CPU allocation, layer weights, and admission control."""
 
+import math
+
+import numpy as np
 import pytest
 
 from nomec import (AccessPoint, ChannelState, CostWeights, MecServer, Task,
                    admission_control, allocate_local, backhaul_rates,
                    first_layer_weight, group_demand_cps, second_layer_weights)
-from nomec.model import sum_left_to_right
+from nomec.model import cap_side, sum_left_to_right
 from conftest import gain_arrays
 import oracles
 
@@ -55,6 +58,23 @@ def test_allocate_local_tolerance_band():
     alloc = allocate_local(groups, {0: cap})
     assert alloc.f_loc[0] == cap
     assert alloc.x[0] is False
+
+
+def test_cap_side_is_allocate_locals_three_cases():
+    """cap_side's -1, 0 and 1 are allocate_local's three cases, f = D, f at
+    the cap and offload, for floats and arrays alike; NaN and inf demands
+    count as above the cap."""
+    cap = 1e9
+    cases = [(0.5 * cap, -1), (cap * (1 - 1e-8), -1), (cap * (1 - 1e-10), 0), (cap, 0),
+             (cap * (1 + 1e-10), 0), (cap * (1 + 1e-8), 1), (2 * cap, 1), (math.inf, 1),
+             (math.nan, 1)]
+    assert cap_side(np.array([d for d, _ in cases]), cap).tolist() == [s for _, s in cases]
+    for demand, side in cases:
+        assert cap_side(demand, cap) == side
+        # density 1 and a 1 s deadline make the group demand the task size
+        alloc = allocate_local({0: [Task(demand, 1.0, 1.0)]}, {0: cap})
+        assert alloc.x[0] is (side > 0)
+        assert alloc.f_loc[0] == (demand if side < 0 else cap)
 
 
 def test_allocate_local_empty_and_invalid():

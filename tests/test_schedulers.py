@@ -249,6 +249,27 @@ def test_max_iters_below_one_rejected():
                 run_scheme(scn, scheme, max_iters=max_iters)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("strict_cc2", "no"), ("strict_cc2", 1), ("strict_cc2", None),
+    ("fallback_local", "off"), ("fallback_local", 0),
+    ("seed", True), ("seed", np.bool_(True)), ("seed", -1), ("seed", 2.0), ("seed", "3"),
+    ("seed", None)])
+def test_non_bool_flags_and_bad_seeds_rejected(name, value):
+    scn = small_scenario(8)
+    for scheme in SCHEMES:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_scheme(scn, scheme, **{name: value})
+
+
+def test_numpy_bools_and_integers_pass_as_flags_and_seeds():
+    scn = small_scenario(8)
+    for scheme in SCHEMES:
+        want = run_scheme(scn, scheme, seed=3, strict_cc2=True, fallback_local=False)[1]
+        got = run_scheme(scn, scheme, seed=np.int64(3), strict_cc2=np.bool_(True),
+                         fallback_local=np.bool_(False))[1]
+        assert got.metrics == want.metrics and got.failed_aps == want.failed_aps
+
+
 def test_unknown_ordering_rejected_by_every_scheme():
     scn = small_scenario(8)
     for scheme in SCHEMES:
