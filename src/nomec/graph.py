@@ -27,6 +27,7 @@ import numpy as np
 
 from .model import cap_side
 from .power import ClusterPowerSolution, solve_pairs_batch
+from .scenario import ConfigError
 # kept bound here: perfbench/tracer.py wraps graph.solve_singletons_batch by name
 from .power import solve_singletons_batch  # noqa: F401
 
@@ -99,14 +100,24 @@ class ConflictGraph:
 
     def vertices_at(self, idx) -> list:
         """The vertices at the positions idx as NomaAssociations, built
-        from one gather per column."""
+        from one gather per column. Each cell is valid by construction, so
+        each NomaAssociation and ClusterPowerSolution is made without its
+        dataclass __init__: its __dict__ is set whole, once. It compares,
+        hashes and refuses assignment as one made by __init__ would."""
+        idx = np.asarray(idx, dtype=np.intp)
         rows = zip(*(col.take(idx).tolist() for col in (
             self.u1, self.u2, self.rrb_arr, self.ap_arr, self.weights,
             self._p1, self._p2, self._r1, self._r2, self._obj)))
-        return [NomaAssociation((a,), z, m, ClusterPowerSolution((p1,), (r1,), obj), w)
-                if b < 0 else
-                NomaAssociation((a, b), z, m, ClusterPowerSolution((p1, p2), (r1, r2), obj), w)
-                for a, b, z, m, w, p1, p2, r1, r2, obj in rows]
+        new, set_fields = object.__new__, object.__setattr__
+        out = []
+        for a, b, z, m, w, p1, p2, r1, r2, obj in rows:
+            uds, powers, rates = ((a,), (p1,), (r1,)) if b < 0 else ((a, b), (p1, p2), (r1, r2))
+            power, vertex = new(ClusterPowerSolution), new(NomaAssociation)
+            set_fields(power, "__dict__", {"powers": powers, "rates": rates, "objective": obj})
+            set_fields(vertex, "__dict__",
+                       {"uds": uds, "rrb": z, "ap": m, "power": power, "weight": w})
+            out.append(vertex)
+        return out
 
     @staticmethod
     def _build_adjacency(u1, u2, slot, block: int = 2048):
@@ -291,11 +302,43 @@ def _kept(scenario, graph: ConflictGraph, keep, f_loc) -> ConflictGraph:
     return g
 
 
+# bytes a full candidate cell takes in columns: its seven cached ones (five
+# int64, two int32), its two gathered gains, the solver's five float outputs
+# and feasibility flag, its weight and its three weight terms
+CELL_BYTES = 40 + 8 + 16 + 41 + 8 + 24
+# the most bytes of full candidate-cell columns a scenario may need
+CELL_BUDGET_BYTES = 2 << 30
+
+
+def full_cell_count(scenario, rrbs=None) -> int:
+    """How many candidate cells _full_cells builds, from the coverage
+    alone: per AP covering k UDs, k singletons and k(k-1)/2 pairs on each
+    of its RRBs, or on each RRB in rrbs."""
+    count = 0
+    for ap in scenario.aps:
+        k = len(scenario.coverage[ap.id])
+        count += (k + k * (k - 1) // 2) * (ap.num_rrbs if rrbs is None else len(rrbs))
+    return count
+
+
+def check_cell_budget(scenario, rrbs=None):
+    """Refuse, with a ConfigError, a scenario whose full candidate cells
+    (those of every RRB, or of the RRBs in rrbs) would take more than
+    CELL_BUDGET_BYTES of columns at CELL_BYTES each."""
+    count = full_cell_count(scenario, rrbs)
+    if count * CELL_BYTES > CELL_BUDGET_BYTES:
+        raise ConfigError(f"n_uds={scenario.config.n_uds} gives {count} full candidate "
+                          f"cells, about {count * CELL_BYTES} bytes of columns, over the "
+                          f"budget of {CELL_BUDGET_BYTES} bytes")
+
+
 def _full_cells(scenario, rrbs=None):
     """enumerate_full's candidate cells as _cell_columns' seven columns,
     AP by AP and RRB by RRB (every RRB of the AP, or those in rrbs): the
     covered UDs as singletons, then their pairs in triu order. An AP's id
-    is its position."""
+    is its position. check_cell_budget refuses the set before any of it
+    is built."""
+    check_cell_budget(scenario, rrbs)
     cells = [[np.empty(0, dtype=np.int64)] * 4]
     for ap in scenario.aps:
         ids = np.array(sorted(scenario.coverage[ap.id]), dtype=np.int64)

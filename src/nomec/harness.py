@@ -19,7 +19,7 @@ import numpy as np
 from .scenario import CONFIG_FIELDS, ScenarioConfig, generate, realize_channels, with_channel
 from .model import sum_left_to_right
 from .mwis import ORDERINGS
-from .schedulers import SCHEMES, run_scheme
+from .schedulers import SCHEMES, check_size, run_scheme
 
 class HarnessError(RuntimeError):
     pass
@@ -162,11 +162,14 @@ def _run_value(args):
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1):
     """Run the sweep and return rows ordered by (value, trial, scheme).
-    Every value's scenario is generated first, so a value that generate
-    refuses stops the sweep before any trial. The pool gets at most one
-    worker per value: a fork-started pool forks all of them at once."""
+    Every value's scenario is generated first, and check_size refuses one
+    whose full candidate cells would pass the byte budget, so a value that
+    either refuses stops the sweep before any trial. The pool gets at most
+    one worker per value: a fork-started pool forks all of them at once."""
     units = [(spec, i, v, generate(_value_config(spec, i, v)))
              for i, v in enumerate(spec.sweep_values)]
+    for unit in units:
+        check_size(unit[3], spec.schemes)
     workers = min(workers, len(units))
     if workers <= 1:
         chunks = [_run_value(u) for u in units]

@@ -6,9 +6,11 @@ linear power gains (dimensionless), noise is total watts over one RRB.
 """
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,19 +153,44 @@ def backhaul_rates(aps, mecs, channel: ChannelState, bandwidth_scaled: bool = Tr
                     for gain in rows[ap.id]] for ap in aps}
 
 
-def _group_totals(group):
-    """(slowest upload time, total bits, total cycles) of a collected group
-    of (Task, upload_rate_bps)."""
-    upload = 0.0
-    bits = 0.0
-    cycles = 0.0
-    for task, rate in group:
+class GroupTotals(NamedTuple):
+    """What every cost formula reads of a nonempty group, from one pass
+    over it in order: the slowest upload (0.0 when no rates are given),
+    the bits, cycles and densities each summed left to right, the
+    tightest deadline and the group size."""
+    upload_s: float
+    bits: float
+    cycles: float
+    density_cpb: float
+    deadline_s: float
+    size: int
+
+
+def _group_totals(tasks, rates=None) -> GroupTotals:
+    """The GroupTotals of a group of Tasks, in one plain loop; rates, when
+    given, are their upload rates in the same order."""
+    upload = bits = cycles = density = 0.0
+    deadline = math.inf
+    for task, rate in zip(tasks, itertools.repeat(math.inf) if rates is None else rates):
         if rate <= 0:
             raise InfeasibleUploadError("upload rate must be positive")
-        upload = max(upload, task.size_bits / rate)
-        bits += task.size_bits
-        cycles += task.cycles
-    return upload, bits, cycles
+        size, per_bit = task.size_bits, task.density_cpb
+        if size / rate > upload:
+            upload = size / rate
+        bits += size
+        cycles += size * per_bit        # task.cycles
+        density += per_bit
+        if task.deadline_s < deadline:
+            deadline = task.deadline_s
+    return GroupTotals(upload, bits, cycles, density, deadline, len(tasks))
+
+
+def _local_cost(totals: GroupTotals, f_loc: float, weights: CostWeights):
+    if f_loc <= 0:
+        raise ValueError("f_loc must be positive for a nonempty group")
+    delay = totals.upload_s + totals.cycles / f_loc
+    energy = weights.alpha_cpu * totals.cycles * f_loc ** 2
+    return delay, energy
 
 
 def local_cost(group, f_loc: float, weights: CostWeights):
@@ -175,11 +202,18 @@ def local_cost(group, f_loc: float, weights: CostWeights):
     """
     if not group:
         return 0.0, 0.0
-    if f_loc <= 0:
-        raise ValueError("f_loc must be positive for a nonempty group")
-    upload, _, cycles = _group_totals(group)
-    delay = upload + cycles / f_loc
-    energy = weights.alpha_cpu * cycles * f_loc ** 2
+    return _local_cost(_group_totals(*zip(*group)), f_loc, weights)
+
+
+def _mec_cost(totals: GroupTotals, ap: AccessPoint, mec: MecServer, channel: ChannelState,
+              bandwidth_scaled: bool):
+    rate_bh = backhaul_rates([ap], [mec], channel, bandwidth_scaled)[ap.id][0]
+    if rate_bh <= 0:
+        raise InvalidTopologyError(f"backhaul ap {ap.id} -> mec {mec.id} has zero rate")
+    t_fwd = totals.bits / rate_bh
+    t_cpu = totals.cycles / mec.f_mec_cps
+    delay = totals.upload_s + t_fwd + t_cpu
+    energy = t_fwd * ap.q_tx_w + t_cpu * ap.q_idle_w
     return delay, energy
 
 
@@ -193,15 +227,7 @@ def mec_cost(group, ap: AccessPoint, mec: MecServer, channel: ChannelState,
     """
     if not group:
         return 0.0, 0.0
-    rate_bh = backhaul_rates([ap], [mec], channel, bandwidth_scaled)[ap.id][0]
-    if rate_bh <= 0:
-        raise InvalidTopologyError(f"backhaul ap {ap.id} -> mec {mec.id} has zero rate")
-    upload, bits, cycles = _group_totals(group)
-    t_fwd = bits / rate_bh
-    t_cpu = cycles / mec.f_mec_cps
-    delay = upload + t_fwd + t_cpu
-    energy = t_fwd * ap.q_tx_w + t_cpu * ap.q_idle_w
-    return delay, energy
+    return _mec_cost(_group_totals(*zip(*group)), ap, mec, channel, bandwidth_scaled)
 
 
 # demands within this relative distance of a cap count as at the cap
@@ -219,16 +245,28 @@ def sum_left_to_right(values):
     return functools.reduce(operator.add, values, 0)
 
 
+def _demand_cps(cycles: float, size: int, deadline: float) -> float:
+    return cycles / (size * deadline)
+
+
 def group_demand_cps(tasks) -> float:
-    """CPU demand of a group processed at its AP, cycles/s: total cycles
-    over the pooled deadline budget len(tasks) * min(deadline)."""
-    cycles = sum_left_to_right(t.cycles for t in tasks)
-    deadline = min(t.deadline_s for t in tasks)
-    return cycles / (len(tasks) * deadline)
+    """CPU demand of a nonempty group processed at its AP, cycles/s: total
+    cycles over the pooled deadline budget len(tasks) * min(deadline),
+    summed in one plain loop."""
+    if not tasks:
+        raise ValueError("the demand of an empty group is undefined")
+    cycles = 0.0
+    deadline = math.inf
+    for task in tasks:
+        cycles += task.size_bits * task.density_cpb     # task.cycles
+        if task.deadline_s < deadline:
+            deadline = task.deadline_s
+    return _demand_cps(cycles, len(tasks), deadline)
 
 
 def system_metrics(schedule, plan, scenario) -> Metrics:
-    """Evaluate a schedule plus offload plan.
+    """Evaluate a schedule plus offload plan, reading each group's
+    GroupTotals from schedule.totals.
 
     Per AP with a nonempty group the cost is (1-x)*local + x*y*MEC; groups
     in plan.failed_aps are dropped from both the latency max and the energy
@@ -250,23 +288,22 @@ def system_metrics(schedule, plan, scenario) -> Metrics:
         if ap_id in plan.failed_aps:
             continue
         ap = scenario.aps[ap_id]
-        group = [(task, rate) for _, task, rate in entries]
-        tasks = [task for _, task, _ in entries]
-        deadline = min(t.deadline_s for t in tasks)
         if ap_id not in plan.local.f_loc:
             raise InvalidAssignmentError(f"plan does not cover ap {ap_id}")
+        totals = schedule.totals(ap_id)
         offload = plan.local.x.get(ap_id, False)
         if not offload:
-            d, e = local_cost(group, plan.local.f_loc[ap_id], w)
-            ok = cap_side(group_demand_cps(tasks), ap.f_loc_max_cps) <= 0
+            d, e = _local_cost(totals, plan.local.f_loc[ap_id], w)
+            ok = cap_side(_demand_cps(totals.cycles, totals.size, totals.deadline_s),
+                          ap.f_loc_max_cps) <= 0
         elif plan.admission.y.get(ap_id, False):
             mec = scenario.mecs[plan.admission.assignment[ap_id]]
-            d, e = mec_cost(group, ap, mec, scenario.channel, w, bh_scaled)
-            ok = d <= deadline
+            d, e = _mec_cost(totals, ap, mec, scenario.channel, bh_scaled)
+            ok = d <= totals.deadline_s
         elif ap_id in plan.fallback_aps:
             # best-effort local at the cap; deadline misses count as failures
-            d, e = local_cost(group, ap.f_loc_max_cps, w)
-            ok = d <= deadline
+            d, e = _local_cost(totals, ap.f_loc_max_cps, w)
+            ok = d <= totals.deadline_s
         else:
             raise InvalidAssignmentError(
                 f"ap {ap_id} flagged for offload but neither admitted, fallback, nor failed")

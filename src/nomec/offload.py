@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .model import cap_side, group_demand_cps, local_cost, sum_left_to_right
+from .model import _group_totals, _local_cost, cap_side, group_demand_cps
 
 
 @dataclass(frozen=True)
@@ -43,24 +43,31 @@ def allocate_local(groups: dict, caps: dict) -> LocalAllocation:
     return LocalAllocation(f_out, x_out)
 
 
+def _first_layer_weight(totals, f_loc: float, weights) -> float:
+    d, e = _local_cost(totals, f_loc, weights)
+    return d + e
+
+
 def first_layer_weight(group, f_loc: float, weights) -> float:
     """Offload urgency of a group: its local delay plus local energy, 0.0
     for an empty group.
 
     group is a sequence of (Task, upload_rate_bps).
     """
-    d, e = local_cost(group, f_loc, weights)
-    return d + e
+    return _first_layer_weight(_group_totals(*zip(*group)), f_loc, weights) if group else 0.0
+
+
+def _second_layer_weights(totals, rates) -> list:
+    if totals.bits <= 0:
+        raise ValueError("second-layer weight undefined for an empty group")
+    mean_density = totals.density_cpb / totals.size
+    return [rate * mean_density / totals.bits for rate in rates]
 
 
 def second_layer_weights(tasks, rates) -> list:
     """The affinities of one AP group for backhaul links of the given
     rates, the group summed once, left to right."""
-    total_bits = sum_left_to_right(t.size_bits for t in tasks)
-    if total_bits <= 0:
-        raise ValueError("second-layer weight undefined for an empty group")
-    mean_density = sum_left_to_right(t.density_cpb for t in tasks) / len(tasks)
-    return [rate * mean_density / total_bits for rate in rates]
+    return _second_layer_weights(_group_totals(tasks), rates)
 
 
 def admission_control(g_by_ap: dict, affinity: dict) -> AdmissionPlan:

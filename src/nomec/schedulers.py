@@ -8,20 +8,20 @@ and failed, evaluate. The schemes differ only in the parts _PIPELINES
 names.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .graph import (_cached, _caps, _channel_terms, _full_cells, _gathered, _kept, _solve,
-                    _weights, build_pruned, enumerate_full)
+                    _weights, build_pruned, check_cell_budget, enumerate_full)
 # kept bound here: perfbench/tracer.py wraps schedulers.build_full by name
 from .graph import build_full  # noqa: F401
-from .model import InvalidAssignmentError, Metrics, backhaul_rates, system_metrics
+from .model import (GroupTotals, InvalidAssignmentError, Metrics, _group_totals,
+                    backhaul_rates, system_metrics)
 from .mwis import ORDERINGS, _scan, greedy_min_wis, random_maximal_is
-from .offload import (AdmissionPlan, LocalAllocation, admission_control,
-                      allocate_local, first_layer_weight, second_layer_weights)
+from .offload import (AdmissionPlan, LocalAllocation, _first_layer_weight,
+                      _second_layer_weights, admission_control, allocate_local)
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,26 @@ class Schedule:
     associations: tuple
     ud_assignment: dict
     ap_groups: dict
+    _totals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def totals(self, ap_id) -> GroupTotals:
+        """The GroupTotals of ap_id's nonempty group, walked on first use."""
+        if ap_id not in self._totals:
+            _, tasks, rates = zip(*self.ap_groups[ap_id])
+            self._totals[ap_id] = _group_totals(tasks, rates)
+        return self._totals[ap_id]
 
     @classmethod
     def build(cls, assocs, scenario):
         ud_map = {}
         groups = {}
+        devices = scenario.devices
         for a in assocs:
-            for i, ud in enumerate(a.uds):
+            for ud, power, rate in zip(a.uds, a.power.powers, a.power.rates):
                 if ud in ud_map:
                     raise InvalidAssignmentError(f"ud {ud} scheduled twice")
-                rate = a.power.rates[i]
-                ud_map[ud] = (a.ap, a.rrb, a.power.powers[i], rate)
-                groups.setdefault(a.ap, []).append((ud, scenario.devices[ud].task, rate))
+                ud_map[ud] = (a.ap, a.rrb, power, rate)
+                groups.setdefault(a.ap, []).append((ud, devices[ud].task, rate))
         groups = {m: tuple(sorted(entries)) for m, entries in groups.items()}
         return cls(tuple(assocs), ud_map, groups)
 
@@ -77,9 +85,10 @@ def _stage1(scenario, opt: _Options):
     leave the next iteration's pool; under strict CC2 a slot is an RRB
     index, which a frozen cluster holds on every AP, and under the default
     rule the AP's own. The cached full cells are solved once, unweighed;
-    the pool, private to the call, gathers their feasible rows
-    and keeps its frequency-free weight terms, so each new input weighs it
-    again in five array operations, and the greedy searches the whole pool.
+    the pool, private to the call, gathers their feasible rows (or is the
+    solved graph itself when every row is feasible and searched) and keeps
+    its frequency-free weight terms, so each new input weighs it again in
+    five array operations, and the greedy searches the whole pool.
     When APs commit, the pool, its terms and its rows of the solved cells
     are regathered at the next new input to the vertices still in it. An
     iteration whose input repeats an earlier one's reuses its picks and
@@ -87,7 +96,9 @@ def _stage1(scenario, opt: _Options):
     The associations are the frozen ones plus the last iteration's picks at
     uncommitted APs. The graph, built once, holds the feasible cells the
     last iteration's pool still covers, weighed at its frequencies, in
-    place when that is every cell; the picks index it.
+    place when that is every cell; the picks index it. When the pool holds
+    exactly those cells, as under the modified ordering, the pool itself
+    is the graph, weighed from the terms it already has.
 
     Under the original ordering the pool holds the singletons only: a pair
     is strictly heavier than both of its member singletons on its slot and
@@ -113,7 +124,7 @@ def _stage1(scenario, opt: _Options):
 
     # the pool's rows of solved, its vertices and their frequency-free terms
     rows = np.flatnonzero(feas if opt.ordering == "modified" else feas & (solved.u2 < 0))
-    pool = _gathered(solved, rows)
+    pool = solved if rows.size == len(solved) else _gathered(solved, rows)
     terms = _channel_terms(scenario, pool)
     pooled = 0      # how many commits the pool has left out
     seen = {}       # per input, its iteration, picks, their APs and allocation
@@ -155,8 +166,12 @@ def _stage1(scenario, opt: _Options):
         f_loc.update(f_new)
     committed_aps = frozenset(np.flatnonzero(~active_ap).tolist())
     keep = feas & in_pool(solved, *masks) if key[0] else feas   # key[0]: commits before
-    graph = _kept(scenario, solved, keep, weighed_at)
-    picks = tuple(np.flatnonzero(keep).searchsorted(rows[idx]).tolist())
+    if rows.size == np.count_nonzero(keep):     # the pool holds the final graph's rows
+        graph, picks = pool, tuple(idx.tolist())
+        graph.weights = _weights(scenario, terms, graph.ap_arr, weighed_at)
+    else:
+        graph = _kept(scenario, solved, keep, weighed_at)
+        picks = tuple(np.flatnonzero(keep).searchsorted(rows[idx]).tolist())
     assocs = committed + graph.vertices_at([i for i, m in zip(picks, pick_aps)
                                             if m not in committed_aps])
     extras = {"vertices": int(np.count_nonzero(feas)), "iterations": iterations,
@@ -175,14 +190,35 @@ def _stage1_original(scenario, opt: _Options):
 
 
 def _pruned_greedy(scenario, opt: _Options):
+    """The greedy over build_pruned's graph, which is the final graph and
+    which the picks index.
+
+    Under the original ordering the greedy searches the graph's singletons
+    alone. No pair can be picked: every pruned pair holds its slot's seed,
+    whose singleton on the same slot conflicts with it and is strictly
+    lighter, since the seed's rate in the pair is at most its rate alone
+    and the partner adds positive terms. The lightest-first greedy so
+    reaches that singleton first, and whether it takes it or a conflicting
+    pick blocks it, the pair is blocked too. The modified ordering ranks
+    by sums over the pairs' weights, so it searches the whole graph.
+    """
     graph = build_pruned(scenario, strict_cc2=opt.strict_cc2)
-    return _picked(graph, greedy_min_wis(graph, opt.ordering))
+    if opt.ordering == "modified":
+        return _picked(graph, greedy_min_wis(graph, opt.ordering))
+    rows = np.flatnonzero(graph.u2 < 0)
+    seeds = _gathered(graph, rows)
+    seeds.weights = graph.weights[rows]
+    picks = rows[np.array(greedy_min_wis(seeds, "original").indices, dtype=np.int64)]
+    return graph.vertices_at(picks), graph, tuple(picks.tolist()), {}
+
+
+# all_offload's one RRB per AP caps each collected group at a single cluster
+_ONE_RRB = (0,)
 
 
 def _one_cluster_per_ap(scenario, opt: _Options):
-    # one RRB per AP caps each collected group at a single cluster;
     # pairs order before singletons so clusters fill up
-    graph = enumerate_full(scenario, strict_cc2=opt.strict_cc2, rrbs=[0])
+    graph = enumerate_full(scenario, strict_cc2=opt.strict_cc2, rrbs=_ONE_RRB)
     single = graph.u2 < 0
     return _picked(graph, _scan(graph, (np.flatnonzero(~single), np.flatnonzero(single)),
                                 graph.weights))
@@ -195,6 +231,8 @@ def _random_maximal(scenario, opt: _Options):
 
 def _candidate_rates(scenario, candidates):
     """Per candidate AP id, its backhaul rates indexed by MEC id."""
+    if not candidates:
+        return {}
     return backhaul_rates([scenario.aps[m] for m in candidates], scenario.mecs,
                           scenario.channel, scenario.config.backhaul_bandwidth_scaling)
 
@@ -205,9 +243,9 @@ def _admit_weighted(scenario, schedule, candidates, seed):
     g = {}
     affinity = {}
     for m in candidates:
-        group = [(task, rate) for _, task, rate in schedule.ap_groups[m]]
-        g[m] = first_layer_weight(group, scenario.aps[m].f_loc_max_cps, scenario.weights)
-        affinity[m] = second_layer_weights([task for task, _ in group], rates[m])
+        totals = schedule.totals(m)
+        g[m] = _first_layer_weight(totals, scenario.aps[m].f_loc_max_cps, scenario.weights)
+        affinity[m] = _second_layer_weights(totals, rates[m])
     return admission_control(g, affinity)
 
 
@@ -257,6 +295,17 @@ _PIPELINES = {
 SCHEMES = tuple(_PIPELINES)
 
 
+def check_size(scenario, schemes):
+    """Refuse, with check_cell_budget's ConfigError, a scenario on which
+    the schemes would enumerate full candidate cells past the budget:
+    joint, local and random enumerate those of every RRB, all_offload
+    those of _ONE_RRB, pruning none."""
+    if {"joint", "local", "random"} & set(schemes):
+        check_cell_budget(scenario)
+    elif "all_offload" in schemes:
+        check_cell_budget(scenario, _ONE_RRB)
+
+
 def run_scheme(scenario, scheme: str, seed: int = 0, max_iters: int = 5,
                strict_cc2: bool = False, mwis_ordering: str = "original",
                fallback_local: bool = True):
@@ -291,6 +340,7 @@ def run_scheme(scenario, scheme: str, seed: int = 0, max_iters: int = 5,
     fallback = rejected if may_fall_back and fallback_local else frozenset()
     extras = {"vertices": len(graph), **extras, "final_graph": graph,
               "final_is_indices": picks}
-    plan = OffloadPlan(local=alloc, admission=admission, failed_aps=rejected - fallback,
-                       fallback_aps=fallback, extras=extras)
-    return schedule, dataclasses.replace(plan, metrics=system_metrics(schedule, plan, scenario))
+    failed = rejected - fallback
+    metrics = system_metrics(schedule, OffloadPlan(alloc, admission, failed, fallback),
+                             scenario)
+    return schedule, OffloadPlan(alloc, admission, failed, fallback, metrics, extras)

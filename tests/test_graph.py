@@ -10,7 +10,10 @@ import pytest
 from nomec import (SCHEMES, ClusterPowerSolution, NomaAssociation, ScenarioConfig, Task,
                    allocate_local, build_full, build_pruned, enumerate_full, generate,
                    group_demand_cps, modified_weight, run_scheme)
-from nomec.graph import _caps, _cell_columns, _gathered, _kept, _solve
+from nomec import graph as graph_module
+from nomec.graph import (_cached, _caps, _cell_columns, _full_cells, _gathered, _kept, _solve,
+                         full_cell_count)
+from nomec.scenario import ConfigError
 from nomec.model import REL_TOL
 from nomec.scenario import realize_channels, with_channel
 import oracles
@@ -742,3 +745,40 @@ def test_devices_with_different_power_caps_are_refused():
     low = dataclasses.replace(scn, devices=tuple(dataclasses.replace(d, p_max_w=p_max / 10)
                                                  for d in scn.devices))
     assert np.all(enumerate_full(low)._p1 <= p_max / 10)
+
+
+def test_full_cell_count_is_the_enumerated_count():
+    """full_cell_count, read from the coverage alone, is the number of
+    cells the full enumeration builds, for every RRB and for RRB lists."""
+    checked = 0
+    for cfg in (ScenarioConfig(), ScenarioConfig(n_uds=6, n_aps=3, rrbs_per_ap=2),
+                ScenarioConfig(n_uds=40, rrbs_per_ap=1, seed=5),
+                ScenarioConfig(n_uds=30, ap_coverage_m=300.0, seed=2)):
+        scn = generate(cfg)
+        for rrbs in (None, (0,), (0, 0)):
+            if rrbs and max(rrbs) >= cfg.rrbs_per_ap:
+                continue
+            count = full_cell_count(scn, rrbs)
+            assert count == len(oracles.full_cells_by_ap(scn, rrbs)[0])
+            assert count == len(_cached(scn, ("full_cells", rrbs),
+                                        lambda s: _full_cells(s, rrbs))[0])
+            checked += 1
+    assert checked == 12
+
+
+def test_full_cells_past_the_budget_are_refused(monkeypatch):
+    """Under a budget below a scenario's full candidate cells, enumerating
+    them raises a ConfigError naming n_uds and the estimate; a budget at
+    RRB 0's cells admits those alone, and the pruned cells never count."""
+    scn = generate(ScenarioConfig())
+    one_rrb = full_cell_count(scn, (0,))
+    monkeypatch.setattr(graph_module, "CELL_BUDGET_BYTES", one_rrb * graph_module.CELL_BYTES)
+    count = full_cell_count(scn)
+    message = f"n_uds=24 gives {count} full candidate cells, about {count * graph_module.CELL_BYTES}"
+    with pytest.raises(ConfigError, match=message):
+        _full_cells(scn)
+    for scheme in ("joint", "local", "random"):
+        with pytest.raises(ConfigError, match="n_uds=24"):
+            run_scheme(generate(ScenarioConfig()), scheme)
+    for scheme in ("pruning", "all_offload"):
+        run_scheme(generate(ScenarioConfig()), scheme)

@@ -1,6 +1,7 @@
 """Monte Carlo harness: sweeps, determinism, summaries, and I/O."""
 
 import concurrent.futures
+import dataclasses
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from nomec import (CSV_COLUMNS, ConfigError, ExperimentSpec, HarnessError, Resul
                    ScenarioConfig, run_experiment)
 from nomec import harness
 from nomec.cli import main
+from nomec.graph import CELL_BYTES, full_cell_count
 from nomec.harness import emit, read_rows, rows_to_csv, rows_to_json, summarize
 
 TINY = ScenarioConfig(n_uds=6, n_aps=3, n_mecs=2, rrbs_per_ap=2)
@@ -164,6 +166,34 @@ def test_a_value_generate_refuses_stops_the_sweep_before_any_trial(monkeypatch):
         with pytest.raises(ConfigError, match="shadowing_std_db 1500.0"):
             run_experiment(spec, workers=workers)
     assert calls == []
+
+
+def test_a_value_past_the_cell_budget_stops_the_sweep_before_any_trial(monkeypatch, capsys):
+    """run_experiment refuses, before any trial, a value whose scenario's
+    full candidate cells the listed schemes would enumerate past the byte
+    budget: every RRB's for joint, local and random, RRB 0's for
+    all_offload, none for pruning. The CLI exits 1 on it with an error
+    line naming n_uds."""
+    calls = []
+    monkeypatch.setattr("nomec.harness.run_scheme", lambda *args, **kwargs: calls.append(args))
+    spec = tiny_spec(sweep_values=(6, 10))
+    small, large = (harness.generate(harness._value_config(spec, i, v))
+                    for i, v in enumerate(spec.sweep_values))
+    budget = full_cell_count(large, (0,))
+    assert full_cell_count(small) <= budget < full_cell_count(large)
+    monkeypatch.setattr("nomec.graph.CELL_BUDGET_BYTES", budget * CELL_BYTES)
+    for schemes in (("joint",), ("local", "pruning"), ("random",)):
+        for workers in (1, 2):
+            with pytest.raises(ConfigError, match="n_uds=10 gives"):
+                run_experiment(dataclasses.replace(spec, schemes=schemes), workers=workers)
+    assert calls == []
+    run_experiment(dataclasses.replace(spec, schemes=("pruning", "all_offload")))
+    assert calls
+    capsys.readouterr()
+    monkeypatch.setattr("nomec.graph.CELL_BUDGET_BYTES", 1)
+    assert main(["--trials", "1", "--schemes", "all_offload"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: n_uds=24 gives ")
 
 
 def test_tuple_sweep_value_becomes_mean():

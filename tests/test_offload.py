@@ -8,7 +8,7 @@ import pytest
 from nomec import (AccessPoint, ChannelState, CostWeights, MecServer, Task,
                    admission_control, allocate_local, backhaul_rates,
                    first_layer_weight, group_demand_cps, second_layer_weights)
-from nomec.model import cap_side, sum_left_to_right
+from nomec.model import _group_totals, cap_side, sum_left_to_right
 from conftest import gain_arrays
 import oracles
 
@@ -122,6 +122,26 @@ def test_group_sums_run_left_to_right():
     assert allocate_local({0: tasks}, {0: 1e300}).f_loc[0] == 2.0 ** 53 / (3 * deadline)
     assert second_layer_weights(tasks, [2.0 ** 53]) == [1.0]
     assert sum_left_to_right([1e16, 1.0, -1e16, 0.1, 0.2]) == 0.30000000000000004
+
+
+def test_group_totals_sum_left_to_right():
+    """The one-pass totals of a group, which the schemes' metrics and
+    admission weights read, add bits, cycles and densities left to right:
+    0.1 + 0.2 + 0.3 gives 0.6000000000000001 where a compensated sum gives
+    0.6."""
+    values = [0.1, 0.2, 0.3]
+    assert sum_left_to_right(values) != math.fsum(values)
+    for sizes, densities in ((values, [1.0] * 3), ([1.0] * 3, values)):
+        tasks = [Task(b, lam, 0.01 * (k + 1)) for k, (b, lam) in enumerate(zip(sizes, densities))]
+        rates = [1e6, 2e6, 5e5]
+        totals = _group_totals(tasks, rates)
+        assert totals.bits == sum_left_to_right(sizes)
+        assert totals.cycles == sum_left_to_right([b * lam for b, lam in zip(sizes, densities)])
+        assert totals.density_cpb == sum_left_to_right(densities)
+        assert (totals.deadline_s, totals.size) == (0.01, 3)
+        assert totals.upload_s == max(b / r for b, r in zip(sizes, rates))
+        assert _group_totals(tasks) == totals._replace(upload_s=0.0)
+        assert group_demand_cps(tasks) == totals.cycles / (3 * 0.01)
 
 
 def test_admission_prefers_heavier_first_layer():

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from nomec import (SCHEMES, ClusterPowerSolution, ConflictGraph,
-                   NomaAssociation, Schedule, ScenarioConfig, allocate_local,
-                   enumerate_full, generate, greedy_min_wis, modified_ranks, run_scheme)
+                   NomaAssociation, Schedule, ScenarioConfig, allocate_local, backhaul_rates,
+                   build_pruned, enumerate_full, generate, greedy_min_wis, group_demand_cps,
+                   local_cost, mec_cost, modified_ranks, run_scheme, second_layer_weights,
+                   system_metrics)
 from nomec import graph as graph_module
 from nomec.graph import _kept
 from nomec import schedulers
-from nomec.model import InvalidAssignmentError
+from nomec.model import InvalidAssignmentError, cap_side
 from nomec.mwis import ORDERINGS
 from nomec.offload import AdmissionPlan, admission_control, first_layer_weight
 from nomec.scenario import realize_channels, with_channel
@@ -502,17 +504,21 @@ def test_stage1_equals_the_copying_loop():
     assert committed >= 30 and cycled >= 10 and dropped == len(fixed)
 
 
-@pytest.mark.parametrize("scheme", ["joint", "local"])
-def test_stage1_weighs_full_length_arrays_once(monkeypatch, scheme):
-    """Under the original ordering stage 1 computes its pool's
-    frequency-free weight terms once and weighs the pool from them at each
-    new input, at the length of the graph the greedy then searches: the
-    first pool's, shrinking only where APs committed, as a regathered pool
-    gathers its terms instead of computing them. The only weighing at the
-    length of the full graph is the final graph's."""
-    terms, weighed, searched = [], [], []
+@pytest.mark.parametrize("scheme, ordering",
+                         [("joint", "original"), ("local", "original"), ("joint", "modified")])
+def test_stage1_weighs_full_length_arrays_once(monkeypatch, scheme, ordering):
+    """Stage 1 computes its pool's frequency-free weight terms once and
+    weighs the pool from them at each new input, at the length of the
+    graph the greedy then searches: the first pool's, shrinking only where
+    APs committed, as a regathered pool gathers its terms instead of
+    computing them. The final graph is weighed last, at its own length.
+    Its terms are computed a second time only when it holds rows the pool
+    lacks, the pairs the original ordering leaves out of the pool; else
+    the pool is the final graph. A pool of every solved row is the solved
+    graph itself, not a gathered copy."""
+    terms, weighed, searched, gathered = [], [], [], []
     real_terms, real_weights = graph_module._channel_terms, graph_module._weights
-    real_greedy = schedulers.greedy_min_wis
+    real_greedy, real_gathered = schedulers.greedy_min_wis, schedulers._gathered
 
     def record_terms(scenario, graph):
         terms.append(len(graph))
@@ -526,20 +532,36 @@ def test_stage1_weighs_full_length_arrays_once(monkeypatch, scheme):
         searched.append(len(graph))
         return real_greedy(graph, ordering)
 
+    def record_gathered(graph, rows):
+        gathered.append((len(graph), len(rows)))
+        return real_gathered(graph, rows)
+
     for module in (graph_module, schedulers):
         monkeypatch.setattr(module, "_channel_terms", record_terms)
         monkeypatch.setattr(module, "_weights", record_weights)
     monkeypatch.setattr(schedulers, "greedy_min_wis", record_greedy)
+    monkeypatch.setattr(schedulers, "_gathered", record_gathered)
+    whole_pools = 0
     for strict, cfg in (*DROP_AND_COMMIT_CASES, (False, ScenarioConfig())):
-        for calls in (terms, weighed, searched):
+        for calls in (terms, weighed, searched, gathered):
             calls.clear()
-        _, plan = run_scheme(generate(cfg), scheme, strict_cc2=strict)
-        pool, final = terms
-        assert final == len(plan.extras["final_graph"])
+        scn = generate(cfg)
+        _, plan = run_scheme(scn, scheme, strict_cc2=strict, mwis_ordering=ordering)
+        final_graph = plan.extras["final_graph"]
+        final = len(final_graph)
+        pool = terms[0]
+        pairs_left_out = ordering == "original" and bool((final_graph.u2 >= 0).any())
+        assert terms == ([pool, final] if pairs_left_out else [pool])
         assert plan.extras["iterations"] > 1 and weighed[:-1] == searched
         assert searched[0] == pool and searched == sorted(searched, reverse=True)
         assert (searched[-1] < pool) == bool(plan.extras["committed_aps"])
         assert weighed[-1] == final
+        assert (searched[-1] == final) == (not pairs_left_out)
+        # the first pool is a gathered copy of the solved cells only when it is fewer
+        cells = len(oracles.full_cells_by_ap(scn)[0])
+        assert ((cells, pool) in gathered) == (pool < cells)
+        whole_pools += pool == cells
+    assert whole_pools == (1 if ordering == "modified" else 0)    # the default config
 
 
 def test_joint_solves_powers_once(monkeypatch):
@@ -746,3 +768,163 @@ def test_admission_reads_one_rate_table_with_the_bits_of_the_per_link_weights(mo
     assert zero_rate == {"shadowing seed 3", "shadowing seed 4", "all links dead",
                          "every other link dead"}
     assert plans == 6 * 3 * 2 and admitted > 0
+
+
+# (label, config) of the pruning corpus: the defaults, dense tasks, a high
+# rate floor, one RRB per AP, a 100 dB shadowing spread and heavy mixed tasks
+PRUNING_CORPUS = (
+    ("default", ScenarioConfig()),
+    ("density 2000", ScenarioConfig(density_cpb=2000.0)),
+    ("rate floor 2e7", ScenarioConfig(rate_threshold_bps=2e7)),
+    ("one rrb", ScenarioConfig(rrbs_per_ap=1)),
+    ("shadowing 100 dB", ScenarioConfig(n_uds=30, shadowing_std_db=100.0)),
+    ("offload-mixed", ScenarioConfig(n_uds=48, task_size_range_bits=(100.0, 2000.0),
+                                     density_cpb=500.0)),
+)
+
+
+def pruning_corpus():
+    """(label, strict_cc2, scenario): each corpus config at topology seeds
+    0-2, two fading trials each, under both CC2 rules."""
+    for label, cfg in PRUNING_CORPUS:
+        for seed in range(3):
+            scn = generate(dataclasses.replace(cfg, seed=seed))
+            for trial in range(2):
+                trial_scn = with_channel(scn, realize_channels(scn, trial))
+                for strict in (False, True):
+                    yield label, strict, trial_scn
+
+
+def test_pruned_pairs_sort_after_their_seed_singletons():
+    """Each pair of a pruned graph holds its slot's seed, whose singleton on
+    the same (AP, RRB) orders strictly before the pair by the greedy's key
+    (weight, ap, rrb, u1, u2): the reason pruning's greedy may search the
+    singletons alone."""
+    pairs = 0
+    for label, strict, scn in pruning_corpus():
+        g = build_pruned(scn, strict_cc2=strict)
+        keys = list(zip(g.weights.tolist(), g.ap_arr.tolist(), g.rrb_arr.tolist(),
+                        g.u1.tolist(), g.u2.tolist()))
+        seed_key = {(k[1], k[2]): k for k in keys if k[4] < 0}
+        assert len(seed_key) == np.count_nonzero(g.u2 < 0), label   # one seed per slot
+        for key in keys:
+            if key[4] < 0:
+                continue
+            seed = seed_key[(key[1], key[2])]
+            assert seed[3] in key[3:], (label, strict, key)
+            assert key > seed, (label, strict, key, seed)
+            pairs += 1
+    assert pairs > 4000
+
+
+def test_pruning_picks_equal_the_whole_graph_greedy():
+    """pruning's picks, as positions in its final graph, are the original
+    ordering's greedy picks over the whole pruned graph, in order; under
+    the modified ordering it still searches the whole graph."""
+    for label, strict, scn in pruning_corpus():
+        whole = build_pruned(scn, strict_cc2=strict)
+        for ordering in ORDERINGS:
+            schedule, plan = run_scheme(scn, "pruning", strict_cc2=strict,
+                                        mwis_ordering=ordering)
+            picks = greedy_min_wis(whole, ordering).indices
+            assert plan.extras["final_is_indices"] == picks, (label, strict, ordering)
+            final = plan.extras["final_graph"]
+            for name in SOLVED:
+                assert np.array_equal(getattr(final, name), getattr(whole, name),
+                                      equal_nan=True), name
+            assert list(schedule.associations) == whole.vertices_at(list(picks))
+
+
+def metrics_by_public_formulas(schedule, plan, scenario):
+    """system_metrics spelled with the public per-group formulas, each
+    summing its group itself."""
+    w = scenario.weights
+    latency = energy = 0.0
+    capacity = scheduled = 0
+    for ap_id, entries in schedule.ap_groups.items():
+        scheduled += len(entries)
+        if ap_id in plan.failed_aps:
+            continue
+        ap = scenario.aps[ap_id]
+        group = [(task, rate) for _, task, rate in entries]
+        tasks = [task for _, task, _ in entries]
+        deadline = min(t.deadline_s for t in tasks)
+        if not plan.local.x.get(ap_id, False):
+            d, e = local_cost(group, plan.local.f_loc[ap_id], w)
+            ok = cap_side(group_demand_cps(tasks), ap.f_loc_max_cps) <= 0
+        elif plan.admission.y.get(ap_id, False):
+            mec = scenario.mecs[plan.admission.assignment[ap_id]]
+            d, e = mec_cost(group, ap, mec, scenario.channel, w,
+                            scenario.config.backhaul_bandwidth_scaling)
+            ok = d <= deadline
+        else:
+            d, e = local_cost(group, ap.f_loc_max_cps, w)
+            ok = d <= deadline
+        latency = max(latency, d)
+        energy += e
+        capacity += len(entries) if ok else 0
+    return (latency, energy, w.w_latency * latency + w.w_energy * energy, capacity, scheduled)
+
+
+def test_per_call_totals_are_the_public_formulas():
+    """What run_scheme reads from each group's one-pass totals equals, bit
+    for bit, what the public per-group functions give: the metrics (also
+    recomputed on a fresh schedule and the plan without metrics), the
+    local allocation, and the weighted admission."""
+    admitted = offloaded = 0
+    for strict, cfg in (*STAGE1_CASES, (False, ScenarioConfig(seed=3))):
+        scn = generate(cfg)
+        for trial in range(2):
+            trial_scn = with_channel(scn, realize_channels(scn, trial))
+            for scheme in SCHEMES:
+                for fallback in (True, False):
+                    schedule, plan = run_scheme(trial_scn, scheme, seed=trial,
+                                                strict_cc2=strict, fallback_local=fallback)
+                    m = plan.metrics
+                    got = (m.latency_s, m.energy_j, m.cost, m.effective_capacity,
+                           m.scheduled_uds)
+                    assert repr(got) == repr(metrics_by_public_formulas(
+                        schedule, plan, trial_scn)), scheme
+                    fresh = Schedule.build(schedule.associations, trial_scn)
+                    bare = dataclasses.replace(plan, metrics=None)
+                    assert repr(system_metrics(fresh, bare, trial_scn)) == repr(m), scheme
+                    groups = {a: [t for _, t, _ in e] for a, e in schedule.ap_groups.items()}
+                    if scheme != "all_offload":
+                        assert plan.local == allocate_local(groups, graph_module._caps(trial_scn))
+                    candidates = sorted(a for a, x in plan.local.x.items() if x)
+                    offloaded += len(candidates)
+                    if scheme not in ("joint", "pruning", "all_offload") or not candidates:
+                        continue
+                    rates = backhaul_rates([trial_scn.aps[a] for a in candidates],
+                                           trial_scn.mecs, trial_scn.channel,
+                                           cfg.backhaul_bandwidth_scaling)
+                    g = {a: first_layer_weight([(t, r) for _, t, r in schedule.ap_groups[a]],
+                                               trial_scn.aps[a].f_loc_max_cps, trial_scn.weights)
+                         for a in candidates}
+                    affinity = {a: second_layer_weights(groups[a], rates[a]) for a in candidates}
+                    assert plan.admission == admission_control(g, affinity), scheme
+                    admitted += len(plan.admission.assignment)
+    assert offloaded > 0 and admitted > 0
+
+
+def test_picked_vertices_equal_init_built_ones():
+    """vertices_at's objects, made without their dataclass __init__, equal
+    and hash as __init__-built ones and refuse assignment."""
+    scn = generate(ScenarioConfig(n_uds=12, seed=4))
+    g = enumerate_full(scn)
+    idx = list(range(0, len(g), 7))
+    assert np.any(g.u2[idx] >= 0) and np.any(g.u2[idx] < 0)
+    for i, v in zip(idx, g.vertices_at(idx)):
+        members = 1 if g.u2[i] < 0 else 2
+        uds = (int(g.u1[i]), int(g.u2[i]))[:members]
+        power = ClusterPowerSolution((float(g._p1[i]), float(g._p2[i]))[:members],
+                                     (float(g._r1[i]), float(g._r2[i]))[:members],
+                                     float(g._obj[i]))
+        want = NomaAssociation(uds, int(g.rrb_arr[i]), int(g.ap_arr[i]), power,
+                               float(g.weights[i]))
+        assert v == want and hash(v) == hash(want) and repr(v) == repr(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.weight = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.power.objective = 0.0
+    assert g.vertices_at([]) == []
