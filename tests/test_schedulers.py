@@ -504,8 +504,9 @@ def test_stage1_equals_the_copying_loop():
     assert committed >= 30 and cycled >= 10 and dropped == len(fixed)
 
 
-@pytest.mark.parametrize("scheme, ordering",
-                         [("joint", "original"), ("local", "original"), ("joint", "modified")])
+@pytest.mark.parametrize("scheme, ordering", [
+    pytest.param("joint", "original", id="joint"), pytest.param("local", "original", id="local"),
+    pytest.param("joint", "modified", id="joint-modified")])
 def test_stage1_weighs_full_length_arrays_once(monkeypatch, scheme, ordering):
     """Stage 1 computes its pool's frequency-free weight terms once and
     weighs the pool from them at each new input, at the length of the
